@@ -236,11 +236,9 @@ impl<'g> CompiledContext<'g> {
         let build: IoBuild = Box::new(move |slot, w| {
             let chan = typed_slot::<T>(slot, connector, dtype, w)?;
             let mut tx = chan.add_producer();
-            Ok(Box::pin(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            }))
+            Ok(Box::pin(
+                async move { tx.push_iter(data.into_iter()).await },
+            ))
         });
         self.feeds[index] = Some(PendingFeed { len, build });
         Ok(())
@@ -285,20 +283,7 @@ impl<'g> CompiledContext<'g> {
         let sink_data = handle.shared();
         let build: IoBuild = Box::new(move |slot, w| {
             let chan = typed_slot::<T>(slot, connector, dtype, w)?;
-            let mut rx = chan.add_consumer();
-            Ok(match limit {
-                None => Box::pin(async move {
-                    while let Some(v) = rx.recv().await {
-                        sink_data.lock().unwrap().push(v);
-                    }
-                }),
-                Some(limit) => Box::pin(async move {
-                    while sink_data.lock().unwrap().len() < limit {
-                        let Some(v) = rx.recv().await else { return };
-                        sink_data.lock().unwrap().push(v);
-                    }
-                }),
-            })
+            Ok(Box::pin(chan.add_consumer().collect_into(sink_data, limit)))
         });
         self.sinks[index] = Some(build);
         Ok(handle)

@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A job that has passed admission and waits in a worker's deque.
 struct QueuedJob {
@@ -277,11 +277,23 @@ impl Drop for Pool {
     }
 }
 
+/// How long a worker that finds the queue empty keeps looking, yielding its
+/// CPU between looks, before it parks on `work_cv`.
+///
+/// A worker that parks in the gap between two batches is woken while the
+/// submitter and its peers hold every CPU, and the kernel then often queues
+/// it behind a running peer: the batch runs on one worker beside an idle
+/// CPU, and rounds of sub-millisecond jobs take one or two job lengths at
+/// the scheduler's whim (DESIGN §7). Staying awake across the gap removes
+/// the wake-up; a pool that is really idle parks half a millisecond later.
+const IDLE_SPIN: Duration = Duration::from_micros(500);
+
 fn worker_loop(shared: &Shared, me: usize) {
     loop {
         // Claim one unit of queued work (or exit once drained + shutdown).
         {
             let mut st = shared.lock_state();
+            let mut idle_since = None;
             loop {
                 if st.queued > 0 {
                     st.queued -= 1;
@@ -291,7 +303,13 @@ fn worker_loop(shared: &Shared, me: usize) {
                 if st.shutdown {
                     return;
                 }
-                st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                if idle_since.get_or_insert_with(Instant::now).elapsed() < IDLE_SPIN {
+                    drop(st);
+                    std::thread::yield_now();
+                    st = shared.lock_state();
+                } else {
+                    st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
             }
         }
         // The claim freed an admission slot: wake one blocked submitter.

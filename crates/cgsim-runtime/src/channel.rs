@@ -131,11 +131,45 @@ impl<T> Inner<T> {
 
     /// Drop elements every open consumer has already read.
     fn retire(&mut self) {
-        let min = self.min_open_cursor();
-        while self.base_seq < min && !self.buf.is_empty() {
-            self.buf.pop_front();
-            self.base_seq += 1;
+        let passed = self.min_open_cursor().saturating_sub(self.base_seq);
+        let n = passed.min(self.buf.len() as u64);
+        self.buf.drain(..n as usize);
+        self.base_seq += n;
+    }
+
+    /// Elements a producer may push before the slowest open consumer pins
+    /// the buffer; `None` when no consumer is open (writes are discarded).
+    fn free_slots(&self) -> Option<usize> {
+        let open = self.consumers.iter().filter(|c| c.open);
+        let occupied = (self.head_seq() - open.map(|c| c.cursor).min()?) as usize;
+        Some(self.capacity.saturating_sub(occupied))
+    }
+
+    /// Copy the next `batch` elements at consumer `idx`'s cursor onto the
+    /// end of `out`, advance the cursor and retire what every consumer has
+    /// now passed. The memory moves in (at most two) slices: one `memcpy`
+    /// each for `Copy` elements, then one `drain` — measurably faster than
+    /// handing a sole reader its elements one by one through `Drain`.
+    fn take_batch(&mut self, idx: usize, batch: usize, out: &mut Vec<T>)
+    where
+        T: Clone,
+    {
+        let start = (self.consumers[idx].cursor - self.base_seq) as usize;
+        let end = start + batch;
+        let (front, back) = self.buf.as_slices();
+        if start < front.len() {
+            out.extend_from_slice(&front[start..end.min(front.len())]);
         }
+        if end > front.len() {
+            let from = start.saturating_sub(front.len());
+            out.extend_from_slice(&back[from..end - front.len()]);
+        }
+        self.consumers[idx].cursor += batch as u64;
+        self.retire();
+        self.stats.pops += batch as u64;
+        self.trace.pops.add(batch as u64);
+        self.note_pop_occupancy();
+        self.wake_writers();
     }
 
     fn wake_readers(&mut self) {
@@ -409,8 +443,7 @@ impl<T: Clone> Channel<T> {
     fn poll_send(&self, value: &mut Option<T>, cx: &mut Context<'_>) -> Poll<()> {
         self.store.with(|inner| {
             // Full relative to the slowest open consumer?
-            let occupied = (inner.head_seq() - inner.min_open_cursor()) as usize;
-            if occupied >= inner.capacity && inner.consumers.iter().any(|c| c.open) {
+            if inner.free_slots() == Some(0) {
                 inner.note_blocked_write(cx);
                 return Poll::Pending;
             }
@@ -430,60 +463,57 @@ impl<T: Clone> Channel<T> {
         })
     }
 
-    /// Batched send: push as many of `values[*sent..]` as fit in one state
-    /// acquisition, waking consumers once per batch. Completes when every
-    /// element has been accepted.
-    fn poll_send_slice(&self, values: &[T], sent: &mut usize, cx: &mut Context<'_>) -> Poll<()> {
-        if *sent >= values.len() {
+    /// Batched send: under one state acquisition, pull as many elements
+    /// from `iter` as the buffer has free slots (never more — the source
+    /// stays lazy), waking consumers once per batch. Completes when the
+    /// iterator is exhausted.
+    fn poll_send_iter<I: Iterator<Item = T>>(
+        &self,
+        iter: &mut I,
+        cx: &mut Context<'_>,
+    ) -> Poll<()> {
+        // An exact upper bound of zero proves exhaustion without pulling;
+        // iterators that cannot tell are found out by a short batch.
+        let exhausted = |iter: &I| iter.size_hint().1 == Some(0);
+        if exhausted(iter) {
             return Poll::Ready(());
         }
         self.store.with(|inner| {
-            let remaining = values.len() - *sent;
-            if !inner.consumers.iter().any(|c| c.open) {
+            let Some(free) = inner.free_slots() else {
                 // No open consumers: the whole remainder succeeds and is
                 // discarded (same contract as the element-wise path, which
                 // pushes then immediately retires).
-                inner.base_seq += remaining as u64;
-                inner.stats.pushes += remaining as u64;
-                inner.trace.pushes.add(remaining as u64);
-                self.pushed.fetch_add(remaining as u64, Ordering::Relaxed);
-                *sent = values.len();
+                let discarded = iter.by_ref().count() as u64;
+                inner.base_seq += discarded;
+                inner.stats.pushes += discarded;
+                inner.trace.pushes.add(discarded);
+                self.pushed.fetch_add(discarded, Ordering::Relaxed);
                 inner.note_push_occupancy();
                 return Poll::Ready(());
-            }
-            let occupied = (inner.head_seq() - inner.min_open_cursor()) as usize;
-            let free = inner.capacity.saturating_sub(occupied);
-            let batch = free.min(remaining);
+            };
+            let before = inner.buf.len();
+            inner.buf.extend(iter.by_ref().take(free));
+            let batch = inner.buf.len() - before;
             if batch > 0 {
-                inner
-                    .buf
-                    .extend(values[*sent..*sent + batch].iter().cloned());
-                *sent += batch;
                 inner.stats.pushes += batch as u64;
                 inner.trace.pushes.add(batch as u64);
                 self.pushed.fetch_add(batch as u64, Ordering::Relaxed);
-                inner.retire();
                 inner.stats.max_occupancy = inner.stats.max_occupancy.max(inner.buf.len() as u64);
                 inner.note_push_occupancy();
                 inner.wake_readers();
             }
-            if *sent == values.len() {
-                Poll::Ready(())
-            } else {
-                // A partial-progress poll suspends but is not *blocked*: only
-                // a poll that moved nothing counts against blocked_writes,
-                // mirroring the element path's full-buffer condition.
-                if batch == 0 {
-                    inner.stats.blocked_writes += 1;
-                    inner.trace.blocked_writes.inc();
-                    inner.trace.tracer.emit(TraceEvent::ChannelBlock {
-                        channel: inner.trace.chan,
-                        side: BlockSide::Write,
-                    });
-                }
-                inner.write_wakers.push(cx.waker().clone());
-                Poll::Pending
+            if batch < free || exhausted(iter) {
+                return Poll::Ready(());
             }
+            // A partial-progress poll suspends but is not *blocked*: only a
+            // poll that moved nothing counts against blocked_writes,
+            // mirroring the element path's full-buffer condition.
+            if batch == 0 {
+                inner.note_blocked_write(cx);
+            } else {
+                inner.write_wakers.push(cx.waker().clone());
+            }
+            Poll::Pending
         })
     }
 
@@ -509,35 +539,59 @@ impl<T: Clone> Channel<T> {
         })
     }
 
-    /// Batched receive: drain up to `max` available elements in one state
-    /// acquisition, waking producers once per batch. Resolves to `None` at
-    /// end-of-stream.
-    fn poll_recv_chunk(
+    /// Batched receive: when elements are available, `take` moves the next
+    /// `min(available, max)` of them out (via [`Inner::take_batch`]) in one
+    /// state acquisition. Resolves to `None` at end-of-stream.
+    fn poll_recv_batch<R>(
         &self,
         idx: usize,
         max: usize,
         cx: &mut Context<'_>,
-    ) -> Poll<Option<Vec<T>>> {
+        take: impl FnOnce(&mut Inner<T>, usize) -> R,
+    ) -> Poll<Option<R>> {
         self.store.with(|inner| {
-            let cursor = inner.consumers[idx].cursor;
-            let available = (inner.head_seq() - cursor) as usize;
+            let available = (inner.head_seq() - inner.consumers[idx].cursor) as usize;
             if available > 0 {
-                let batch = available.min(max);
-                let start = (cursor - inner.base_seq) as usize;
-                let chunk: Vec<T> = inner.buf.range(start..start + batch).cloned().collect();
-                inner.consumers[idx].cursor += batch as u64;
-                inner.stats.pops += batch as u64;
-                inner.trace.pops.add(batch as u64);
-                inner.retire();
-                inner.note_pop_occupancy();
-                inner.wake_writers();
-                Poll::Ready(Some(chunk))
+                Poll::Ready(Some(take(inner, available.min(max))))
             } else if inner.producers == 0 {
                 Poll::Ready(None)
             } else {
                 inner.note_blocked_read(idx, cx);
                 Poll::Pending
             }
+        })
+    }
+
+    /// Drain up to `max` available elements into a fresh chunk.
+    fn poll_recv_chunk(
+        &self,
+        idx: usize,
+        max: usize,
+        cx: &mut Context<'_>,
+    ) -> Poll<Option<Vec<T>>> {
+        self.poll_recv_batch(idx, max, cx, |inner, batch| {
+            let mut chunk = Vec::with_capacity(batch);
+            inner.take_batch(idx, batch, &mut chunk);
+            chunk
+        })
+    }
+
+    /// Drain up to `max` available elements onto the end of a shared sink
+    /// buffer, locked once per batch and only when there is data to move.
+    /// Resolves to the number of elements moved.
+    fn poll_recv_into(
+        &self,
+        idx: usize,
+        max: usize,
+        out: &Mutex<Vec<T>>,
+        cx: &mut Context<'_>,
+    ) -> Poll<Option<usize>> {
+        self.poll_recv_batch(idx, max, cx, |inner, batch| {
+            let mut out = out
+                .lock()
+                .expect("sink buffer poisoned by a panicking reader");
+            inner.take_batch(idx, batch, &mut out);
+            batch
         })
     }
 
@@ -611,16 +665,25 @@ impl<T: Clone> Producer<T> {
         }
     }
 
-    /// Send a whole slice of elements, moving as many as fit per state
-    /// acquisition and waking consumers once per batch instead of once per
-    /// element. Equivalent to awaiting [`Producer::send`] per element, but
-    /// with batched synchronisation (§5.2 window-port fast path).
-    pub fn push_slice(&mut self, values: Vec<T>) -> PushSliceFuture<'_, T> {
-        PushSliceFuture {
+    /// Send everything `iter` yields — the data-source operation (§3.7).
+    /// Each poll pulls at most the buffer's free capacity from `iter` under
+    /// one state acquisition and wakes consumers once, so the iterator is
+    /// never materialised and never runs more than a buffer ahead of the
+    /// slowest consumer. Equivalent to awaiting [`Producer::send`] per
+    /// element, but with batched synchronisation and one `ChannelPush`
+    /// trace record (carrying the post-batch occupancy) per batch; with no
+    /// open consumer the remainder is counted and discarded.
+    pub fn push_iter<I: Iterator<Item = T>>(&mut self, iter: I) -> PushIterFuture<'_, T, I> {
+        PushIterFuture {
             chan: &self.chan,
-            values,
-            sent: 0,
+            iter,
         }
+    }
+
+    /// Send an owned window of elements: [`Producer::push_iter`] over the
+    /// buffer (§5.2 window-port fast path).
+    pub fn push_slice(&mut self, values: Vec<T>) -> PushIterFuture<'_, T, std::vec::IntoIter<T>> {
+        self.push_iter(values.into_iter())
     }
 
     /// The channel this endpoint writes to.
@@ -666,6 +729,37 @@ impl<T: Clone> Consumer<T> {
         }
     }
 
+    /// Receive up to `max` elements (at least one) straight onto the end of
+    /// a shared sink buffer — the data-sink operation (§3.7). `out` is
+    /// locked once per batch, inside the poll that moves data, never while
+    /// suspended. Resolves to the number of elements moved, or `None` once
+    /// all producers are dropped and the stream is drained.
+    pub fn pop_into<'a>(&'a mut self, out: &'a Mutex<Vec<T>>, max: usize) -> PopIntoFuture<'a, T> {
+        assert!(max >= 1, "pop_into needs a batch size of at least 1");
+        PopIntoFuture {
+            chan: &self.chan,
+            idx: self.idx,
+            out,
+            max,
+        }
+    }
+
+    /// The data-sink coroutine every engine attaches to a global output
+    /// (§3.7): append the stream to `out` one [`Consumer::pop_into`] batch
+    /// at a time until end-of-stream, or until `limit` elements have been
+    /// collected — at which point the endpoint is dropped, closing the
+    /// consumer before the stream ends (the early-sink-closure fault mode).
+    pub async fn collect_into(mut self, out: Arc<Mutex<Vec<T>>>, limit: Option<usize>) {
+        let limit = limit.unwrap_or(usize::MAX);
+        let mut collected = 0;
+        while collected < limit {
+            match self.pop_into(&out, limit - collected).await {
+                Some(n) => collected += n,
+                None => return,
+            }
+        }
+    }
+
     /// The channel this endpoint reads from.
     pub fn channel(&self) -> &Arc<Channel<T>> {
         &self.chan
@@ -695,23 +789,23 @@ impl<T: Clone> std::future::Future for SendFuture<'_, T> {
 
 impl<T: Clone> Unpin for SendFuture<'_, T> {}
 
-/// Future returned by [`Producer::push_slice`].
-pub struct PushSliceFuture<'a, T: Clone> {
+/// Future returned by [`Producer::push_iter`] and [`Producer::push_slice`].
+pub struct PushIterFuture<'a, T: Clone, I> {
     chan: &'a Channel<T>,
-    values: Vec<T>,
-    sent: usize,
+    iter: I,
 }
 
-impl<T: Clone> std::future::Future for PushSliceFuture<'_, T> {
+impl<T: Clone, I: Iterator<Item = T>> std::future::Future for PushIterFuture<'_, T, I> {
     type Output = ();
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        this.chan.poll_send_slice(&this.values, &mut this.sent, cx)
+        this.chan.poll_send_iter(&mut this.iter, cx)
     }
 }
 
-impl<T: Clone> Unpin for PushSliceFuture<'_, T> {}
+// The iterator is only ever used through `&mut`, never pinned.
+impl<T: Clone, I> Unpin for PushIterFuture<'_, T, I> {}
 
 /// Future returned by [`Consumer::recv`].
 pub struct RecvFuture<'a, T: Clone> {
@@ -745,6 +839,24 @@ impl<T: Clone> std::future::Future for RecvChunkFuture<'_, T> {
 }
 
 impl<T: Clone> Unpin for RecvChunkFuture<'_, T> {}
+
+/// Future returned by [`Consumer::pop_into`].
+pub struct PopIntoFuture<'a, T: Clone> {
+    chan: &'a Channel<T>,
+    idx: usize,
+    out: &'a Mutex<Vec<T>>,
+    max: usize,
+}
+
+impl<T: Clone> std::future::Future for PopIntoFuture<'_, T> {
+    type Output = Option<usize>;
+
+    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<usize>> {
+        self.chan.poll_recv_into(self.idx, self.max, self.out, cx)
+    }
+}
+
+impl<T: Clone> Unpin for PopIntoFuture<'_, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -1088,6 +1200,98 @@ mod tests {
             });
         }
 
+        /// A source never runs more than one buffer ahead of its sink: the
+        /// iterator is pulled `free` elements per poll, not materialised.
+        #[test]
+        fn push_iter_pulls_at_most_capacity_ahead_of_the_sink() {
+            const CAPACITY: usize = 4;
+            // Once with an exact `size_hint` (a range), once with none
+            // (`from_fn`), which only a short batch reveals as exhausted.
+            for sized in [true, false] {
+                for mode in [ChannelMode::Shared, ChannelMode::SingleThread] {
+                    let chan = Channel::with_mode(CAPACITY, mode);
+                    let mut tx = chan.add_producer();
+                    let rx = chan.add_consumer();
+                    let sink = Arc::new(Mutex::new(Vec::new()));
+                    let popped = Arc::clone(&sink);
+                    let mut pulled = 0usize;
+                    let counting = (0..1000u32).inspect(move |_| {
+                        pulled += 1;
+                        let ahead = pulled - popped.lock().unwrap().len();
+                        assert!(ahead <= CAPACITY, "pulled {ahead} ahead of the sink");
+                    });
+                    let mut counting: Box<dyn Iterator<Item = u32>> = Box::new(counting);
+                    if !sized {
+                        counting = Box::new(std::iter::from_fn(move || counting.next()));
+                    }
+                    let mut ex = crate::executor::Executor::new();
+                    ex.spawn(
+                        "source",
+                        Box::pin(async move { tx.push_iter(counting).await }),
+                    );
+                    ex.spawn("sink", Box::pin(rx.collect_into(Arc::clone(&sink), None)));
+                    let (_, stalled) = ex.run();
+                    assert!(stalled.is_empty(), "stalled: {stalled:?}");
+                    assert_eq!(*sink.lock().unwrap(), (0..1000).collect::<Vec<u32>>());
+                    assert_eq!(chan.stats().pushes, 1000);
+                }
+            }
+        }
+
+        #[test]
+        fn pop_into_appends_across_the_ring_seam_for_every_reader() {
+            // Capacity 4 with the head wrapped mid-buffer: a batch spans
+            // both halves of the ring, for a reader that lags its sibling
+            // and for the last one left open.
+            let chan = Channel::new(4);
+            let mut tx = chan.add_producer();
+            let mut rx1 = chan.add_consumer();
+            let mut rx2 = chan.add_consumer();
+            let (out1, out2) = (Mutex::new(vec![-1]), Mutex::new(Vec::new()));
+            block_on(async {
+                tx.push_slice(vec![0, 1, 2]).await;
+                assert_eq!(rx1.pop_into(&out1, 2).await, Some(2));
+                assert_eq!(rx2.pop_into(&out2, 8).await, Some(3));
+                tx.push_slice(vec![3, 4, 5]).await; // wraps: 2 | 3 4 5
+                assert_eq!(rx1.pop_into(&out1, 8).await, Some(4));
+                drop(rx1);
+                assert_eq!(rx2.pop_into(&out2, 8).await, Some(3));
+                drop(tx);
+                assert_eq!(rx2.pop_into(&out2, 8).await, None);
+            });
+            assert_eq!(*out1.lock().unwrap(), vec![-1, 0, 1, 2, 3, 4, 5]);
+            assert_eq!(*out2.lock().unwrap(), vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(chan.stats().pops, 12);
+            assert_eq!(chan.len(), 0);
+        }
+
+        #[cfg(feature = "trace")]
+        #[test]
+        fn a_batch_is_one_trace_record_and_exact_counters() {
+            let tracer = Tracer::ring(1024);
+            let chan = Channel::new(8);
+            chan.instrument(&tracer, "c0");
+            let mut tx = chan.add_producer();
+            let mut rx = chan.add_consumer();
+            let out = Mutex::new(Vec::new());
+            block_on(async {
+                tx.push_iter(0..6u32).await;
+                assert_eq!(rx.pop_into(&out, usize::MAX).await, Some(6));
+            });
+            let snap = tracer.snapshot();
+            let count = |kind: &str| {
+                (snap.records.iter())
+                    .filter(|r| r.event.kind() == kind)
+                    .count()
+            };
+            assert_eq!(count("channel_push"), 1);
+            assert_eq!(count("channel_pop"), 1);
+            let counter = |name: &str| snap.metrics.counter_value(&format!("{name}{{channel=c0}}"));
+            assert_eq!(counter("channel_pushes"), Some(6));
+            assert_eq!(counter("channel_pops"), Some(6));
+            assert_eq!(counter("channel_blocked_writes"), Some(0));
+        }
+
         #[test]
         fn chunk_pops_release_writers_once_per_batch() {
             let chan = Channel::new(4);
@@ -1102,13 +1306,12 @@ mod tests {
                     Poll::Ready(())
                 ));
             }
-            let slice = vec![10, 11, 12];
-            let mut sent = 0;
+            let mut slice = vec![10, 11, 12].into_iter();
             assert!(matches!(
-                chan.poll_send_slice(&slice, &mut sent, &mut cx),
+                chan.poll_send_iter(&mut slice, &mut cx),
                 Poll::Pending
             ));
-            assert_eq!(sent, 0);
+            assert_eq!(slice.len(), 3);
             assert_eq!(chan.stats().blocked_writes, 1);
             // One chunk pop frees the buffer; the retry completes in one go.
             match chan.poll_recv_chunk(0, 4, &mut cx) {
@@ -1116,10 +1319,10 @@ mod tests {
                 other => panic!("expected a full chunk, got {other:?}"),
             }
             assert!(matches!(
-                chan.poll_send_slice(&slice, &mut sent, &mut cx),
+                chan.poll_send_iter(&mut slice, &mut cx),
                 Poll::Ready(())
             ));
-            assert_eq!(sent, 3);
+            assert_eq!(slice.len(), 0);
             assert_eq!(chan.stats().blocked_writes, 1);
         }
     }
@@ -1287,7 +1490,7 @@ mod props {
         let waker = std::task::Waker::noop();
         let mut cx = Context::from_waker(waker);
 
-        let mut sent = 0usize;
+        let mut unsent = data.iter().copied();
         let mut outs = vec![Vec::new(); n_consumers];
         let mut done = vec![false; n_consumers];
         let mut spins = 0u32;
@@ -1296,14 +1499,14 @@ mod props {
             prop_assert!(spins < 1_000_000, "drain did not converge");
             // Producer turn; the handle is held until the stream drains.
             if tx.is_some() {
-                if sent >= data.len() {
+                if unsent.len() == 0 {
                     tx = None;
                 } else if batched.is_some() {
-                    let _ = chan.poll_send_slice(data, &mut sent, &mut cx);
+                    let _ = chan.poll_send_iter(&mut unsent, &mut cx);
                 } else {
-                    let mut v = Some(data[sent]);
+                    let mut v = unsent.clone().next();
                     if let Poll::Ready(()) = chan.poll_send(&mut v, &mut cx) {
-                        sent += 1;
+                        unsent.next();
                     }
                 }
             }
@@ -1337,6 +1540,64 @@ mod props {
         }
         Ok(DrainOutcome {
             outs,
+            stats: chan.stats(),
+        })
+    }
+
+    /// Run one source and `readers` sinks as real coroutines on the
+    /// cooperative executor, sink 0 closing after `limit` elements when one
+    /// is given. `batched` selects `push_iter` + `collect_into` (the path
+    /// every engine's `feed`/`collect` takes); otherwise the element-wise
+    /// `send`/`recv` loops they replaced. Asserts no task stalled.
+    fn run_source_and_sinks(
+        data: &[i64],
+        capacity: usize,
+        readers: usize,
+        limit: Option<usize>,
+        mode: ChannelMode,
+        batched: bool,
+    ) -> Result<DrainOutcome, TestCaseError> {
+        let chan = Channel::with_mode(capacity, mode);
+        let mut ex = crate::executor::Executor::new();
+        let mut tx = chan.add_producer();
+        let data = data.to_vec();
+        ex.spawn(
+            "source",
+            Box::pin(async move {
+                if batched {
+                    tx.push_iter(data.into_iter()).await;
+                } else {
+                    for v in data {
+                        tx.send(v).await;
+                    }
+                }
+            }),
+        );
+        let sinks: Vec<Arc<Mutex<Vec<i64>>>> = (0..readers).map(|_| Arc::default()).collect();
+        for (i, sink) in sinks.iter().enumerate() {
+            let mut rx = chan.add_consumer();
+            let out = Arc::clone(sink);
+            let limit = if i == 0 { limit } else { None };
+            ex.spawn(
+                format!("sink_{i}"),
+                Box::pin(async move {
+                    if batched {
+                        return rx.collect_into(out, limit).await;
+                    }
+                    while out.lock().unwrap().len() < limit.unwrap_or(usize::MAX) {
+                        let Some(v) = rx.recv().await else { return };
+                        out.lock().unwrap().push(v);
+                    }
+                }),
+            );
+        }
+        let (_, stalled) = ex.run();
+        prop_assert!(stalled.is_empty(), "stalled tasks: {stalled:?}");
+        Ok(DrainOutcome {
+            outs: sinks
+                .iter()
+                .map(|s| std::mem::take(&mut *s.lock().unwrap()))
+                .collect(),
             stats: chan.stats(),
         })
     }
@@ -1447,6 +1708,36 @@ mod props {
                 batch.stats.blocked_reads,
                 elem.stats.blocked_reads
             );
+        }
+
+        /// The source and sink coroutines (`push_iter` + `pop_into`) deliver
+        /// to every consumer exactly the stream the element-wise
+        /// `send`/`recv` loops deliver, with the same element counters,
+        /// under both storage modes, broadcast, and an early-closing
+        /// (`collect_bounded`) sink — and nothing stalls.
+        #[test]
+        fn source_and_sink_ops_match_element_wise(
+            data in vec(any::<i64>(), 0..200),
+            capacity in 1usize..9,
+            readers in 1usize..4,
+            knobs in any::<u64>(),
+        ) {
+            let mode = if knobs & 1 == 0 { ChannelMode::Shared } else { ChannelMode::SingleThread };
+            let limit = (knobs & 2 != 0).then_some((knobs >> 2) as usize % 220);
+            let elem = run_source_and_sinks(&data, capacity, readers, limit, mode, false)?;
+            let batch = run_source_and_sinks(&data, capacity, readers, limit, mode, true)?;
+            let cut = limit.unwrap_or(usize::MAX).min(data.len());
+            prop_assert_eq!(&batch.outs[0], &data[..cut]);
+            for out in &batch.outs[1..] {
+                prop_assert_eq!(out, &data);
+            }
+            prop_assert_eq!(&batch.outs, &elem.outs);
+            prop_assert_eq!(batch.stats.pushes, data.len() as u64);
+            prop_assert_eq!(batch.stats.pushes, elem.stats.pushes);
+            prop_assert_eq!(batch.stats.pops, elem.stats.pops);
+            if limit.is_none() {
+                prop_assert_eq!(batch.stats.pops, batch.stats.pushes * readers as u64);
+            }
         }
     }
 }

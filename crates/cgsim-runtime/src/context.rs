@@ -561,11 +561,7 @@ impl<'g> RuntimeContext<'g> {
         self.fed_inputs[index] = true;
         let id = self.executor.spawn(
             format!("source_{index}"),
-            Box::pin(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            }),
+            Box::pin(async move { tx.push_iter(data.into_iter()).await }),
         );
         self.io_tasks.push((id, connector.index(), true));
         Ok(())
@@ -591,28 +587,7 @@ impl<'g> RuntimeContext<'g> {
     /// Attach a data-sink coroutine collecting positional global output
     /// `index` (§3.7). Results become available after [`Self::run`].
     pub fn collect<T: StreamData>(&mut self, index: usize) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
-            return Err(GraphError::IoArityMismatch {
-                what: "outputs",
-                expected: self.graph.outputs.len(),
-                actual: index + 1,
-            });
-        };
-        let chan = self.typed_channel::<T>(connector)?;
-        let mut rx = chan.add_consumer();
-        self.bound_outputs[index] = true;
-        let data = Arc::new(Mutex::new(Vec::new()));
-        let sink_data = Arc::clone(&data);
-        let id = self.executor.spawn(
-            format!("sink_{index}"),
-            Box::pin(async move {
-                while let Some(v) = rx.recv().await {
-                    sink_data.lock().unwrap().push(v);
-                }
-            }),
-        );
-        self.io_tasks.push((id, connector.index(), false));
-        Ok(SinkHandle { data })
+        self.collect_impl(index, None)
     }
 
     /// Like [`RuntimeContext::collect`], but the sink closes its consumer
@@ -625,6 +600,14 @@ impl<'g> RuntimeContext<'g> {
         index: usize,
         limit: usize,
     ) -> Result<SinkHandle<T>, GraphError> {
+        self.collect_impl(index, Some(limit))
+    }
+
+    fn collect_impl<T: StreamData>(
+        &mut self,
+        index: usize,
+        limit: Option<usize>,
+    ) -> Result<SinkHandle<T>, GraphError> {
         let Some(&connector) = self.graph.outputs.get(index) else {
             return Err(GraphError::IoArityMismatch {
                 what: "outputs",
@@ -633,23 +616,15 @@ impl<'g> RuntimeContext<'g> {
             });
         };
         let chan = self.typed_channel::<T>(connector)?;
-        let mut rx = chan.add_consumer();
+        let rx = chan.add_consumer();
         self.bound_outputs[index] = true;
-        let data = Arc::new(Mutex::new(Vec::new()));
-        let sink_data = Arc::clone(&data);
+        let handle = SinkHandle::new();
         let id = self.executor.spawn(
             format!("sink_{index}"),
-            Box::pin(async move {
-                while sink_data.lock().unwrap().len() < limit {
-                    let Some(v) = rx.recv().await else { return };
-                    sink_data.lock().unwrap().push(v);
-                }
-                // Dropping `rx` here closes the consumer before the stream
-                // ends.
-            }),
+            Box::pin(rx.collect_into(handle.shared(), limit)),
         );
         self.io_tasks.push((id, connector.index(), false));
-        Ok(SinkHandle { data })
+        Ok(handle)
     }
 
     /// Start the embedded task scheduler and run the graph to quiescence

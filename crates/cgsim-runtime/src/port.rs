@@ -47,12 +47,12 @@ impl<T: StreamData> KernelReadPort<T> {
         if n == 0 {
             return Some(Vec::new());
         }
-        let mut window = Vec::with_capacity(n);
+        // The common case: the first chunk is already the whole window.
+        let mut window = self.consumer.pop_chunk(n).await?;
+        window.reserve(n - window.len());
         while window.len() < n {
-            match self.consumer.pop_chunk(n - window.len()).await {
-                Some(mut chunk) => window.append(&mut chunk),
-                None => return None,
-            }
+            let mut chunk = self.consumer.pop_chunk(n - window.len()).await?;
+            window.append(&mut chunk);
         }
         Some(window)
     }

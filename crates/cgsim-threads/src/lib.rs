@@ -218,11 +218,7 @@ impl<'g> ThreadedContext<'g> {
             let mut tx = chan.add_producer();
             barrier.wait();
             let start = Instant::now();
-            block_on(async move {
-                for v in data {
-                    tx.send(v).await;
-                }
-            });
+            block_on(async move { tx.push_iter(data.into_iter()).await });
             start.elapsed()
         }));
         Ok(())
@@ -243,14 +239,10 @@ impl<'g> ThreadedContext<'g> {
         let handle = SinkHandle::new();
         let data = handle.shared();
         self.work.push(Box::new(move |barrier: &Barrier| {
-            let mut rx = chan.add_consumer();
+            let rx = chan.add_consumer();
             barrier.wait();
             let start = Instant::now();
-            block_on(async move {
-                while let Some(v) = rx.recv().await {
-                    data.lock().unwrap().push(v);
-                }
-            });
+            block_on(rx.collect_into(data, None));
             start.elapsed()
         }));
         Ok(handle)

@@ -49,9 +49,13 @@ macro_rules! impl_sample_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_from(bits: u64, lo: Self, hi: Self) -> Self {
-                let span = (hi as i128) - (lo as i128);
-                debug_assert!(span > 0, "empty sample range");
-                ((lo as i128) + (bits as i128).rem_euclid(span)) as $t
+                debug_assert!(lo < hi, "empty sample range");
+                // The span of a half-open range over a type of at most 64
+                // bits always fits `u64`, so one 64-bit remainder does it;
+                // wrapping arithmetic in `u64` then truncates to the same
+                // value the exact `i128` sum would.
+                let span = (hi as u64).wrapping_sub(lo as u64);
+                (lo as u64).wrapping_add(bits % span) as $t
             }
         }
     )*};
@@ -85,7 +89,40 @@ impl<R: RngCore> RngExt for R {}
 
 #[cfg(test)]
 mod tests {
-    use super::{rngs::StdRng, RngExt, SeedableRng};
+    use super::{rngs::StdRng, RngCore, RngExt, SampleUniform, SeedableRng};
+
+    /// The original widening formula, kept as the reference the `u64`
+    /// body must reproduce bit for bit (workload streams are golden).
+    macro_rules! reference_sample {
+        ($t:ty, $bits:expr, $lo:expr, $hi:expr) => {{
+            let span = ($hi as i128) - ($lo as i128);
+            (($lo as i128) + ($bits as i128).rem_euclid(span)) as $t
+        }};
+    }
+
+    /// Compare against the reference over a seeded stream of generator
+    /// output, preceded by the edge bit patterns it may never emit.
+    macro_rules! assert_stream_unchanged {
+        ($t:ty, $seed:expr, $lo:expr, $hi:expr) => {{
+            let mut rng = StdRng::seed_from_u64($seed);
+            let edges = [0, 1, u64::MAX - 1, u64::MAX, (1 << 63) - 1, 1 << 63];
+            for bits in (edges.into_iter()).chain((0..10_000).map(|_| rng.next_u64())) {
+                assert_eq!(
+                    <$t as SampleUniform>::sample_from(bits, $lo, $hi),
+                    reference_sample!($t, bits, $lo, $hi),
+                    "bits {bits:#x}"
+                );
+            }
+        }};
+    }
+
+    #[test]
+    fn integer_sampling_matches_the_widening_reference() {
+        assert_stream_unchanged!(i16, 0xFA44_0001, -12000i16, 12000i16);
+        assert_stream_unchanged!(u64, 0xFA44_0001, 0u64, u64::MAX);
+        assert_stream_unchanged!(i64, 0xFA44_0001, i64::MIN, i64::MAX);
+        assert_stream_unchanged!(usize, 0xFA44_0001, 0usize, 1usize);
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -5,6 +5,7 @@
 
 #![allow(dead_code)]
 
+use cgsim::compiled::CompiledContext;
 use cgsim::core::{FlatGraph, StreamData};
 use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Schedule};
 use cgsim::threads::{ThreadedConfig, ThreadedContext};
@@ -50,5 +51,22 @@ pub fn run_threaded<TIn: StreamData, TOut: StreamData>(
     }
     let out = ctx.collect::<TOut>(0).unwrap();
     ctx.run().unwrap();
+    out.take()
+}
+
+/// Run `graph` on the compiled static-schedule backend; same contract as
+/// [`run_coop`].
+pub fn run_compiled<TIn: StreamData, TOut: StreamData>(
+    graph: &FlatGraph,
+    lib: &KernelLibrary,
+    inputs: Vec<Vec<TIn>>,
+) -> Vec<TOut> {
+    let mut ctx = CompiledContext::new(graph, lib, RuntimeConfig::default()).unwrap();
+    for (i, input) in inputs.into_iter().enumerate() {
+        ctx.feed(i, input).unwrap();
+    }
+    let out = ctx.collect::<TOut>(0).unwrap();
+    let report = ctx.run().unwrap();
+    assert!(report.drained(), "graph stalled: {:?}", report.stalled);
     out.take()
 }

@@ -38,11 +38,27 @@ compute_kernel! {
     }
 }
 
+/// Elements per window of [`reverse_window_kernel`].
+const WINDOW: usize = 8;
+
+compute_kernel! {
+    /// Window-port kernel: fires on full windows only, so a trailing
+    /// partial window never reaches the sink.
+    #[realm(aie)]
+    pub fn reverse_window_kernel(input: ReadPort<i64>, out: WritePort<i64>) {
+        while let Some(mut window) = input.get_window(WINDOW).await {
+            window.reverse();
+            out.put_window(window).await;
+        }
+    }
+}
+
 fn library() -> KernelLibrary {
     KernelLibrary::with(|l| {
         l.register::<add3_kernel>();
         l.register::<mul2_kernel>();
         l.register::<sum_pair_kernel>();
+        l.register::<reverse_window_kernel>();
     })
 }
 
@@ -118,6 +134,36 @@ proptest! {
         let coop = run_coop(&graph, input.clone());
         let thr = run_threads(&graph, input);
         prop_assert_eq!(coop, thr);
+    }
+
+    /// Window-granular sources and sinks mean the same thing on every
+    /// engine: cooperative, compiled and threaded sinks return the identical
+    /// vector — the reversed full windows, the partial trailing one dropped.
+    #[test]
+    fn engines_agree_on_a_partial_trailing_window(
+        input in proptest::collection::vec(any::<i64>(), 0..200),
+    ) {
+        let graph = GraphBuilder::build("windows", |g| {
+            let a = g.input::<i64>("a");
+            let mid = g.wire::<i64>();
+            let out = g.wire::<i64>();
+            add3_kernel::invoke(g, &a, &mid)?;
+            reverse_window_kernel::invoke(g, &mid, &out)?;
+            g.output(&out);
+            Ok(())
+        })
+        .unwrap();
+        let expect: Vec<i64> = input
+            .chunks_exact(WINDOW)
+            .flat_map(|w| w.iter().rev().map(|v| v.wrapping_add(3)))
+            .collect();
+        let lib = library();
+        let coop: Vec<i64> = common::run_coop(&graph, &lib, vec![input.clone()]);
+        let compiled: Vec<i64> = common::run_compiled(&graph, &lib, vec![input.clone()]);
+        let threaded: Vec<i64> = common::run_threaded(&graph, &lib, vec![input]);
+        prop_assert_eq!(&coop, &expect);
+        prop_assert_eq!(&compiled, &expect);
+        prop_assert_eq!(&threaded, &expect);
     }
 
     /// Broadcast then join: (x+3) + (2x) for every element, preserving

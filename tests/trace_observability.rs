@@ -223,6 +223,25 @@ fn prometheus_export_of_paper_graph_matches_golden_file() {
     assert!(report.drained());
     assert_eq!(out.len(), 8 * 16);
 
+    // Sources and sinks move batches, but the counters stay element-exact:
+    // every push/pop series equals the run report's element count.
+    for (name, stats) in &report.channels {
+        let series = |metric: &str| {
+            let key = format!("{metric}{{channel={name}}}");
+            report.trace.metrics.counter_value(&key)
+        };
+        assert_eq!(stats.pushes, 8 * 16, "channel {name}");
+        assert_eq!(series("channel_pushes"), Some(stats.pushes), "{name}");
+        assert_eq!(series("channel_pops"), Some(stats.pops), "{name}");
+    }
+    let push_pop_series = (report.trace.metrics.counters.iter())
+        .filter(|(k, _)| {
+            let key = k.render();
+            key.starts_with("channel_pushes{") || key.starts_with("channel_pops{")
+        })
+        .count();
+    assert_eq!(push_pop_series, 2 * report.channels.len());
+
     let text = prometheus::render(&report.trace.metrics);
     // Structural validity first: the in-repo exposition checker accepts it.
     prometheus::check_exposition(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}"));
