@@ -29,7 +29,7 @@
 use cgsim_trace::{BlockSide, ChannelRef, Counter, Gauge, TraceEvent, Tracer};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -45,8 +45,8 @@ pub enum ChannelMode {
     Shared,
     /// Uncontended single-thread cell for the cooperative executor: all
     /// endpoints and polls must stay on one thread (which the `!Send`
-    /// `RuntimeContext` guarantees). Cross-thread access aborts in debug
-    /// builds; re-entrant access panics in every build.
+    /// `RuntimeContext` guarantees). Cross-thread and re-entrant access
+    /// panic in every build.
     SingleThread,
 }
 
@@ -69,11 +69,48 @@ pub struct ChannelStats {
     pub max_occupancy: u64,
 }
 
+/// A blocked endpoint's waker, registered once and kept across block/wake
+/// cycles: the same task blocks on the same channel thousands of times in a
+/// run, and cloning its `Waker` on every block only for the next wake to
+/// consume it costs two atomic read-modify-writes per cycle. `armed` says
+/// whether the endpoint has blocked since it was last woken.
+#[derive(Default)]
+struct WakerSlot {
+    waker: Option<Waker>,
+    armed: bool,
+}
+
+impl WakerSlot {
+    fn holds(&self, waker: &Waker) -> bool {
+        self.waker.as_ref().is_some_and(|w| w.will_wake(waker))
+    }
+
+    /// Register `waker` for the next wake, cloning it only when the slot
+    /// holds a different one.
+    fn arm(&mut self, waker: &Waker) {
+        if !self.holds(waker) {
+            self.waker = Some(waker.clone());
+        }
+        self.armed = true;
+    }
+
+    /// Wake the endpoint if it has blocked since the last wake.
+    fn fire(&mut self) -> bool {
+        let was_armed = std::mem::take(&mut self.armed);
+        if was_armed {
+            if let Some(w) = &self.waker {
+                w.wake_by_ref();
+            }
+        }
+        was_armed
+    }
+}
+
 struct ConsumerState {
     /// Absolute sequence number of the next element this consumer reads.
     cursor: u64,
     open: bool,
-    waker: Option<Waker>,
+    waker: WakerSlot,
 }
 
 /// Instrumentation state shared by all endpoints of one channel. Lives
@@ -110,7 +147,8 @@ struct Inner<T> {
     capacity: usize,
     consumers: Vec<ConsumerState>,
     producers: usize,
-    write_wakers: Vec<Waker>,
+    /// One slot per producer task that has ever blocked here.
+    write_wakers: Vec<WakerSlot>,
     stats: ChannelStats,
     trace: ChannelTrace,
 }
@@ -175,10 +213,7 @@ impl<T> Inner<T> {
     fn wake_readers(&mut self) {
         let mut woke = false;
         for c in &mut self.consumers {
-            if let Some(w) = c.waker.take() {
-                w.wake();
-                woke = true;
-            }
+            woke |= c.waker.fire();
         }
         if woke {
             self.trace.tracer.emit(TraceEvent::ChannelUnblock {
@@ -189,15 +224,34 @@ impl<T> Inner<T> {
     }
 
     fn wake_writers(&mut self) {
-        if !self.write_wakers.is_empty() {
+        let mut woke = false;
+        for slot in &mut self.write_wakers {
+            woke |= slot.fire();
+        }
+        if woke {
             self.trace.tracer.emit(TraceEvent::ChannelUnblock {
                 channel: self.trace.chan,
                 side: BlockSide::Write,
             });
         }
-        for w in self.write_wakers.drain(..) {
-            w.wake();
-        }
+    }
+
+    /// Register a suspending producer for the next [`Inner::wake_writers`].
+    /// A task that blocked here before finds its slot again. A new waker
+    /// gets a slot of its own while there are fewer slots than producers;
+    /// past that some slot's task is gone (an endpoint has one send in
+    /// flight at a time), so an idle slot is taken over and the list stays
+    /// bounded by the endpoints, not by the wakers that ever blocked.
+    fn arm_writer(&mut self, waker: &Waker) {
+        let slots = &mut self.write_wakers;
+        let spare = slots.len() >= self.producers;
+        let slot = (slots.iter().position(|s| s.holds(waker)))
+            .or_else(|| slots.iter().position(|s| spare && !s.armed))
+            .unwrap_or_else(|| {
+                slots.push(WakerSlot::default());
+                slots.len() - 1
+            });
+        slots[slot].arm(waker);
     }
 
     fn note_push_occupancy(&mut self) {
@@ -229,7 +283,7 @@ impl<T> Inner<T> {
             channel: self.trace.chan,
             side: BlockSide::Write,
         });
-        self.write_wakers.push(cx.waker().clone());
+        self.arm_writer(cx.waker());
     }
 
     fn note_blocked_read(&mut self, idx: usize, cx: &mut Context<'_>) {
@@ -239,69 +293,93 @@ impl<T> Inner<T> {
             channel: self.trace.chan,
             side: BlockSide::Read,
         });
-        self.consumers[idx].waker = Some(cx.waker().clone());
+        self.consumers[idx].waker.arm(cx.waker());
     }
 }
 
-/// Interior-mutability cell for [`ChannelMode::SingleThread`] channels.
-///
-/// Channels are held behind `Arc<dyn Any + Send + Sync>` in the kernel
-/// library plumbing, so a plain `RefCell` cannot be used even though
-/// fast-path channels never actually cross threads. This cell claims
-/// `Send`/`Sync` and enforces the single-thread contract dynamically
-/// instead: a borrow flag panics on re-entrant access (in every build), and
-/// debug builds additionally pin the first accessing thread and assert all
-/// later accesses come from it.
-///
-/// Soundness: the cooperative `RuntimeContext` is `!Send`, every endpoint
-/// of a fast-path channel lives inside its kernel coroutines, and the
-/// executor polls all coroutines on one thread — so in supported use the
-/// cell is only ever touched from a single thread, where unsynchronised
-/// access is sound.
-struct LocalCell<T> {
-    value: UnsafeCell<T>,
-    borrowed: Cell<bool>,
-    #[cfg(debug_assertions)]
-    owner: Cell<Option<std::thread::ThreadId>>,
+/// Identity of the calling thread: the address of one of its thread-locals.
+/// Unlike `std::thread::current().id()`, which clones the thread handle's
+/// `Arc`, this is an address computation. It is never 0, it is stable for
+/// the thread's life, and two live threads never share one; a mark is only
+/// handed out again after its thread has exited.
+fn thread_mark() -> usize {
+    thread_local! {
+        // No destructor, so the key stays readable during thread teardown.
+        static MARK: u8 = const { 0 };
+    }
+    MARK.with(|mark| std::ptr::from_ref(mark).addr())
 }
 
+/// Interior-mutability cell owned by one thread: the storage of
+/// [`ChannelMode::SingleThread`] channels and of the executor's ready queue.
+///
+/// Channels are held behind `Arc<dyn Any + Send + Sync>` in the kernel
+/// library plumbing and a `Waker` is `Send + Sync` by type, so a plain
+/// `RefCell` cannot be used even though neither ever crosses threads in
+/// supported use. This cell claims `Send`/`Sync` and enforces the
+/// single-thread contract dynamically, in every build: the first thread to
+/// access it becomes its owner, any other thread is refused before it
+/// touches the contents, and a borrow flag panics on re-entrant access.
+pub(crate) struct LocalCell<T> {
+    value: UnsafeCell<T>,
+    borrowed: Cell<bool>,
+    /// [`thread_mark`] of the owning thread; 0 until the first access.
+    owner: AtomicUsize,
+}
+
+// SAFETY: moving the cell moves `value: T` (hence `T: Send`), a flag and an
+// atomic; whoever holds it by value holds it exclusively.
 unsafe impl<T: Send> Send for LocalCell<T> {}
+// SAFETY: `owner` is atomic and is the only field a non-owning thread reads:
+// `try_with` returns before touching `borrowed` or `value` unless the caller
+// is the one thread whose mark `owner` holds. A mark is reused only after
+// its thread has exited, which orders that thread's accesses before the new
+// holder's. So `value` and `borrowed` are only ever accessed by one thread
+// at a time, with `T: Send` covering the hand-over.
 unsafe impl<T: Send> Sync for LocalCell<T> {}
 
 impl<T> LocalCell<T> {
-    fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         LocalCell {
             value: UnsafeCell::new(value),
             borrowed: Cell::new(false),
-            #[cfg(debug_assertions)]
-            owner: Cell::new(None),
+            owner: AtomicUsize::new(0),
         }
     }
 
+    /// Whether the calling thread owns the cell, claiming it if nobody does.
+    /// `Relaxed` throughout: `owner` publishes no data, a thread only ever
+    /// compares it against its own mark, and the claim is one compare-and-swap
+    /// per cell, so exactly one thread wins it.
     #[inline]
-    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        #[cfg(debug_assertions)]
-        {
-            let me = std::thread::current().id();
-            match self.owner.get() {
-                None => self.owner.set(Some(me)),
-                Some(owner) => assert_eq!(
-                    owner, me,
-                    "single-thread channel accessed from a second thread; \
-                     construct it with ChannelMode::Shared instead"
-                ),
-            }
+    fn owned_by_caller(&self) -> bool {
+        let me = thread_mark();
+        let owner = self.owner.load(Ordering::Relaxed);
+        owner == me
+            || (owner == 0
+                && self
+                    .owner
+                    .compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok())
+    }
+
+    /// Run `f` on the contents if the calling thread owns the cell; `None`
+    /// (and `f` not run) on any other thread. Panics on re-entrant access.
+    #[inline]
+    pub(crate) fn try_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        if !self.owned_by_caller() {
+            return None;
         }
         assert!(
             !self.borrowed.replace(true),
-            "single-thread channel accessed re-entrantly"
+            "single-thread cell accessed re-entrantly"
         );
-        // SAFETY: the borrow flag above guarantees exclusivity within the
-        // owning thread, and the type's contract (see docs) keeps all
-        // accesses on that one thread.
+        // SAFETY: only the owning thread gets here (checked above, in every
+        // build), and the borrow flag guarantees this is the only live
+        // reference on it.
         let out = f(unsafe { &mut *self.value.get() });
         self.borrowed.set(false);
-        out
+        Some(out)
     }
 }
 
@@ -317,7 +395,10 @@ impl<T> Store<T> {
     fn with<R>(&self, f: impl FnOnce(&mut Inner<T>) -> R) -> R {
         match self {
             Store::Shared(m) => f(&mut m.lock().unwrap()),
-            Store::Local(c) => c.with(f),
+            Store::Local(c) => c.try_with(f).expect(
+                "single-thread channel accessed from a second thread; \
+                 construct it with ChannelMode::Shared instead",
+            ),
         }
     }
 }
@@ -326,8 +407,6 @@ impl<T> Store<T> {
 pub struct Channel<T> {
     store: Store<T>,
     mode: ChannelMode,
-    /// Total elements ever pushed — readable without the lock for stats.
-    pushed: AtomicU64,
 }
 
 impl<T: Clone> Channel<T> {
@@ -357,7 +436,6 @@ impl<T: Clone> Channel<T> {
                 ChannelMode::SingleThread => Store::Local(LocalCell::new(inner)),
             },
             mode,
-            pushed: AtomicU64::new(0),
         })
     }
 
@@ -385,7 +463,7 @@ impl<T: Clone> Channel<T> {
             inner.consumers.push(ConsumerState {
                 cursor,
                 open: true,
-                waker: None,
+                waker: WakerSlot::default(),
             });
             idx
         });
@@ -435,15 +513,18 @@ impl<T: Clone> Channel<T> {
         self.len() == 0
     }
 
-    /// Total elements ever pushed (cheap, lock-free).
+    /// Total elements ever pushed: `stats().pushes`. Like every accessor it
+    /// goes through the channel's state, so a `SingleThread` channel answers
+    /// on its owning thread only.
     pub fn total_pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
+        self.store.with(|inner| inner.stats.pushes)
     }
 
     fn poll_send(&self, value: &mut Option<T>, cx: &mut Context<'_>) -> Poll<()> {
         self.store.with(|inner| {
             // Full relative to the slowest open consumer?
-            if inner.free_slots() == Some(0) {
+            let free = inner.free_slots();
+            if free == Some(0) {
                 inner.note_blocked_write(cx);
                 return Poll::Pending;
             }
@@ -451,11 +532,14 @@ impl<T: Clone> Channel<T> {
             inner.buf.push_back(v);
             inner.stats.pushes += 1;
             inner.trace.pushes.inc();
-            self.pushed.fetch_add(1, Ordering::Relaxed);
             // With no open consumers the element is immediately retired —
             // writing to a stream nobody reads succeeds and discards, which is
-            // what lets upstream kernels drain during shutdown.
-            inner.retire();
+            // what lets upstream kernels drain during shutdown. With one
+            // open, every pop and close has already retired up to the
+            // slowest cursor, so a push has nothing to retire.
+            if free.is_none() {
+                inner.retire();
+            }
             inner.stats.max_occupancy = inner.stats.max_occupancy.max(inner.buf.len() as u64);
             inner.note_push_occupancy();
             inner.wake_readers();
@@ -487,7 +571,6 @@ impl<T: Clone> Channel<T> {
                 inner.base_seq += discarded;
                 inner.stats.pushes += discarded;
                 inner.trace.pushes.add(discarded);
-                self.pushed.fetch_add(discarded, Ordering::Relaxed);
                 inner.note_push_occupancy();
                 return Poll::Ready(());
             };
@@ -497,7 +580,6 @@ impl<T: Clone> Channel<T> {
             if batch > 0 {
                 inner.stats.pushes += batch as u64;
                 inner.trace.pushes.add(batch as u64);
-                self.pushed.fetch_add(batch as u64, Ordering::Relaxed);
                 inner.stats.max_occupancy = inner.stats.max_occupancy.max(inner.buf.len() as u64);
                 inner.note_push_occupancy();
                 inner.wake_readers();
@@ -511,7 +593,7 @@ impl<T: Clone> Channel<T> {
             if batch == 0 {
                 inner.note_blocked_write(cx);
             } else {
-                inner.write_wakers.push(cx.waker().clone());
+                inner.arm_writer(cx.waker());
             }
             Poll::Pending
         })
@@ -607,7 +689,7 @@ impl<T: Clone> Channel<T> {
     fn close_consumer(&self, idx: usize) {
         self.store.with(|inner| {
             inner.consumers[idx].open = false;
-            inner.consumers[idx].waker = None;
+            inner.consumers[idx].waker = WakerSlot::default();
             inner.retire();
             inner.wake_writers();
         });
@@ -1040,6 +1122,160 @@ mod tests {
         let _ = Channel::<u8>::new(0);
     }
 
+    /// Waker registration: what blocking costs, and whom a wake reaches.
+    mod wakers {
+        use super::*;
+        use std::sync::atomic::AtomicUsize;
+        use std::task::{RawWaker, RawWakerVTable};
+
+        /// How often the wakers built over it were cloned and woken.
+        #[derive(Default)]
+        struct Counts {
+            clones: AtomicUsize,
+            wakes: AtomicUsize,
+        }
+
+        impl Counts {
+            fn clones(&self) -> usize {
+                self.clones.load(Ordering::Relaxed)
+            }
+            fn wakes(&self) -> usize {
+                self.wakes.load(Ordering::Relaxed)
+            }
+        }
+
+        // A `static`, not a `const`: `will_wake` compares vtable addresses,
+        // and a `const` may be given a different one at each use.
+        static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, release);
+
+        // SAFETY (all four): `data` is the `Arc::into_raw` pointer of a
+        // `Counts`, and every live waker over it owns one strong count.
+        unsafe fn clone(data: *const ()) -> RawWaker {
+            unsafe {
+                Arc::increment_strong_count(data.cast::<Counts>());
+                (*data.cast::<Counts>())
+                    .clones
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            RawWaker::new(data, &VTABLE)
+        }
+        unsafe fn wake(data: *const ()) {
+            unsafe {
+                wake_by_ref(data);
+                release(data);
+            }
+        }
+        unsafe fn wake_by_ref(data: *const ()) {
+            unsafe { &*data.cast::<Counts>() }
+                .wakes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe fn release(data: *const ()) {
+            unsafe { Arc::decrement_strong_count(data.cast::<Counts>()) }
+        }
+
+        fn counting_waker(counts: &Arc<Counts>) -> Waker {
+            let data = Arc::into_raw(Arc::clone(counts)).cast::<()>();
+            // SAFETY: the vtable functions above uphold the `RawWaker`
+            // contract for a pointer that owns one strong count.
+            unsafe { Waker::from_raw(RawWaker::new(data, &VTABLE)) }
+        }
+
+        #[test]
+        fn a_task_that_blocks_repeatedly_is_registered_once() {
+            const CYCLES: usize = if cfg!(miri) { 8 } else { 200 };
+            for mode in [ChannelMode::Shared, ChannelMode::SingleThread] {
+                let chan = Channel::with_mode(1, mode);
+                let _tx = chan.add_producer();
+                let _rx = chan.add_consumer();
+                let (reader, writer) = (Arc::<Counts>::default(), Arc::<Counts>::default());
+                let (reader_waker, writer_waker) =
+                    (counting_waker(&reader), counting_waker(&writer));
+                let mut reader_cx = Context::from_waker(&reader_waker);
+                let mut writer_cx = Context::from_waker(&writer_waker);
+                for i in 0..CYCLES {
+                    // The reader blocks on the empty buffer; the push wakes it.
+                    assert!(chan.poll_recv(0, &mut reader_cx).is_pending());
+                    assert!(chan.poll_send(&mut Some(i), &mut writer_cx).is_ready());
+                    // The writer blocks on the full buffer; the pop wakes it.
+                    assert!(chan.poll_send(&mut Some(i), &mut writer_cx).is_pending());
+                    assert_eq!(chan.poll_recv(0, &mut reader_cx), Poll::Ready(Some(i)));
+                }
+                assert_eq!((reader.wakes(), writer.wakes()), (CYCLES, CYCLES));
+                assert_eq!((reader.clones(), writer.clones()), (1, 1), "{mode:?}");
+            }
+        }
+
+        #[test]
+        fn a_changed_waker_is_registered_in_place_of_the_old_one() {
+            let chan = Channel::with_mode(1, ChannelMode::SingleThread);
+            let _tx = chan.add_producer();
+            let _rx = chan.add_consumer();
+            let counts: Vec<Arc<Counts>> = (0..5).map(|_| Arc::default()).collect();
+            let wakers: Vec<Waker> = counts.iter().map(counting_waker).collect();
+            let cx = |i: usize| Context::from_waker(&wakers[i]);
+            // One count for `counts[i]`, one for `wakers[i]`, the rest are
+            // clones the channel holds.
+            let held_by_channel = |i: usize| Arc::strong_count(&counts[i]) - 2;
+
+            // The reader blocks as task 0, is polled again as task 1, and the
+            // push wakes task 1 alone.
+            assert!(chan.poll_recv(0, &mut cx(0)).is_pending());
+            assert!(chan.poll_recv(0, &mut cx(1)).is_pending());
+            assert_eq!(held_by_channel(0), 0);
+            assert!(chan.poll_send(&mut Some(7), &mut cx(2)).is_ready());
+            assert_eq!((counts[0].wakes(), counts[1].wakes()), (0, 1));
+
+            // Two tasks blocked on the full buffer are both woken by one pop.
+            assert!(chan.poll_send(&mut Some(8), &mut cx(2)).is_pending());
+            assert!(chan.poll_send(&mut Some(8), &mut cx(3)).is_pending());
+            assert_eq!(chan.poll_recv(0, &mut cx(1)), Poll::Ready(Some(7)));
+            assert_eq!((counts[2].wakes(), counts[3].wakes()), (1, 1));
+
+            // With more slots than producers a new task takes over an idle
+            // one, so stale wakers are released instead of piling up.
+            assert!(chan.poll_send(&mut Some(8), &mut cx(4)).is_ready());
+            assert!(chan.poll_send(&mut Some(9), &mut cx(4)).is_pending());
+            assert_eq!(
+                (held_by_channel(2), held_by_channel(3), held_by_channel(4)),
+                (0, 1, 1)
+            );
+            assert_eq!(chan.poll_recv(0, &mut cx(1)), Poll::Ready(Some(8)));
+            assert_eq!((counts[3].wakes(), counts[4].wakes()), (1, 1));
+        }
+
+        /// The thread-per-kernel engine's case: producers parked on their
+        /// own threads, one slot each, and a pop must unpark all of them.
+        #[test]
+        fn shared_channel_wakes_every_blocked_producer_thread() {
+            let chan = Channel::new(1);
+            let mut rx = chan.add_consumer();
+            block_on(chan.add_producer().send(0));
+            let producers: Vec<_> = (1..=2)
+                .map(|v| {
+                    let mut tx = chan.add_producer();
+                    std::thread::spawn(move || block_on(tx.send(v)))
+                })
+                .collect();
+            // A blocked write is counted under the same lock that registers
+            // its waker: at 2, both threads are parked on the full buffer.
+            while chan.stats().blocked_writes < 2 {
+                std::thread::yield_now();
+            }
+            let mut got = Vec::new();
+            block_on(async {
+                while let Some(v) = rx.recv().await {
+                    got.push(v);
+                }
+            });
+            for producer in producers {
+                producer.join().expect("producer thread panicked");
+            }
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1, 2]);
+        }
+    }
+
     /// The semantics tests above all run against the default `Shared`
     /// storage; this block re-runs the load-bearing ones on the
     /// single-thread fast path, which must be observably identical.
@@ -1054,6 +1290,18 @@ mod tests {
         fn mode_is_recorded() {
             assert_eq!(fast::<u8>(1).mode(), ChannelMode::SingleThread);
             assert_eq!(Channel::<u8>::new(1).mode(), ChannelMode::Shared);
+        }
+
+        /// The owner check holds in every build: run this one with
+        /// `cargo test --release` too.
+        #[test]
+        #[should_panic(expected = "second thread")]
+        fn a_second_thread_is_refused() {
+            let chan = fast::<u8>(1);
+            let _tx = chan.add_producer(); // first access: this thread owns it
+            let remote = Arc::clone(&chan);
+            let refused = std::thread::spawn(move || remote.len()).join();
+            std::panic::resume_unwind(refused.expect_err("the foreign access was let through"));
         }
 
         #[test]

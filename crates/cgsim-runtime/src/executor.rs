@@ -10,14 +10,17 @@
 //! heap state released.
 //!
 //! This module is the Rust rendition with `Future`s in place of C++20
-//! coroutines. Wakers push task ids onto a shared ready queue; a per-task
-//! `scheduled` flag keeps the queue duplicate-free; the run loop polls in
-//! FIFO order, which makes simulation deterministic for a fixed graph and
-//! input.
+//! coroutines. Wakers push task ids onto the executor's ready queue; a
+//! per-task `scheduled` flag keeps the queue duplicate-free; the run loop
+//! polls in FIFO order, which makes simulation deterministic for a fixed
+//! graph and input. The queue belongs to the executor's thread and is not
+//! synchronised; a `Waker` is `Send + Sync` by type, so a wake from any other
+//! thread is sound but takes a side door (see `ReadyQueue`).
 
-use crate::channel::ChannelAdmin;
+use crate::channel::{ChannelAdmin, LocalCell};
 use crate::probe::{DebugSnapshot, ExecProbe, Introspector, WaitKind, WaitsForEdge};
 use cgsim_trace::{KernelRef, TraceEvent, Tracer};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -323,49 +326,91 @@ pub struct BoundsViolation {
     pub bound: u64,
 }
 
+/// The ready list. Every wake in a cooperative run comes from a kernel
+/// polled by the run loop, on the executor's thread, so that thread owns
+/// `local` and pushes and pops it with no lock and no atomic
+/// read-modify-write. [`Executor::spawn`] makes the first access, which pins
+/// the owner, and `Executor` is `!Send`, so the owner is the thread that
+/// runs the loop. A wake from any other thread lands in `inbox` instead,
+/// and the run loop adopts the inbox before it pops.
 struct ReadyQueue {
-    queue: Mutex<std::collections::VecDeque<usize>>,
+    local: LocalCell<VecDeque<usize>>,
+    inbox: Mutex<Vec<usize>>,
+    /// Whether `inbox` is non-empty; written only under the `inbox` lock.
+    /// The run loop checks this flag per pop instead of taking the lock.
+    inbox_pending: AtomicBool,
 }
 
 impl ReadyQueue {
+    fn new() -> Self {
+        ReadyQueue {
+            local: LocalCell::new(VecDeque::new()),
+            inbox: Mutex::new(Vec::new()),
+            inbox_pending: AtomicBool::new(false),
+        }
+    }
+
+    fn inbox(&self) -> std::sync::MutexGuard<'_, Vec<usize>> {
+        self.inbox
+            .lock()
+            .expect("nothing panics while holding the inbox lock")
+    }
+
+    /// Queue `id` at the back (a wake, a spawn, or a fault deferral).
     fn push(&self, id: usize) {
-        self.queue.lock().unwrap().push_back(id);
+        if self.local.try_with(|queue| queue.push_back(id)).is_none() {
+            let mut inbox = self.inbox();
+            inbox.push(id);
+            // Release pairs with the Acquire load in `with_local`: the
+            // run loop that sees the flag also sees the entry.
+            self.inbox_pending.store(true, Ordering::Release);
+        }
+    }
+
+    /// Run `f` on the owner's queue, cross-thread wakes adopted first.
+    fn with_local<R>(&self, f: impl FnOnce(&mut VecDeque<usize>) -> R) -> R {
+        self.local
+            .try_with(|queue| {
+                if self.inbox_pending.load(Ordering::Acquire) {
+                    let mut inbox = self.inbox();
+                    self.inbox_pending.store(false, Ordering::Relaxed);
+                    queue.extend(inbox.drain(..));
+                }
+                f(queue)
+            })
+            .expect("ready queue read off its executor's thread")
     }
 
     /// O(1) FIFO pop — the fast path when the schedule is strict FIFO, where
     /// consulting a policy (and the `make_contiguous`/`remove` it requires)
     /// is pure overhead.
     fn pop_front(&self) -> Option<usize> {
-        self.queue.lock().unwrap().pop_front()
+        self.with_local(VecDeque::pop_front)
     }
 
     /// Remove and return the entry the policy picks. Only the run loop pops
     /// (wakers only push), so removing at an arbitrary index is safe.
     fn pop_with(&self, policy: &mut dyn SchedulePolicy) -> Option<usize> {
-        let mut queue = self.queue.lock().unwrap();
-        if queue.is_empty() {
-            return None;
-        }
-        let idx = policy.pick(queue.make_contiguous());
-        // A policy returning an index past the ready list is a bug in the
-        // policy; surface it in debug builds rather than silently clamping.
-        debug_assert!(
-            idx < queue.len(),
-            "SchedulePolicy::pick returned out-of-range index {idx} for a ready list of {}",
-            queue.len()
-        );
-        let idx = idx.min(queue.len() - 1);
-        queue.remove(idx)
-    }
-
-    /// Move a popped entry to the back of the queue (fault deferral).
-    fn defer(&self, id: usize) {
-        self.queue.lock().unwrap().push_back(id);
+        self.with_local(|queue| {
+            if queue.is_empty() {
+                return None;
+            }
+            let idx = policy.pick(queue.make_contiguous());
+            // A policy returning an index past the ready list is a bug in the
+            // policy; surface it in debug builds rather than silently clamping.
+            debug_assert!(
+                idx < queue.len(),
+                "SchedulePolicy::pick returned out-of-range index {idx} for a ready list of {}",
+                queue.len()
+            );
+            let idx = idx.min(queue.len() - 1);
+            queue.remove(idx)
+        })
     }
 
     /// Snapshot of the queued task ids, front first (introspection only).
     fn ids(&self) -> Vec<usize> {
-        self.queue.lock().unwrap().iter().copied().collect()
+        self.with_local(|queue| queue.iter().copied().collect())
     }
 }
 
@@ -408,7 +453,7 @@ struct Task {
 /// coroutines, then [`run`](Executor::run) to quiescence.
 pub struct Executor {
     tasks: Vec<Option<Task>>,
-    ready: Option<Arc<ReadyQueue>>,
+    ready: Arc<ReadyQueue>,
     poll_budget: Option<u64>,
     policy: Box<dyn SchedulePolicy>,
     /// True while the installed schedule is known to be strict FIFO, letting
@@ -436,9 +481,7 @@ impl Executor {
     pub fn new() -> Self {
         Executor {
             tasks: Vec::new(),
-            ready: Some(Arc::new(ReadyQueue {
-                queue: Mutex::new(std::collections::VecDeque::new()),
-            })),
+            ready: Arc::new(ReadyQueue::new()),
             poll_budget: None,
             policy: Box::new(FifoPolicy),
             fifo: true,
@@ -630,7 +673,7 @@ impl Executor {
         };
         // Ready = queued ids plus the id popped for this poll round (its
         // `scheduled` flag is still set, it is simply in the loop's hand).
-        let mut ready_ids = self.ready().ids();
+        let mut ready_ids = self.ready.ids();
         if let Some(id) = current {
             ready_ids.insert(0, id);
         }
@@ -689,10 +732,6 @@ impl Executor {
         }
     }
 
-    fn ready(&self) -> &Arc<ReadyQueue> {
-        self.ready.as_ref().expect("executor initialized")
-    }
-
     /// Register a coroutine in the *suspended* state (paper step 1). It will
     /// receive its first poll when the run loop starts.
     pub fn spawn(&mut self, label: impl Into<String>, future: LocalBoxFuture) -> usize {
@@ -702,7 +741,7 @@ impl Executor {
         let scheduled = Arc::new(AtomicBool::new(true)); // pre-queued below
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
-            ready: Arc::clone(self.ready()),
+            ready: Arc::clone(&self.ready),
             scheduled: Arc::clone(&scheduled),
             tracer: self.tracer.clone(),
             kernel,
@@ -716,7 +755,7 @@ impl Executor {
             polls: 0,
             busy: Duration::ZERO,
         }));
-        self.ready().push(id);
+        self.ready.push(id);
         id
     }
 
@@ -745,7 +784,6 @@ impl Executor {
             ..ExecStats::default()
         };
         let mut profiles: Vec<Option<TaskProfile>> = (0..self.tasks.len()).map(|_| None).collect();
-        let ready = Arc::clone(self.ready());
         // Branch-predictable early-outs hoisted off the hot loop: whether
         // the tracer records anything, and how often a poll is timed.
         let trace_on = self.tracer.is_enabled();
@@ -769,9 +807,9 @@ impl Executor {
         let bounds_on = !self.bounds_checks.is_empty();
         loop {
             let next = if self.fifo {
-                ready.pop_front()
+                self.ready.pop_front()
             } else {
-                ready.pop_with(self.policy.as_mut())
+                self.ready.pop_with(self.policy.as_mut())
             };
             let Some(id) = next else { break };
             if self.poll_budget.is_some_and(|b| stats.polls >= b) {
@@ -818,7 +856,7 @@ impl Executor {
                 // cannot be double-queued by a concurrent wake.
                 if *pct > 0 && rng.next_below(100) < *pct as usize {
                     stats.injected_stalls += 1;
-                    ready.defer(id);
+                    self.ready.push(id);
                     continue;
                 }
             }
@@ -826,8 +864,7 @@ impl Executor {
                 continue; // completed task woken late
             };
             task.scheduled.store(false, Ordering::Release);
-            let waker = task.waker.clone();
-            let mut cx = Context::from_waker(&waker);
+            let mut cx = Context::from_waker(&task.waker);
             let timed =
                 sample_every == 1 || (sample_every > 1 && stats.polls.is_multiple_of(sample_every));
             stats.polls += 1;
@@ -1322,6 +1359,64 @@ mod tests {
     }
 
     #[test]
+    fn wake_from_another_thread_is_adopted_exactly_once() {
+        /// Never completes. Its first poll wakes it twice through `remote`
+        /// or in place; later polls wake nobody, so every queue entry a
+        /// wake left behind shows up as one more poll.
+        struct WokenOnce {
+            remote: bool,
+            polls: Rc<Cell<u32>>,
+        }
+        impl Future for WokenOnce {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                self.polls.set(self.polls.get() + 1);
+                if self.polls.get() == 1 {
+                    let waker = cx.waker().clone();
+                    let wake_twice = move || {
+                        waker.wake_by_ref();
+                        waker.wake();
+                    };
+                    if self.remote {
+                        // Joined inside the poll: the entry is in the inbox
+                        // before the loop pops again.
+                        std::thread::spawn(wake_twice).join().unwrap();
+                    } else {
+                        wake_twice();
+                    }
+                }
+                Poll::Pending
+            }
+        }
+        let run = |remote: bool| {
+            let polls = Rc::new(Cell::new(0));
+            let mut ex = Executor::new();
+            ex.spawn(
+                "woken",
+                Box::pin(WokenOnce {
+                    remote,
+                    polls: Rc::clone(&polls),
+                }),
+            );
+            ex.spawn(
+                "bystander",
+                Box::pin(async {
+                    YieldN { remaining: 3 }.await;
+                }),
+            );
+            let (stats, stalled) = ex.run();
+            assert_eq!(stalled, vec!["woken".to_string()]);
+            assert_eq!(polls.get(), 2, "remote = {remote}");
+            stats
+        };
+        let (local, remote) = (run(false), run(true));
+        assert_eq!(remote.polls, local.polls);
+        assert_eq!(remote.suspensions, local.suspensions);
+        assert_eq!(remote.completed, 1);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "130 000 PRNG draws and no unsafe code behind them")]
     fn seeded_next_below_has_no_gross_bias() {
         // 13 does not divide 2^64, so the old `%`-based mapping skewed low
         // buckets; the widening multiply must keep every bucket within a
