@@ -163,6 +163,11 @@ impl<const N: usize> AccF32<N> {
     }
 
     /// `acc += data[i+tap] * coeff` — float sliding MAC (vectorised FIR).
+    // The IIR kernel's inner loop is three of these per 8 samples. A generic
+    // method is only inlined when its instance lands in the caller's codegen
+    // unit, which any edit to the calling crate can change; out of line it
+    // doubles `aie-intrinsics.kernel_us.iir`.
+    #[inline]
     pub fn sliding_fpmac(mut self, data: &[f32], tap: usize, coeff: f32) -> Self {
         record(OpKind::VMac);
         assert!(

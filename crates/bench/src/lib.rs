@@ -11,9 +11,6 @@
 //!   (fast-path channels, sampled profiling, batched window I/O), shared by
 //!   the `hotloop` Criterion suite and the `bench-report` binary that
 //!   emits `BENCH_PR4.json`;
-//! * [`compiled`] — compiled static-schedule vs cooperative fast-path
-//!   engine comparison (paper graphs + deep pipelines), shared with the
-//!   `compiled-report` binary that emits `BENCH_PR7.json`;
 //! * [`pool`] — paper-graph batch workloads for the `cgsim-pool` engine,
 //!   shared by the `pool` Criterion suite and the `pool-report` binary
 //!   that emits `BENCH_PR5.json` (batch throughput at 1/2/4/8 workers);
@@ -32,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod hotloop;
 pub mod kernels;
 pub mod pool;

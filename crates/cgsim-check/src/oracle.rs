@@ -24,7 +24,8 @@ use crate::gen::GeneratedCase;
 use crate::kernels::{self, PALETTE_SHAPES};
 use aie_intrinsics::OpCounts;
 use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
-use cgsim_compiled::{compile, CompiledContext, CompiledPlan};
+use cgsim_compiled::{compile, CompiledPlan};
+use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, PortKind};
 use cgsim_runtime::{
     ChannelMode, ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec,
@@ -159,10 +160,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let bounds = (cfg.check_bounds && !has_merge)
         .then(|| {
-            let lint_cfg = cgsim_lint::LintConfig {
-                default_depth: RuntimeConfig::default().default_depth as u32,
-                ..cgsim_lint::LintConfig::default()
-            };
+            let lint_cfg = RuntimeConfig::default().lint_config();
             cgsim_lint::occupancy_bounds(&case.graph, &lint_cfg, &feed_lens)
         })
         .flatten();
@@ -229,15 +227,13 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
 
     if cfg.check_compiled {
         // The compiled static-schedule backend: compile once, then run two
-        // legs from the same plan (a fresh instantiation each) — the second
+        // legs following the same plan (a fresh context each) — the second
         // leg is exactly the plan-reuse path `cgsim-pool` sweeps take.
         let lint_cfg = cgsim_lint::LintConfig::default();
         match compile(&case.graph, &lint_cfg) {
             Ok(plan) => {
                 for label in ["compiled", "compiled-reuse"] {
-                    if let Some(got) =
-                        run_compiled(case, &lib, plan.clone(), cfg, label, &mut failures)
-                    {
+                    if let Some(got) = run_compiled(case, &lib, &plan, cfg, label, &mut failures) {
                         legs += 1;
                         compare_outputs(label, &got, &reference, case, &mut failures);
                     }
@@ -399,12 +395,13 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
                 None,
                 Some(bounds),
                 Some(Box::new(DemoteLast { demoted })),
+                None,
                 &mut failures,
             ) {
                 legs += 1;
                 compare_outputs(label, &got, &reference, case, &mut failures);
                 if check_tightness {
-                    let name = connector_display_name(graph, target);
+                    let name = graph.connector_name(target);
                     match report.channels.iter().find(|(n, _)| n == &name) {
                         Some((_, stats)) => {
                             if bounds[target] > stats.max_occupancy.saturating_mul(2) {
@@ -502,15 +499,9 @@ fn check_conservation(
     failures: &mut Vec<String>,
 ) {
     let graph = &case.graph;
-    let mut by_name: HashMap<String, usize> = HashMap::new();
-    for ci in 0..graph.connectors.len() {
-        let name = graph.connectors[ci]
-            .attrs
-            .get_str("name")
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("c{ci}"));
-        by_name.insert(name, ci);
-    }
+    let by_name: HashMap<String, usize> = (0..graph.connectors.len())
+        .map(|ci| (graph.connector_name(ci), ci))
+        .collect();
     for (name, stats) in channels {
         let Some(&ci) = by_name.get(name) else {
             failures.push(format!("{label}: report names unknown channel {name}"));
@@ -543,16 +534,6 @@ fn coop_spec(cfg: &OracleConfig, label: impl Into<String>, schedule: Schedule) -
         .schedule(schedule)
 }
 
-/// Display name of connector `ci` — the same convention the runtime's
-/// channel reports use.
-fn connector_display_name(graph: &cgsim_core::FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
-}
-
 /// One cooperative-executor leg. Returns the collected sink outputs, or
 /// `None` when the run could not even be set up (already reported). When
 /// `bounds` is given, the runtime's bounds-check mode is armed with it and
@@ -565,12 +546,14 @@ fn run_cooperative(
     bounds: Option<&[u64]>,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
-    run_cooperative_report(case, lib, spec, bound_limit, bounds, None, failures)
+    run_cooperative_report(case, lib, spec, bound_limit, bounds, None, None, failures)
         .map(|(outputs, _)| outputs)
 }
 
 /// [`run_cooperative`] returning the full [`RunReport`] too, with an
-/// optional custom schedule policy (the flood leg's demotion schedule).
+/// optional custom schedule policy (the flood leg's demotion schedule) or
+/// static schedule to follow (the compiled legs).
+#[allow(clippy::too_many_arguments)]
 fn run_cooperative_report(
     case: &GeneratedCase,
     lib: &KernelLibrary,
@@ -578,6 +561,7 @@ fn run_cooperative_report(
     bound_limit: Option<usize>,
     bounds: Option<&[u64]>,
     policy: Option<Box<dyn SchedulePolicy>>,
+    plan: Option<&StaticSchedule>,
     failures: &mut Vec<String>,
 ) -> Option<(Vec<Vec<i64>>, RunReport)> {
     let label = spec.label();
@@ -585,7 +569,8 @@ fn run_cooperative_report(
     // invariant pass below then sees an empty snapshot and checks nothing,
     // while the channel-counter conservation law still applies.
     let tracer = Tracer::enabled();
-    let mut ctx = match RuntimeContext::from_spec_with_tracer(&case.graph, lib, spec, tracer) {
+    let mut ctx = match RuntimeContext::from_spec_with_tracer(&case.graph, lib, spec, tracer, plan)
+    {
         Ok(ctx) => ctx,
         Err(e) => {
             failures.push(format!("{label}: context construction failed: {e}"));
@@ -650,50 +635,22 @@ fn run_cooperative_report(
     Some((sinks.iter().map(|h| h.take()).collect(), report))
 }
 
-/// One compiled-backend leg: instantiate `plan` (possibly shared with the
-/// sibling reuse leg), run to quiescence, and apply every check the
-/// cooperative legs get — plus the compiled engine's own guarantee that its
-/// schedule-derived buffer bound is never exceeded (`blocked_writes == 0`).
+/// One compiled-backend leg: the cooperative leg runner following `plan`
+/// (shared with the sibling reuse leg), so it gets every check those legs
+/// get — plus the plan's own guarantee that its capacities are never
+/// exceeded (`blocked_writes == 0`).
 fn run_compiled(
     case: &GeneratedCase,
     lib: &KernelLibrary,
-    plan: CompiledPlan,
+    plan: &CompiledPlan,
     cfg: &OracleConfig,
     label: &str,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
     let spec = coop_spec(cfg, label, Schedule::Fifo);
-    let mut ctx = CompiledContext::with_plan(&case.graph, lib, plan, *spec.config());
-    ctx.set_tracer(Tracer::enabled());
-    for (i, feed) in case.feeds.iter().enumerate() {
-        if let Err(e) = ctx.feed(i, feed.clone()) {
-            failures.push(format!("{label}: feed {i} failed: {e}"));
-            return None;
-        }
-    }
-    let mut sinks = Vec::with_capacity(case.graph.outputs.len());
-    for oi in 0..case.graph.outputs.len() {
-        match ctx.collect::<i64>(oi) {
-            Ok(h) => sinks.push(h),
-            Err(e) => {
-                failures.push(format!("{label}: collect {oi} failed: {e}"));
-                return None;
-            }
-        }
-    }
-    let report = match ctx.run() {
-        Ok(r) => r,
-        Err(e) => {
-            failures.push(format!("{label}: run failed: {e}"));
-            return None;
-        }
-    };
-    if !report.drained() {
-        failures.push(format!(
-            "{label}: not drained after {} polls; stalled: {:?}",
-            report.exec.polls, report.stalled
-        ));
-    }
+    let schedule = Some(plan.schedule());
+    let (outputs, report) =
+        run_cooperative_report(case, lib, &spec, None, None, None, schedule, failures)?;
     for (name, stats) in &report.channels {
         if stats.blocked_writes != 0 {
             failures.push(format!(
@@ -703,11 +660,7 @@ fn run_compiled(
             ));
         }
     }
-    check_conservation(case, &report.channels, true, label, failures);
-    for msg in invariants::check(&report.trace) {
-        failures.push(format!("{label}: trace invariant violated: {msg}"));
-    }
-    Some(sinks.iter().map(|h| h.take()).collect())
+    Some(outputs)
 }
 
 /// The thread-per-kernel leg (the paper's x86sim counterpart).

@@ -4,6 +4,7 @@
 use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, FlatGraph, GraphError, KernelId, Topology};
 use cgsim_lint::{lint_graph, port_rate, LintConfig};
+use cgsim_runtime::RuntimeConfig;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -106,16 +107,17 @@ impl CompileError {
 
 /// A compiled, graph-specific but workload-independent execution plan.
 ///
-/// Cheap to clone; compile once per graph, instantiate once per job via
-/// [`CompiledContext::with_plan`](crate::CompiledContext::with_plan).
+/// Pure data: cheap to clone; compile once per graph, then hand
+/// [`CompiledPlan::schedule`] to `cgsim_runtime::RuntimeContext::with_plan`
+/// once per run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledPlan {
     schedule: StaticSchedule,
 }
 
 impl CompiledPlan {
-    /// The schedule IR: firing order, firing counts, per-connector period
-    /// token bounds.
+    /// The schedule IR the executor consumes: firing order, firing counts,
+    /// per-connector period token bounds.
     pub fn schedule(&self) -> &StaticSchedule {
         &self.schedule
     }
@@ -222,6 +224,24 @@ pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, Comp
             period_tokens,
         },
     })
+}
+
+/// [`compile`] for a run under `config`: undeclared connector depths resolve
+/// to `config.default_depth`, exactly as the run resolves them, and a
+/// configuration carrying a fault plan is rejected with
+/// [`RejectReason::FaultPlan`] — fault injection perturbs the poll order,
+/// which is meaningless when the order is the plan.
+pub fn compile_for(
+    graph: &FlatGraph,
+    config: &RuntimeConfig,
+) -> Result<CompiledPlan, CompileError> {
+    if config.faults.is_some() {
+        return Err(CompileError::NotStaticallySchedulable {
+            reason: RejectReason::FaultPlan,
+            details: "the run requests seeded fault injection".into(),
+        });
+    }
+    compile(graph, &config.lint_config())
 }
 
 /// Kahn topological order over kernels, always releasing the

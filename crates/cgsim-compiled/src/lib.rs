@@ -7,28 +7,31 @@
 //! none of that is necessary: the SDF firing vector fixes a periodic
 //! schedule ahead of any execution, and buffer bounds follow from it.
 //!
-//! This crate splits execution into the two phases that LightningSimV2-style
-//! simulators use:
+//! This crate is the *compile* phase of the LightningSimV2-style
+//! compile/execute split; the execute phase is the one executor every
+//! single-threaded run uses:
 //!
-//! 1. **Compile** ([`compile`]): take a lint-clean [`FlatGraph`], reuse the
-//!    firing vector the `cgsim-lint` rate pass already computed
-//!    ([`cgsim_lint::LintReport::firing_vector`]), derive a topological
-//!    firing order and per-connector period token counts, and package them
-//!    as a reusable [`CompiledPlan`]. Graphs outside the static class are
-//!    rejected with [`CompileError::NotStaticallySchedulable`] carrying a
-//!    [`RejectReason`] that names the matching lint verdict.
-//! 2. **Execute** ([`CompiledContext`]): instantiate the plan against a
-//!    concrete workload — channel capacities scale the plan's period bounds
-//!    by the feed length, so in the common case every coroutine runs start
-//!    to finish in a single poll, in precompiled order, with no scheduler
-//!    state at all.
+//! 1. **Compile** ([`compile`], [`compile_for`]): take a lint-clean
+//!    [`FlatGraph`], reuse the firing vector the `cgsim-lint` rate pass
+//!    already computed ([`cgsim_lint::LintReport::firing_vector`]), derive a
+//!    topological firing order and per-connector period token counts, and
+//!    package them as a reusable [`CompiledPlan`]. Graphs outside the static
+//!    class are rejected with [`CompileError::NotStaticallySchedulable`]
+//!    carrying a [`RejectReason`] that names the matching lint verdict.
+//! 2. **Execute** (`cgsim_runtime::RuntimeContext::with_plan`): a plan is
+//!    order and capacities for the cooperative executor. The context gives
+//!    the coroutines their first poll in plan order (sources, kernels,
+//!    sinks) on the FIFO ready queue and raises every channel to the exact
+//!    token traffic of the workload, so in the common case every coroutine
+//!    runs start to finish in a single poll. The ready queue is still
+//!    there — it is simply never needed — and so are the deadline, cancel,
+//!    poll budget, profiling, tracing, `ExecProbe`, bounds checks and
+//!    [`RunReport`] of every other run.
 //!
-//! A plan is compiled once and instantiated many times (parameter sweeps in
-//! `cgsim-pool` reuse one plan per job). The executor produces the same
-//! [`RunReport`] as the cooperative engine, so tracing, conservation checks
-//! and profiling consumers work unchanged — and because statically
-//! schedulable graphs are Kahn-deterministic, its outputs are bit-identical
-//! to the cooperative reference (enforced by the `cgsim-check` conformance
+//! A plan is compiled once and consumed many times (parameter sweeps in
+//! `cgsim-pool` reuse one plan per job). Because statically schedulable
+//! graphs are Kahn-deterministic, a planned run's outputs are bit-identical
+//! to the plan-less reference (enforced by the `cgsim-check` conformance
 //! legs `compiled` and `compiled-reuse`).
 
 #![warn(missing_docs)]
@@ -36,7 +39,7 @@
 mod compiler;
 mod context;
 
-pub use compiler::{compile, CompileError, CompiledPlan, RejectReason};
+pub use compiler::{compile, compile_for, CompileError, CompiledPlan, RejectReason};
 pub use context::CompiledContext;
 
 // Re-exported so callers can name the report/graph/lint-config types
@@ -50,8 +53,11 @@ mod tests {
     use super::*;
     use cgsim_core::GraphBuilder;
     use cgsim_lint::LintConfig;
-    use cgsim_runtime::executor::FaultPlan;
-    use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, RuntimeConfig};
+    use cgsim_runtime::cgsim_trace::Tracer;
+    use cgsim_runtime::executor::{FaultPlan, Schedule};
+    use cgsim_runtime::probe::ExecProbe;
+    use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext};
+    use std::sync::Arc;
 
     compute_kernel! {
         /// Doubles every element.
@@ -81,6 +87,33 @@ mod tests {
             l.register::<dbl>();
             l.register::<add2>();
         })
+    }
+
+    /// The one context, following the plan compiled for `config`.
+    fn planned<'g>(
+        g: &'g FlatGraph,
+        lib: &'g KernelLibrary,
+        config: RuntimeConfig,
+    ) -> RuntimeContext<'g> {
+        let plan = compile_for(g, &config).unwrap();
+        RuntimeContext::with_plan(g, lib, config, Tracer::default(), Some(plan.schedule())).unwrap()
+    }
+
+    /// `stages` doublers in a row, every connector of depth 1.
+    fn tight_pipeline(stages: usize) -> FlatGraph {
+        GraphBuilder::build("tight", |g| {
+            let mut prev = g.input::<i64>("a");
+            g.connector_settings(&prev, cgsim_core::PortSettings::new().depth(1));
+            for _ in 0..stages {
+                let next = g.wire::<i64>();
+                g.connector_settings(&next, cgsim_core::PortSettings::new().depth(1));
+                dbl::invoke(g, &prev, &next)?;
+                prev = next;
+            }
+            g.output(&prev);
+            Ok(())
+        })
+        .unwrap()
     }
 
     fn pipeline() -> FlatGraph {
@@ -153,7 +186,7 @@ mod tests {
     fn single_sweep_executes_pipeline() {
         let g = pipeline();
         let lib = lib();
-        let mut ctx = CompiledContext::new(&g, &lib, RuntimeConfig::default()).unwrap();
+        let mut ctx = planned(&g, &lib, RuntimeConfig::default());
         ctx.feed(0, (0..100i64).collect::<Vec<_>>()).unwrap();
         let out = ctx.collect::<i64>(0).unwrap();
         let report = ctx.run().unwrap();
@@ -183,8 +216,15 @@ mod tests {
         .unwrap();
         let lib = lib();
         let plan = compile(&g, &LintConfig::default()).unwrap();
-        let run = |plan: CompiledPlan| {
-            let mut ctx = CompiledContext::with_plan(&g, &lib, plan, RuntimeConfig::default());
+        let run = |plan: &CompiledPlan| {
+            let mut ctx = RuntimeContext::with_plan(
+                &g,
+                &lib,
+                RuntimeConfig::default(),
+                Tracer::default(),
+                Some(plan.schedule()),
+            )
+            .unwrap();
             ctx.feed(0, (0..50i64).collect::<Vec<_>>()).unwrap();
             ctx.feed(1, (0..50i64).map(|v| v * 10).collect::<Vec<_>>())
                 .unwrap();
@@ -193,8 +233,8 @@ mod tests {
             assert!(report.drained());
             out.take()
         };
-        let first = run(plan.clone());
-        let second = run(plan);
+        let first = run(&plan);
+        let second = run(&plan);
         assert_eq!(first, second);
         assert_eq!(first[3], 33);
     }
@@ -203,7 +243,7 @@ mod tests {
     fn bounded_sink_closes_early_and_drains() {
         let g = pipeline();
         let lib = lib();
-        let mut ctx = CompiledContext::new(&g, &lib, RuntimeConfig::default()).unwrap();
+        let mut ctx = planned(&g, &lib, RuntimeConfig::default());
         ctx.feed(0, (0..100i64).collect::<Vec<_>>()).unwrap();
         let out = ctx.collect_bounded::<i64>(0, 5).unwrap();
         let report = ctx.run().unwrap();
@@ -214,9 +254,8 @@ mod tests {
     #[test]
     fn fault_specs_are_rejected() {
         let g = pipeline();
-        let lib = lib();
         let spec = RunSpec::for_graph("pipe").faults(FaultPlan::new(7, 25));
-        let Err(err) = CompiledContext::from_spec(&g, &lib, &spec) else {
+        let Err(err) = compile_for(&g, spec.config()) else {
             panic!("fault-carrying spec must be rejected");
         };
         assert_eq!(err.reject_reason(), Some(RejectReason::FaultPlan));
@@ -226,7 +265,7 @@ mod tests {
     fn missing_feed_is_an_error() {
         let g = pipeline();
         let lib = lib();
-        let ctx = CompiledContext::new(&g, &lib, RuntimeConfig::default()).unwrap();
+        let ctx = planned(&g, &lib, RuntimeConfig::default());
         assert!(matches!(
             ctx.run(),
             Err(cgsim_core::GraphError::IoArityMismatch { what: "inputs", .. })
@@ -237,12 +276,92 @@ mod tests {
     fn max_polls_budget_stops_the_sweep() {
         let g = pipeline();
         let lib = lib();
-        let mut ctx =
-            CompiledContext::new(&g, &lib, RuntimeConfig::default().with_max_polls(1)).unwrap();
+        let mut ctx = planned(&g, &lib, RuntimeConfig::default().with_max_polls(1));
         ctx.feed(0, vec![1i64, 2]).unwrap();
         let _out = ctx.collect::<i64>(0).unwrap();
         let report = ctx.run().unwrap();
         assert!(!report.drained());
         assert!(report.exec.polls <= 1);
+    }
+
+    /// Feed `0..256` through the 16-stage depth-1 pipeline and return the
+    /// report, having checked the output.
+    fn run_tight(mut ctx: RuntimeContext<'_>) -> RunReport {
+        ctx.feed(0, 0..256i64).unwrap();
+        let out = ctx.collect::<i64>(0).unwrap();
+        let report = ctx.run().unwrap();
+        assert!(report.drained(), "stalled: {:?}", report.stalled);
+        assert_eq!(out.take(), (0..256i64).map(|v| v << 16).collect::<Vec<_>>());
+        report
+    }
+
+    #[test]
+    fn plan_drains_a_depth_1_pipeline_in_one_poll_per_task() {
+        let g = tight_pipeline(16);
+        let lib = lib();
+        let report = run_tight(planned(&g, &lib, RuntimeConfig::default()));
+        assert_eq!(report.exec.tasks, 18);
+        assert_eq!(report.exec.polls, 18);
+        for (name, stats) in &report.channels {
+            assert_eq!(stats.blocked_writes, 0, "channel {name}");
+        }
+        // Without a plan the same graph keeps its declared depth of 1 and
+        // the poll count it had before this context took plans.
+        let plain = RuntimeContext::new(&g, &lib, RuntimeConfig::default()).unwrap();
+        assert_eq!(run_tight(plain).exec.polls, 4625);
+    }
+
+    #[test]
+    fn plan_order_overrides_the_spec_schedule() {
+        // LIFO on the plan's first-poll order would poll the sink first and
+        // work backwards; the plan pins FIFO, so it is still one poll each.
+        let g = tight_pipeline(16);
+        let lib = lib();
+        let lifo = RuntimeConfig::scheduled(Schedule::Lifo);
+        assert_eq!(run_tight(planned(&g, &lib, lifo)).exec.polls, 18);
+        let plain = RuntimeContext::new(&g, &lib, lifo).unwrap();
+        assert_ne!(run_tight(plain).exec.polls, 18);
+    }
+
+    #[test]
+    fn planned_run_publishes_to_the_probe_and_checks_bounds() {
+        let g = tight_pipeline(16);
+        let lib = lib();
+        let probe = ExecProbe::new();
+        let mut ctx = planned(&g, &lib, RuntimeConfig::default());
+        ctx.set_probe(Arc::clone(&probe));
+        // 256 tokens cross every connector; claim the last holds at most 8.
+        let mut bounds = vec![256u64; g.connectors.len()];
+        *bounds.last_mut().unwrap() = 8;
+        ctx.set_bounds_check(bounds);
+        let report = run_tight(ctx);
+        // Final progress = completed tasks + elements pushed.
+        assert_eq!(probe.progress(), 18 + report.elements_moved);
+        assert_eq!(report.elements_moved, 17 * 256);
+        assert_eq!(
+            report.bounds_violations.len(),
+            1,
+            "{:?}",
+            report.bounds_violations
+        );
+        assert_eq!(report.bounds_violations[0].observed, 256);
+        assert_eq!(report.bounds_violations[0].bound, 8);
+    }
+
+    #[test]
+    fn plan_for_another_graph_is_refused() {
+        let lib = lib();
+        let plan = compile(&pipeline(), &LintConfig::default()).unwrap();
+        let other = tight_pipeline(3);
+        let err = RuntimeContext::with_plan(
+            &other,
+            &lib,
+            RuntimeConfig::default(),
+            Tracer::default(),
+            Some(plan.schedule()),
+        )
+        .err()
+        .expect("a 2-kernel plan cannot drive a 3-kernel graph");
+        assert!(matches!(err, cgsim_core::GraphError::IdOutOfRange { .. }));
     }
 }

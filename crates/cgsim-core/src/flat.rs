@@ -69,6 +69,17 @@ pub struct FlatConnector {
     pub attrs: AttrList,
 }
 
+impl FlatConnector {
+    /// Channel capacity in elements: the declared `depth`, or
+    /// `default_depth` for a connector that declares none.
+    pub fn depth_or(&self, default_depth: usize) -> usize {
+        match self.settings.depth {
+            0 => default_depth,
+            depth => depth as usize,
+        }
+    }
+}
+
 /// A reference to one endpoint of a connector: which kernel, which port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Endpoint {
@@ -156,6 +167,16 @@ impl FlatGraph {
     /// Whether `c` is a global output of the graph.
     pub fn is_global_output(&self, c: ConnectorId) -> bool {
         self.outputs.contains(&c)
+    }
+
+    /// Display name of connector `ci`: the builder-given name when there
+    /// is one (`g.input::<T>("a")`), else positional `c{ci}` — the name
+    /// every engine's channel report, trace and rendered table uses.
+    pub fn connector_name(&self, ci: usize) -> String {
+        self.connectors
+            .get(ci)
+            .and_then(|c| c.attrs.get_str("name"))
+            .map_or_else(|| format!("c{ci}"), str::to_owned)
     }
 
     /// Aggregate statistics.

@@ -196,11 +196,7 @@ impl StaticSchedule {
         }
         let _ = writeln!(out, "bounds ({} connectors):", self.period_tokens.len());
         for (ci, &tokens) in self.period_tokens.iter().enumerate() {
-            let name = graph
-                .connectors
-                .get(ci)
-                .and_then(|c| c.attrs.get_str("name").map(str::to_owned))
-                .unwrap_or_else(|| format!("c{ci}"));
+            let name = graph.connector_name(ci);
             let _ = writeln!(out, "  {name}: {tokens}/period");
         }
         out
@@ -255,11 +251,7 @@ impl GraphBounds {
         let _ = writeln!(out, "bounds {}", graph.name);
         let _ = writeln!(out, "connectors ({}):", self.connectors.len());
         for (ci, b) in self.connectors.iter().enumerate() {
-            let name = graph
-                .connectors
-                .get(ci)
-                .and_then(|c| c.attrs.get_str("name").map(str::to_owned))
-                .unwrap_or_else(|| format!("c{ci}"));
+            let name = graph.connector_name(ci);
             let _ = writeln!(
                 out,
                 "  {name}: {}/period, min capacity {}, capacity {}",

@@ -27,8 +27,8 @@ use std::time::Duration;
 #[derive(Clone, Default)]
 pub struct Launch {
     /// Precompiled static schedule for `Backend::Compiled` runs; when set,
-    /// the dispatcher instantiates it directly instead of recompiling the
-    /// graph. Ignored by the other backends.
+    /// the run follows it instead of recompiling the graph. Ignored by the
+    /// other backends and by fault-carrying specs.
     pub plan: Option<CompiledPlan>,
     /// Tracer events are recorded into (disabled by default).
     pub tracer: Tracer,
@@ -61,8 +61,8 @@ pub struct AppRun {
     /// Fraction of time spent in kernels (cooperative runs only; the §5.2
     /// profiling claim).
     pub kernel_fraction: Option<f64>,
-    /// The full runtime report (cooperative and compiled runs; `None` for
-    /// threaded runs, which have no scheduler). `Arc`-wrapped so cloning an
+    /// The full runtime report (`None` for threaded runs, which have no
+    /// scheduler). `Arc`-wrapped so cloning an
     /// `AppRun` stays cheap.
     pub report: Option<Arc<RunReport>>,
 }
@@ -165,21 +165,14 @@ mod tests {
 
     #[test]
     fn compiled_backend_matches_cooperative_on_every_app() {
-        // The compiled static-schedule engine must be bit-identical to the
-        // cooperative reference on all four paper graphs (checksums are
+        // A run that follows a compiled plan must be bit-identical to the
+        // plan-less reference on all four paper graphs (checksums are
         // order-sensitive, so matching checksums mean matching streams).
         for app in all_apps() {
             // All four paper graphs are statically schedulable: the
-            // compiled run below must exercise the real compiled engine,
-            // not the cooperative fallback.
-            let graph = app.graph();
-            let lib = app.library();
-            cgsim_compiled::CompiledContext::new(
-                &graph,
-                &lib,
-                *RunSpec::for_graph(app.name()).config(),
-            )
-            .unwrap_or_else(|e| panic!("{} must compile: {e}", app.name()));
+            // compiled run below must follow a plan, not fall back.
+            cgsim_compiled::compile_for(&app.graph(), RunSpec::for_graph(app.name()).config())
+                .unwrap_or_else(|e| panic!("{} must compile: {e}", app.name()));
             let coop = app
                 .run_spec(&RunSpec::for_graph(app.name()), 2)
                 .unwrap_or_else(|e| panic!("{} cooperative: {e}", app.name()));

@@ -3,9 +3,11 @@
 
 use crate::apps::{AppRun, Launch};
 use aie_sim::KernelCostProfile;
-use cgsim_compiled::{CompileError, CompiledContext};
-use cgsim_core::{FlatGraph, StreamData};
-use cgsim_runtime::{Backend, Interrupt, KernelLibrary, RunSpec, RuntimeContext};
+use cgsim_compiled::{compile_for, CompiledPlan};
+use cgsim_core::{FlatGraph, GraphError, StreamData};
+use cgsim_runtime::{
+    Backend, Interrupt, KernelLibrary, RunReport, RunSpec, RuntimeContext, SinkHandle,
+};
 use cgsim_threads::{ThreadedConfig, ThreadedContext};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,13 +47,7 @@ pub fn run_simple_launched<TIn: StreamData, TOut: StreamData>(
     input: Vec<TIn>,
     launch: Launch,
 ) -> Result<(Vec<TOut>, AppRun), String> {
-    run_with_inputs::<TOut>(
-        graph,
-        lib,
-        spec,
-        vec![Box::new(move |f| f.feed(0, input))],
-        launch,
-    )
+    run_with_inputs(graph, lib, spec, launch, |ctx| ctx.feed(0, input))
 }
 
 /// Run a graph whose input 0 is a data stream and input 1 a runtime
@@ -75,258 +71,114 @@ pub fn run_with_param_launched<TIn: StreamData, P: StreamData, TOut: StreamData>
     param: P,
     launch: Launch,
 ) -> Result<(Vec<TOut>, AppRun), String> {
-    run_with_inputs::<TOut>(
-        graph,
-        lib,
-        spec,
-        vec![
-            Box::new(move |f| f.feed(0, input)),
-            Box::new(move |f| f.feed_param(1, param)),
-        ],
-        launch,
-    )
+    run_with_inputs(graph, lib, spec, launch, |ctx| {
+        ctx.feed(0, input)?;
+        ctx.feed(1, vec![param])
+    })
 }
 
-/// A feed action applied to either runtime through the [`Feeder`] facade.
-type FeedFn = Box<dyn FnOnce(&mut dyn Feeder) -> Result<(), cgsim_core::GraphError>>;
-
-/// Facade over the two context types' feed methods.
-pub trait Feeder {
-    /// Feed a boxed, type-erased vector into positional input `index`.
-    fn feed_any(
-        &mut self,
-        index: usize,
-        data: Box<dyn std::any::Any>,
-    ) -> Result<(), cgsim_core::GraphError>;
+/// The context a spec's backend selects: the cooperative executor (with a
+/// plan for `Backend::Compiled`) or one thread per kernel. The two share
+/// their methods but no trait; this is the one place that papers over it.
+// One value per run, on the stack: boxing would add an allocation to every
+// launch to shrink a type nothing stores.
+#[allow(clippy::large_enum_variant)]
+enum Context<'g> {
+    Executor(RuntimeContext<'g>),
+    Threads(ThreadedContext<'g>),
 }
 
-trait FeederExt {
-    fn feed<T: StreamData>(
-        &mut self,
-        index: usize,
-        data: Vec<T>,
-    ) -> Result<(), cgsim_core::GraphError>;
-    fn feed_param<T: StreamData>(
-        &mut self,
-        index: usize,
-        value: T,
-    ) -> Result<(), cgsim_core::GraphError>;
-}
-
-impl FeederExt for dyn Feeder + '_ {
-    fn feed<T: StreamData>(
-        &mut self,
-        index: usize,
-        data: Vec<T>,
-    ) -> Result<(), cgsim_core::GraphError> {
-        self.feed_any(index, Box::new(data))
-    }
-    fn feed_param<T: StreamData>(
-        &mut self,
-        index: usize,
-        value: T,
-    ) -> Result<(), cgsim_core::GraphError> {
-        self.feed_any(index, Box::new(vec![value]))
-    }
-}
-
-struct CoopFeeder<'a, 'g>(&'a mut RuntimeContext<'g>);
-struct ThreadFeeder<'a, 'g>(&'a mut ThreadedContext<'g>);
-struct CompiledFeeder<'a, 'g>(&'a mut CompiledContext<'g>);
-
-macro_rules! feed_typed {
-    ($ctx:expr, $index:expr, $data:expr, [$($t:ty),*]) => {{
-        let mut data = $data;
-        $(
-            data = match data.downcast::<Vec<$t>>() {
-                Ok(v) => return $ctx.feed($index, *v),
-                Err(d) => d,
-            };
-        )*
-        let _ = data;
-        Err(cgsim_core::GraphError::IoArityMismatch {
-            what: "inputs",
-            expected: 0,
-            actual: $index,
-        })
-    }};
-}
-
-/// Stream element types the generic feeder supports. Applications using a
-/// custom struct stream register it here.
-macro_rules! feeder_impl {
-    ($name:ident) => {
-        impl Feeder for $name<'_, '_> {
-            fn feed_any(
-                &mut self,
-                index: usize,
-                data: Box<dyn std::any::Any>,
-            ) -> Result<(), cgsim_core::GraphError> {
-                feed_typed!(
-                    self.0,
-                    index,
-                    data,
-                    [
-                        f32,
-                        f64,
-                        i16,
-                        i32,
-                        u32,
-                        i64,
-                        crate::bilinear::PixelQuad,
-                        crate::farrow::BranchSet
-                    ]
-                )
-            }
+impl Context<'_> {
+    fn feed<T: StreamData>(&mut self, index: usize, data: Vec<T>) -> Result<(), GraphError> {
+        match self {
+            Context::Executor(ctx) => ctx.feed(index, data),
+            Context::Threads(ctx) => ctx.feed(index, data),
         }
-    };
-}
+    }
 
-feeder_impl!(CoopFeeder);
-feeder_impl!(ThreadFeeder);
-feeder_impl!(CompiledFeeder);
+    fn collect<T: StreamData>(&mut self, index: usize) -> Result<SinkHandle<T>, GraphError> {
+        match self {
+            Context::Executor(ctx) => ctx.collect(index),
+            Context::Threads(ctx) => ctx.collect(index),
+        }
+    }
+
+    /// Run to completion; the threaded engine has no scheduler to report on.
+    fn run(self) -> Result<Option<RunReport>, GraphError> {
+        match self {
+            Context::Executor(ctx) => ctx.run().map(Some),
+            Context::Threads(ctx) => ctx.run().map(|_| None),
+        }
+    }
+}
 
 fn run_with_inputs<TOut: StreamData>(
     graph: &FlatGraph,
     lib: &KernelLibrary,
     spec: &RunSpec,
-    feeds: Vec<FeedFn>,
-    mut launch: Launch,
+    launch: Launch,
+    feed: impl FnOnce(&mut Context<'_>) -> Result<(), GraphError>,
 ) -> Result<(Vec<TOut>, AppRun), String> {
-    match spec.target() {
-        Backend::Cooperative => {
-            let mut ctx =
-                RuntimeContext::from_spec_with_tracer(graph, lib, spec, launch.tracer.clone())
-                    .map_err(|e| e.to_string())?;
-            for f in feeds {
-                f(&mut CoopFeeder(&mut ctx)).map_err(|e| e.to_string())?;
-            }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let report = ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            match report.interrupted() {
-                Some(Interrupt::Deadline) => {
-                    return Err(format!(
-                        "deadline exceeded after {:?} ({} polls)",
-                        spec.deadline_budget().unwrap_or_default(),
-                        report.exec.polls
-                    ))
-                }
-                Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
-                None => {}
-            }
-            if !report.drained() {
-                return Err(format!("graph stalled: {:?}", report.stalled));
-            }
-            let kernel_fraction = Some(report.exec.kernel_fraction());
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction,
-                    report: Some(Arc::new(report)),
-                },
-            ))
-        }
-        Backend::Compiled => {
-            // Instantiate the cached plan when the launch carries one
-            // (fault plans disqualify a graph from static scheduling, so a
-            // cached plan is only honoured for fault-free specs); otherwise
-            // compile the static schedule here. Graphs outside the
-            // statically schedulable class (merges, rate imbalance, cycles,
-            // fault plans) fall back gracefully to the cooperative engine.
-            let cached = match launch.plan.take() {
-                Some(plan) if spec.config().faults.is_none() => {
-                    let mut ctx = CompiledContext::with_plan(graph, lib, plan, *spec.config());
-                    ctx.set_tracer(launch.tracer.clone());
-                    // `with_plan` does not arm the deadline; mirror
-                    // `from_spec` so the budget still applies.
-                    if let Some(budget) = spec.deadline_budget() {
-                        ctx.set_deadline(Instant::now() + budget);
-                    }
-                    Some(ctx)
-                }
-                _ => None,
-            };
-            let mut ctx = match cached {
-                Some(ctx) => ctx,
-                None => match CompiledContext::from_spec_with_tracer(
-                    graph,
-                    lib,
-                    spec,
-                    launch.tracer.clone(),
-                ) {
-                    Ok(ctx) => ctx,
-                    Err(CompileError::NotStaticallySchedulable { .. }) => {
-                        let coop = spec.clone().backend(Backend::Cooperative);
-                        return run_with_inputs::<TOut>(graph, lib, &coop, feeds, launch);
-                    }
-                    Err(e) => return Err(e.to_string()),
-                },
-            };
-            for f in feeds {
-                f(&mut CompiledFeeder(&mut ctx)).map_err(|e| e.to_string())?;
-            }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let report = ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            match report.interrupted() {
-                Some(Interrupt::Deadline) => {
-                    return Err(format!(
-                        "deadline exceeded after {:?} ({} polls)",
-                        spec.deadline_budget().unwrap_or_default(),
-                        report.exec.polls
-                    ))
-                }
-                Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
-                None => {}
-            }
-            if !report.drained() {
-                return Err(format!("graph stalled: {:?}", report.stalled));
-            }
-            let kernel_fraction = Some(report.exec.kernel_fraction());
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction,
-                    report: Some(Arc::new(report)),
-                },
-            ))
-        }
+    let text = |e: GraphError| e.to_string();
+    let mut ctx = match spec.target() {
+        // Only `default_depth` carries over: schedule, faults, profiling
+        // and deadline are cooperative-engine concepts (see
+        // `Backend::Threaded` docs).
         Backend::Threaded => {
-            // Only `default_depth` carries over: schedule, faults, profiling
-            // and deadline are cooperative-engine concepts (see
-            // `Backend::Threaded` docs).
             let config = ThreadedConfig {
                 default_depth: spec.config().default_depth,
             };
-            let mut ctx = ThreadedContext::new(graph, lib, config).map_err(|e| e.to_string())?;
-            for f in feeds {
-                f(&mut ThreadFeeder(&mut ctx)).map_err(|e| e.to_string())?;
+            Context::Threads(ThreadedContext::new(graph, lib, config).map_err(text)?)
+        }
+        backend => {
+            // `Compiled` means "follow a plan if the graph has one": the
+            // launch's cached plan, else one compiled here. Graphs outside
+            // the statically schedulable class (merges, rate imbalance,
+            // cycles) and fault-carrying specs have none and run plan-less.
+            let plan = match backend {
+                Backend::Compiled if spec.config().faults.is_none() => launch
+                    .plan
+                    .or_else(|| compile_for(graph, spec.config()).ok()),
+                _ => None,
+            };
+            let schedule = plan.as_ref().map(CompiledPlan::schedule);
+            Context::Executor(
+                RuntimeContext::from_spec_with_tracer(graph, lib, spec, launch.tracer, schedule)
+                    .map_err(text)?,
+            )
+        }
+    };
+    feed(&mut ctx).map_err(text)?;
+    let out = ctx.collect::<TOut>(0).map_err(text)?;
+    let start = Instant::now();
+    let report = ctx.run().map_err(text)?;
+    let wall_time = start.elapsed();
+    if let Some(report) = &report {
+        match report.interrupted() {
+            Some(Interrupt::Deadline) => {
+                return Err(format!(
+                    "deadline exceeded after {:?} ({} polls)",
+                    spec.deadline_budget().unwrap_or_default(),
+                    report.exec.polls
+                ))
             }
-            let out = ctx.collect::<TOut>(0).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            ctx.run().map_err(|e| e.to_string())?;
-            let wall_time = start.elapsed();
-            Ok((
-                out.take(),
-                AppRun {
-                    wall_time,
-                    out_elems: 0,
-                    checksum: 0,
-                    kernel_fraction: None,
-                    report: None,
-                },
-            ))
+            Some(Interrupt::Cancelled) => return Err("run cancelled".into()),
+            None => {}
+        }
+        if !report.drained() {
+            return Err(format!("graph stalled: {:?}", report.stalled));
         }
     }
+    Ok((
+        out.take(),
+        AppRun {
+            wall_time,
+            out_elems: 0,
+            checksum: 0,
+            kernel_fraction: report.as_ref().map(|r| r.exec.kernel_fraction()),
+            report: report.map(Arc::new),
+        },
+    ))
 }
 
 /// Convenience wrapper used by f32-stream apps.

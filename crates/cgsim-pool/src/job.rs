@@ -3,7 +3,7 @@
 //! awaited through a [`JobHandle`]).
 
 use crate::observer::ObserverConfig;
-use cgsim_compiled::{CompiledContext, CompiledPlan};
+use cgsim_compiled::CompiledPlan;
 use cgsim_core::{FlatGraph, GraphError};
 use cgsim_runtime::{CancelToken, ExecProbe, KernelLibrary, RunSpec, RuntimeContext};
 use cgsim_trace::{TraceSnapshot, Tracer};
@@ -258,8 +258,9 @@ impl JobCtx {
 
     /// The executor probe the pool observer samples; `None` when the pool
     /// runs without an observer. [`JobCtx::instantiate`] arms it on the
-    /// embedded scheduler automatically — closures that drive a raw
-    /// [`Executor`](cgsim_runtime::Executor) can arm it themselves.
+    /// embedded scheduler automatically, with or without a plan — closures
+    /// that drive a raw [`Executor`](cgsim_runtime::Executor) can arm it
+    /// themselves.
     pub fn probe(&self) -> Option<&Arc<ExecProbe>> {
         self.probe.as_ref()
     }
@@ -287,19 +288,28 @@ impl JobCtx {
         *self.trace_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(snapshot);
     }
 
-    /// Instantiate a cooperative [`RuntimeContext`] for `graph` under this
-    /// job's spec, with the job's tracer attached and the job's absolute
-    /// deadline and cancellation token armed on the embedded scheduler.
-    /// Feed inputs, bind outputs, then `run()` as usual — and pass
-    /// `report.trace` to [`JobCtx::keep_trace`] if the pool report should
-    /// include the run's trace.
+    /// Instantiate a [`RuntimeContext`] for `graph` under this job's spec,
+    /// with the job's tracer attached and the job's absolute deadline,
+    /// cancellation token and (under an observer) executor probe armed on
+    /// the embedded scheduler. With `plan` the run follows that static
+    /// schedule — the sweep pattern: [`cgsim_compiled::compile`] the graph
+    /// *once*, then submit many jobs that each pass the shared plan here.
+    /// Feed inputs, bind outputs, then `run()` as usual
+    /// — and pass `report.trace` to [`JobCtx::keep_trace`] if the pool
+    /// report should include the run's trace.
     pub fn instantiate<'g>(
         &self,
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
+        plan: Option<&CompiledPlan>,
     ) -> Result<RuntimeContext<'g>, GraphError> {
-        let mut ctx =
-            RuntimeContext::from_spec_with_tracer(graph, library, &self.spec, self.tracer.clone())?;
+        let mut ctx = RuntimeContext::from_spec_with_tracer(
+            graph,
+            library,
+            &self.spec,
+            self.tracer.clone(),
+            plan.map(CompiledPlan::schedule),
+        )?;
         if let Some(at) = self.deadline {
             ctx.set_deadline(at);
         }
@@ -308,28 +318,6 @@ impl JobCtx {
             ctx.set_probe(Arc::clone(probe));
         }
         Ok(ctx)
-    }
-
-    /// Instantiate a [`CompiledContext`] from a pre-compiled plan under
-    /// this job's spec — the sweep pattern: compile the graph *once* with
-    /// [`cgsim_compiled::compile`], then submit many jobs that each
-    /// instantiate the shared plan against their own parameters. The job's
-    /// tracer, absolute deadline and cancellation token are wired in; the
-    /// executor probe does not apply (the compiled engine has no embedded
-    /// scheduler to sample).
-    pub fn instantiate_compiled<'g>(
-        &self,
-        graph: &'g FlatGraph,
-        library: &'g KernelLibrary,
-        plan: CompiledPlan,
-    ) -> CompiledContext<'g> {
-        let mut ctx = CompiledContext::with_plan(graph, library, plan, *self.spec.config());
-        ctx.set_tracer(self.tracer.clone());
-        if let Some(at) = self.deadline {
-            ctx.set_deadline(at);
-        }
-        ctx.set_cancel(self.cancel.clone());
-        ctx
     }
 }
 

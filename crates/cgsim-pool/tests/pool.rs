@@ -1,9 +1,11 @@
 //! Pool conformance: determinism across worker counts, backpressure,
 //! deadline/cancellation outcomes, and worker survival after bad jobs.
 
-use cgsim_pool::{Admission, Job, JobOutcome, JobOutput, Pool, PoolConfig, SubmitError};
+use cgsim_pool::{
+    Admission, Job, JobOutcome, JobOutput, ObserverConfig, Pool, PoolConfig, SubmitError,
+};
 use cgsim_runtime::cgsim_core::{FlatGraph, GraphBuilder};
-use cgsim_runtime::{compute_kernel, KernelLibrary, RunSpec};
+use cgsim_runtime::{compute_kernel, Backend, KernelLibrary, RunSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +58,9 @@ fn graph_job(ordinal: u64) -> Job {
     Job::new(RunSpec::for_graph(format!("pipe#{ordinal}")), move |ctx| {
         let graph = pipeline_graph();
         let lib = library();
-        let mut rc = ctx.instantiate(&graph, &lib).map_err(|e| e.to_string())?;
+        let mut rc = ctx
+            .instantiate(&graph, &lib, None)
+            .map_err(|e| e.to_string())?;
         let input: Vec<f32> = (0..256)
             .map(|i| (i as f32) + (ordinal as f32) * 0.5)
             .collect();
@@ -113,9 +117,9 @@ fn per_job_results_are_identical_across_worker_counts() {
 
 #[test]
 fn compiled_plan_is_reused_across_a_parameter_sweep() {
-    // Compile the static schedule once, then let every sweep job
-    // instantiate from the shared plan — the cgsim-compiled reuse path.
-    // Each job's checksum must match the cooperative reference job.
+    // Compile the static schedule once, then let every sweep job follow
+    // the shared plan — the cgsim-compiled reuse path. Each job's checksum
+    // must match the plan-less reference job.
     let plan = cgsim_compiled::compile(&pipeline_graph(), &cgsim_compiled::LintConfig::default())
         .expect("pool pipeline is statically schedulable");
     let sweep: Vec<Job> = (0..6u64)
@@ -126,7 +130,9 @@ fn compiled_plan_is_reused_across_a_parameter_sweep() {
                 move |ctx| {
                     let graph = pipeline_graph();
                     let lib = library();
-                    let mut rc = ctx.instantiate_compiled(&graph, &lib, plan);
+                    let mut rc = ctx
+                        .instantiate(&graph, &lib, Some(&plan))
+                        .map_err(|e| e.to_string())?;
                     let input: Vec<f32> = (0..256)
                         .map(|i| (i as f32) + (ordinal as f32) * 0.5)
                         .collect();
@@ -156,6 +162,66 @@ fn compiled_plan_is_reused_across_a_parameter_sweep() {
         );
         assert_eq!(r.output.elements, 256);
     }
+}
+
+#[test]
+fn compiled_job_is_sampled_by_the_observer() {
+    // A planned run goes through the same executor as any other, so the
+    // job's probe carries its progress to the pool observer. The job holds
+    // its worker after the run until the test has seen that sample, so the
+    // check does not depend on how long the run takes.
+    let pool = Pool::new(
+        PoolConfig::default()
+            .with_workers(1)
+            .with_observer(ObserverConfig::default().with_interval(Duration::from_millis(1))),
+    );
+    let plan = cgsim_compiled::compile(&pipeline_graph(), &cgsim_compiled::LintConfig::default())
+        .expect("pool pipeline is statically schedulable");
+    let seen = Arc::new(AtomicBool::new(false));
+    let release = Arc::clone(&seen);
+    let spec = RunSpec::for_graph("compiled-observed").backend(Backend::Compiled);
+    let handle = pool
+        .submit(Job::new(spec, move |ctx| {
+            let graph = pipeline_graph();
+            let lib = library();
+            let mut rc = ctx
+                .instantiate(&graph, &lib, Some(&plan))
+                .map_err(|e| e.to_string())?;
+            rc.feed(0, vec![1.0f32; 256]).map_err(|e| e.to_string())?;
+            let sink = rc.collect::<f32>(0).map_err(|e| e.to_string())?;
+            let report = rc.run().map_err(|e| e.to_string())?;
+            if report.exec.polls != report.exec.tasks as u64 {
+                return Err(format!("{} polls: the plan was ignored", report.exec.polls));
+            }
+            while !release.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(JobOutput::new(0).elements(sink.take().len() as u64))
+        }))
+        .unwrap();
+    // 4 tasks completed + 3 connectors x 256 pushes, published by the
+    // executor's final probe checkpoint.
+    let expected = 4 + 3 * 256;
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let sampled = loop {
+        let timeline = pool.observer_timeline().expect("observer configured");
+        let hit = timeline.samples().any(|s| {
+            s.jobs
+                .iter()
+                .any(|j| j.label == "compiled-observed" && j.progress == expected)
+        });
+        if hit || std::time::Instant::now() > deadline {
+            break hit;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    seen.store(true, Ordering::Release);
+    assert!(matches!(handle.wait(), JobOutcome::Completed(_)));
+    pool.shutdown();
+    assert!(
+        sampled,
+        "observer never saw the compiled job's final progress"
+    );
 }
 
 #[test]
@@ -259,7 +325,9 @@ fn over_deadline_job_times_out_without_poisoning_the_worker() {
         |ctx| {
             let graph = pipeline_graph();
             let lib = library();
-            let mut rc = ctx.instantiate(&graph, &lib).map_err(|e| e.to_string())?;
+            let mut rc = ctx
+                .instantiate(&graph, &lib, None)
+                .map_err(|e| e.to_string())?;
             // Feed an endless-ish stream; the deadline fires first.
             rc.feed(0, (0..u32::MAX).map(|i| i as f32))
                 .map_err(|e| e.to_string())?;

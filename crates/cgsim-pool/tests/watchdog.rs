@@ -85,7 +85,9 @@ fn watchdog_diagnoses_wedged_job_with_waits_for_cycle() {
     let job = Job::new(spec, |ctx| {
         let graph = wedged_graph();
         let lib = library();
-        let mut rc = ctx.instantiate(&graph, &lib).map_err(|e| e.to_string())?;
+        let mut rc = ctx
+            .instantiate(&graph, &lib, None)
+            .map_err(|e| e.to_string())?;
         rc.feed(0, vec![0.0f32]).map_err(|e| e.to_string())?;
         let _sink = rc.collect::<f32>(0).map_err(|e| e.to_string())?;
         let _ = rc.run().map_err(|e| e.to_string())?;

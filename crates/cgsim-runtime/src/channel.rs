@@ -513,11 +513,13 @@ impl<T: Clone> Channel<T> {
         self.len() == 0
     }
 
-    /// Total elements ever pushed: `stats().pushes`. Like every accessor it
-    /// goes through the channel's state, so a `SingleThread` channel answers
-    /// on its owning thread only.
-    pub fn total_pushed(&self) -> u64 {
-        self.store.with(|inner| inner.stats.pushes)
+    /// Raise the capacity to at least `capacity` elements (never lowers
+    /// it). The buffer grows on demand, so this only moves the point where
+    /// producers suspend; call it before data flows — a producer already
+    /// suspended on a full buffer is not woken.
+    pub fn raise_capacity(&self, capacity: usize) {
+        self.store
+            .with(|inner| inner.capacity = inner.capacity.max(capacity));
     }
 
     fn poll_send(&self, value: &mut Option<T>, cx: &mut Context<'_>) -> Poll<()> {
@@ -706,12 +708,12 @@ pub trait ChannelAdmin: Send + Sync {
     fn instrument(&self, tracer: &Tracer, name: &str);
     /// See [`Channel::stats`].
     fn stats(&self) -> ChannelStats;
-    /// See [`Channel::total_pushed`].
-    fn total_pushed(&self) -> u64;
     /// See [`Channel::len`].
     fn occupancy(&self) -> usize;
     /// See [`Channel::capacity`].
     fn capacity(&self) -> usize;
+    /// See [`Channel::raise_capacity`].
+    fn raise_capacity(&self, capacity: usize);
 }
 
 impl<T: cgsim_core::StreamData> ChannelAdmin for Channel<T> {
@@ -721,14 +723,14 @@ impl<T: cgsim_core::StreamData> ChannelAdmin for Channel<T> {
     fn stats(&self) -> ChannelStats {
         Channel::stats(self)
     }
-    fn total_pushed(&self) -> u64 {
-        Channel::total_pushed(self)
-    }
     fn occupancy(&self) -> usize {
         Channel::len(self)
     }
     fn capacity(&self) -> usize {
         Channel::capacity(self)
+    }
+    fn raise_capacity(&self, capacity: usize) {
+        Channel::raise_capacity(self, capacity)
     }
 }
 
@@ -1071,7 +1073,7 @@ mod tests {
             }
         });
         assert_eq!(chan.len(), 0);
-        assert_eq!(chan.total_pushed(), 10);
+        assert_eq!(chan.stats().pushes, 10);
     }
 
     #[test]
@@ -1417,7 +1419,6 @@ mod tests {
                 tx.push_slice(Vec::new()).await;
             });
             assert_eq!(chan.stats().pushes, 0);
-            assert_eq!(chan.total_pushed(), 0);
         }
 
         #[test]
@@ -1428,7 +1429,6 @@ mod tests {
                 tx.push_slice((0..100).collect()).await;
             });
             assert_eq!(chan.len(), 0);
-            assert_eq!(chan.total_pushed(), 100);
             assert_eq!(chan.stats().pushes, 100);
         }
 

@@ -8,14 +8,15 @@
 //! then drives the embedded cooperative scheduler to quiescence and returns
 //! a [`RunReport`].
 
-use crate::channel::{Channel, ChannelMode, ChannelStats};
+use crate::channel::{Channel, ChannelAdmin, ChannelMode, ChannelStats};
 use crate::executor::{
-    BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan, Interrupt,
-    Profiling, Schedule, SchedulePolicy,
+    is_permutation, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan,
+    Interrupt, LocalBoxFuture, Profiling, Schedule, SchedulePolicy,
 };
 use crate::library::{AnyChannel, KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
 use crate::spec::RunSpec;
+use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Mutex};
@@ -131,6 +132,16 @@ mod config_wire {
 }
 
 impl RuntimeConfig {
+    /// The lint configuration matching this run: undeclared connector depths
+    /// resolve to `default_depth`, as the run resolves them — what the lint
+    /// gate, the schedule compiler and a plan's capacity analysis share.
+    pub fn lint_config(&self) -> cgsim_lint::LintConfig {
+        cgsim_lint::LintConfig {
+            default_depth: self.default_depth as u32,
+            ..cgsim_lint::LintConfig::default()
+        }
+    }
+
     /// The default configuration running under `schedule`.
     pub fn scheduled(schedule: Schedule) -> Self {
         RuntimeConfig::default().with_schedule(schedule)
@@ -244,7 +255,7 @@ pub struct RunReport {
     pub trace: TraceSnapshot,
     /// Channels whose observed occupancy exceeded the static bound armed
     /// with [`RuntimeContext::set_bounds_check`]. Always empty when no
-    /// bounds were armed (the compiled backend never arms any).
+    /// bounds were armed.
     pub bounds_violations: Vec<BoundsViolation>,
 }
 
@@ -282,15 +293,24 @@ impl RunReport {
     }
 }
 
-/// A single execution instance of a compute graph (§3.6).
+/// A single execution instance of a compute graph (§3.6) — the one
+/// single-threaded context. A run either discovers its order at run time
+/// (the ready queue under `RuntimeConfig::schedule`) or follows a compiled
+/// [`StaticSchedule`] handed to [`RuntimeContext::with_plan`]; everything
+/// else — I/O binding, deadline, cancel, poll budget, profiling, tracing,
+/// probe, bounds checks, [`RunReport`] — is the same code either way.
 pub struct RuntimeContext<'g> {
     graph: &'g FlatGraph,
-    library: &'g KernelLibrary,
     channels: Vec<AnyChannel>,
     executor: Executor,
     fed_inputs: Vec<bool>,
     bound_outputs: Vec<bool>,
-    channel_mode: ChannelMode,
+    config: RuntimeConfig,
+    /// Kernel firing order of the static schedule this run follows, if any.
+    plan_order: Option<Vec<usize>>,
+    /// Elements fed to each global input; recorded only under a plan, where
+    /// they scale the channel capacities in `run`.
+    feed_lens: Vec<u64>,
     tracer: Tracer,
     probe: Option<Arc<ExecProbe>>,
     /// Source/sink coroutine I/O for the introspector: `(task id, connector
@@ -301,14 +321,20 @@ pub struct RuntimeContext<'g> {
     bounds: Option<Vec<u64>>,
 }
 
-/// Display name for connector `ci`: the graph-builder name when one was
-/// given (`g.input::<T>("a")`), else a positional `c{index}` id.
-fn connector_name(graph: &FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
+/// `plan`'s kernel firing order as task ids (kernel coroutines are spawned
+/// in graph order, so task id == kernel index), checked to name every
+/// kernel of `graph` exactly once.
+fn plan_order(graph: &FlatGraph, plan: &StaticSchedule) -> Result<Vec<usize>, GraphError> {
+    let n = graph.kernels.len();
+    let order: Vec<usize> = plan.order.iter().map(|k| k.index()).collect();
+    if !is_permutation(&order, n) {
+        return Err(GraphError::IdOutOfRange {
+            what: "static schedule order",
+            index: order.len(),
+            len: n,
+        });
+    }
+    Ok(order)
 }
 
 impl<'g> RuntimeContext<'g> {
@@ -326,8 +352,9 @@ impl<'g> RuntimeContext<'g> {
     /// spec's runtime configuration and, when the spec carries a deadline
     /// budget, arms it from this instant.
     ///
-    /// The spec's backend tag is not dispatched here: `RuntimeContext` *is*
-    /// the cooperative backend. Callers that honour
+    /// The spec's backend tag is not dispatched here: `RuntimeContext` is
+    /// the cooperative backend, and the compiled one when handed a plan
+    /// ([`RuntimeContext::from_spec_with_tracer`]). Callers that honour
     /// [`Backend::Threaded`](crate::spec::Backend) dispatch before reaching
     /// this constructor (see `cgsim-graphs::support` and `cgsim-pool`).
     pub fn from_spec(
@@ -335,17 +362,19 @@ impl<'g> RuntimeContext<'g> {
         library: &'g KernelLibrary,
         spec: &RunSpec,
     ) -> Result<Self, GraphError> {
-        Self::from_spec_with_tracer(graph, library, spec, Tracer::default())
+        Self::from_spec_with_tracer(graph, library, spec, Tracer::default(), None)
     }
 
-    /// [`RuntimeContext::from_spec`] with an attached tracer.
+    /// [`RuntimeContext::from_spec`] with an attached tracer and, optionally,
+    /// a static schedule to follow (see [`RuntimeContext::with_plan`]).
     pub fn from_spec_with_tracer(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         spec: &RunSpec,
         tracer: Tracer,
+        plan: Option<&StaticSchedule>,
     ) -> Result<Self, GraphError> {
-        let mut ctx = Self::with_tracer(graph, library, *spec.config(), tracer)?;
+        let mut ctx = Self::with_plan(graph, library, *spec.config(), tracer, plan)?;
         if let Some(budget) = spec.deadline_budget() {
             ctx.set_deadline(Instant::now() + budget);
         }
@@ -373,7 +402,8 @@ impl<'g> RuntimeContext<'g> {
     }
 
     /// Install a custom ready-list [`SchedulePolicy`] on the embedded
-    /// scheduler, overriding the `RuntimeConfig::schedule` choice — the
+    /// scheduler, overriding the `RuntimeConfig::schedule` choice (and the
+    /// FIFO a plan pins) — the
     /// hook the conformance harness uses to drive adversarial schedules
     /// (e.g. the consumer-starving flood that saturates one channel to its
     /// static occupancy bound).
@@ -404,17 +434,39 @@ impl<'g> RuntimeContext<'g> {
         config: RuntimeConfig,
         tracer: Tracer,
     ) -> Result<Self, GraphError> {
+        Self::with_plan(graph, library, config, tracer, None)
+    }
+
+    /// [`RuntimeContext::with_tracer`], optionally following a compiled
+    /// static schedule (`cgsim_compiled::CompiledPlan::schedule`). A plan is
+    /// order and capacities for the one executor, and changes three things:
+    ///
+    /// * **First-poll order**: sources, then kernels in `plan.order`, then
+    ///   sinks, on the FIFO ready queue — `config.schedule` is not consulted.
+    /// * **Capacities**: [`RuntimeContext::run`] raises every channel to the
+    ///   exact token traffic of the recorded feed lengths
+    ///   (`cgsim_lint::workload_tokens`), so no write ever blocks and a
+    ///   merge-free graph drains in one poll per coroutine.
+    /// * **No second lint**: a plan is the lint verdict (`compile` ran the
+    ///   passes), so `config.verify` is not consulted either.
+    ///
+    /// A plan whose order is not a permutation of `graph`'s kernels is
+    /// rejected with [`GraphError::IdOutOfRange`].
+    pub fn with_plan(
+        graph: &'g FlatGraph,
+        library: &'g KernelLibrary,
+        config: RuntimeConfig,
+        tracer: Tracer,
+        plan: Option<&StaticSchedule>,
+    ) -> Result<Self, GraphError> {
         graph.validate()?;
+        let plan_order = plan.map(|p| plan_order(graph, p)).transpose()?;
 
         // Ahead-of-run verification (§ static analysis): refuse graphs the
         // lint passes can prove broken — deadlock, rate imbalance, realm
         // budget overflow — before materialising a single channel.
-        if config.verify != VerifyPolicy::Off {
-            let lint_cfg = cgsim_lint::LintConfig {
-                default_depth: config.default_depth as u32,
-                ..cgsim_lint::LintConfig::default()
-            };
-            let report = cgsim_lint::lint_graph(graph, &lint_cfg);
+        if plan.is_none() && config.verify != VerifyPolicy::Off {
+            let report = cgsim_lint::lint_graph(graph, &config.lint_config());
             if report.has_errors() {
                 match config.verify {
                     VerifyPolicy::Deny => {
@@ -433,30 +485,34 @@ impl<'g> RuntimeContext<'g> {
         // The element type is only known to the kernel implementations, so
         // ask any kernel endpoint of each connector to construct it (the
         // paper's "template functions reconstruct objects of the appropriate
-        // type when invoked").
-        let mut channels: Vec<Option<AnyChannel>> = vec![None; graph.connectors.len()];
-        for (ci, conn) in graph.connectors.iter().enumerate() {
-            let capacity = if conn.settings.depth != 0 {
-                conn.settings.depth as usize
-            } else {
-                config.default_depth
-            };
+        // type when invoked"). A connector with no kernel endpoint is,
+        // by `validate()`, both a global input and a global output: it gets
+        // a placeholder that the typed `feed`/`collect` calls replace.
+        let mut channels = Vec::with_capacity(graph.connectors.len());
+        for ci in 0..graph.connectors.len() {
             let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
                 k.ports
                     .iter()
                     .position(|p| p.connector.index() == ci)
                     .map(|pi| (ki, pi))
             });
-            if let Some((ki, pi)) = endpoint {
-                let entry = library.get(&graph.kernels[ki].kind)?;
-                channels[ci] = Some(entry.make_channel_mode(pi, capacity, config.channels)?);
-            }
-            // Connectors with no kernel endpoint (pure global passthrough)
-            // are created lazily by the typed feed/collect calls.
+            channels.push(match endpoint {
+                Some((ki, pi)) => library.get(&graph.kernels[ki].kind)?.make_channel_mode(
+                    pi,
+                    graph.connectors[ci].depth_or(config.default_depth),
+                    config.channels,
+                )?,
+                None => AnyChannel::placeholder(),
+            });
         }
 
+        let schedule = if plan.is_some() {
+            Schedule::Fifo
+        } else {
+            config.schedule
+        };
         let mut executor = Executor::new()
-            .with_schedule(config.schedule)
+            .with_schedule(schedule)
             .with_profiling(config.profiling)
             .with_tracer(tracer.clone());
         if let Some(budget) = config.max_polls {
@@ -465,58 +521,35 @@ impl<'g> RuntimeContext<'g> {
         if let Some(plan) = config.faults {
             executor = executor.with_faults(plan);
         }
-        let mut ctx = RuntimeContext {
-            graph,
-            library,
-            channels: Vec::new(),
-            executor,
-            fed_inputs: vec![false; graph.inputs.len()],
-            bound_outputs: vec![false; graph.outputs.len()],
-            channel_mode: config.channels,
-            tracer,
-            probe: None,
-            io_tasks: Vec::new(),
-            bounds: None,
-        };
-
-        // Passthrough connectors get a placeholder that `feed`/`collect`
-        // replace with a typed channel; reject them here only when used by
-        // kernels (which cannot happen by construction).
-        for (ci, ch) in channels.into_iter().enumerate() {
-            match ch {
-                Some(ch) => {
-                    // Wire this connector's counters and events into the
-                    // tracer under its graph name (free when untraced).
-                    if let Some(admin) = ch.admin() {
-                        admin.instrument(&ctx.tracer, &connector_name(graph, ci));
-                    }
-                    ctx.channels.push(ch);
-                }
-                None => {
-                    // No kernel endpoint: validate() guarantees this
-                    // connector is both a global input and a global output.
-                    // Default to a placeholder; feed() replaces it with the
-                    // correctly typed channel.
-                    ctx.channels.push(AnyChannel::placeholder());
-                }
-            }
-        }
 
         // Instantiate all kernels and register their coroutines (suspended)
         // with the scheduler (§3.8 step 1).
         for k in &graph.kernels {
-            let entry = ctx.library.get(&k.kind)?;
+            let entry = library.get(&k.kind)?;
             let kernel_channels: Vec<AnyChannel> = k
                 .ports
                 .iter()
-                .map(|p| ctx.channels[p.connector.index()].clone())
+                .map(|p| channels[p.connector.index()].clone())
                 .collect();
             let mut binder = PortBinder::new(&k.instance, &kernel_channels);
             let fut = entry.spawn(&mut binder)?;
-            ctx.executor.spawn(k.instance.clone(), fut);
+            executor.spawn(k.instance.clone(), fut);
         }
 
-        Ok(ctx)
+        Ok(RuntimeContext {
+            graph,
+            channels,
+            executor,
+            fed_inputs: vec![false; graph.inputs.len()],
+            bound_outputs: vec![false; graph.outputs.len()],
+            config,
+            plan_order,
+            feed_lens: vec![0; graph.inputs.len()],
+            tracer,
+            probe: None,
+            io_tasks: Vec::new(),
+            bounds: None,
+        })
     }
 
     fn typed_channel<T: StreamData>(
@@ -531,8 +564,8 @@ impl<'g> RuntimeContext<'g> {
         // Placeholder (global passthrough connector): create typed channel
         // if the slot is still the unit placeholder.
         if slot.clone().downcast::<()>().is_ok() {
-            let chan = Channel::<T>::with_mode(64, self.channel_mode);
-            chan.instrument(&self.tracer, &connector_name(self.graph, ci));
+            let capacity = self.graph.connectors[ci].depth_or(self.config.default_depth);
+            let chan = Channel::<T>::with_mode(capacity, self.config.channels);
             *slot = AnyChannel::typed(chan.clone());
             return Ok(chan);
         }
@@ -559,10 +592,16 @@ impl<'g> RuntimeContext<'g> {
         let chan = self.typed_channel::<T>(connector)?;
         let mut tx = chan.add_producer();
         self.fed_inputs[index] = true;
-        let id = self.executor.spawn(
-            format!("source_{index}"),
-            Box::pin(async move { tx.push_iter(data.into_iter()).await }),
-        );
+        // A plan sizes the channels from the feed length, so the stream is
+        // buffered to count it; without one the source stays lazy.
+        let future: LocalBoxFuture = if self.plan_order.is_some() {
+            let data: Vec<T> = data.into_iter().collect();
+            self.feed_lens[index] = data.len() as u64;
+            Box::pin(async move { tx.push_iter(data.into_iter()).await })
+        } else {
+            Box::pin(async move { tx.push_iter(data.into_iter()).await })
+        };
+        let id = self.executor.spawn(format!("source_{index}"), future);
         self.io_tasks.push((id, connector.index(), true));
         Ok(())
     }
@@ -645,23 +684,49 @@ impl<'g> RuntimeContext<'g> {
                 actual: missing,
             });
         }
-        // Arm the probe last: by now every placeholder channel has been
-        // replaced by feed/collect, so the introspector captures the real
-        // admin handles and the full source/sink topology.
-        if let Some(probe) = self.probe.take() {
-            let mut intro = Introspector::new();
-            let mut slots: Vec<Option<usize>> = vec![None; self.channels.len()];
-            for (ci, ch) in self.channels.iter().enumerate() {
-                if let Some(admin) = ch.admin() {
-                    slots[ci] = Some(intro.add_channel(
-                        connector_name(self.graph, ci),
-                        admin.capacity(),
-                        Arc::clone(admin),
-                    ));
+        // Everything below needs the typed channels behind passthrough
+        // connectors, which only exist once every feed/collect has run.
+        let graph = self.graph;
+        let admins: Vec<(usize, String, Arc<dyn ChannelAdmin>)> = (self.channels.iter())
+            .enumerate()
+            .filter_map(|(ci, ch)| Some((ci, graph.connector_name(ci), Arc::clone(ch.admin()?))))
+            .collect();
+        if let Some(order) = self.plan_order.take() {
+            // Capacity per connector: the exact workload token traffic from
+            // the `CG060` bounds analysis (total ever pushed through the
+            // connector for these feed lengths), floored by the capacity
+            // the channel was built with. Sized this way no write can ever
+            // block; Kahn determinism makes capacity changes
+            // output-invariant for this graph class.
+            let cfg = self.config.lint_config();
+            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &cfg, &self.feed_lens) {
+                for (ci, _, admin) in &admins {
+                    admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
                 }
             }
             // Kernel coroutines were spawned in graph order: task id == ki.
-            for (ki, k) in self.graph.kernels.iter().enumerate() {
+            let io = |writes| self.io_tasks.iter().filter(move |t| t.2 == writes);
+            let start: Vec<usize> = (io(true).map(|t| t.0))
+                .chain(order)
+                .chain(io(false).map(|t| t.0))
+                .collect();
+            self.executor.set_start_order(&start);
+        }
+        // Wire every connector's counters and events into the tracer under
+        // its graph name (free when untraced) — after the capacities are
+        // final, because the tracer records them.
+        for (_, name, admin) in &admins {
+            admin.instrument(&self.tracer, name);
+        }
+        if let Some(probe) = self.probe.take() {
+            let mut intro = Introspector::new();
+            let mut slots: Vec<Option<usize>> = vec![None; self.channels.len()];
+            for (ci, name, admin) in &admins {
+                slots[*ci] =
+                    Some(intro.add_channel(name.clone(), admin.capacity(), Arc::clone(admin)));
+            }
+            // Kernel coroutines were spawned in graph order: task id == ki.
+            for (ki, k) in graph.kernels.iter().enumerate() {
                 for p in &k.ports {
                     if let Some(idx) = slots[p.connector.index()] {
                         match p.dir {
@@ -683,20 +748,13 @@ impl<'g> RuntimeContext<'g> {
             self.executor.set_introspector(intro);
             self.executor.set_probe(probe);
         }
-        // Arm bounds checks equally late, for the same reason: the typed
-        // channels behind passthrough connectors only exist after
-        // feed/collect.
         if let Some(bounds) = self.bounds.take() {
-            let checks: Vec<BoundsCheck> = self
-                .channels
+            let checks: Vec<BoundsCheck> = admins
                 .iter()
-                .enumerate()
-                .filter_map(|(ci, ch)| {
-                    let admin = ch.admin()?;
-                    let &bound = bounds.get(ci)?;
+                .filter_map(|(ci, name, admin)| {
                     Some(BoundsCheck {
-                        name: connector_name(self.graph, ci),
-                        bound,
+                        name: name.clone(),
+                        bound: *bounds.get(*ci)?,
                         admin: Arc::clone(admin),
                     })
                 })
@@ -710,21 +768,11 @@ impl<'g> RuntimeContext<'g> {
             .filter(|t| !t.completed)
             .map(|t| t.label.clone())
             .collect();
-        let elements_moved = self
-            .channels
-            .iter()
-            .filter_map(|c| c.admin())
-            .map(|a| a.total_pushed())
-            .sum();
-        let channels = self
-            .channels
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, c)| {
-                c.admin()
-                    .map(|a| (connector_name(self.graph, ci), a.stats()))
-            })
+        let channels: Vec<(String, ChannelStats)> = admins
+            .into_iter()
+            .map(|(_, name, admin)| (name, admin.stats()))
             .collect();
+        let elements_moved = channels.iter().map(|(_, stats)| stats.pushes).sum();
         Ok(RunReport {
             exec,
             stalled,

@@ -637,10 +637,7 @@ impl Executor {
     /// The progress counter's current value: completed tasks plus elements
     /// pushed through introspected channels. Monotone over a run.
     fn progress_value(&self, completed: usize) -> u64 {
-        let pushed = self
-            .introspector
-            .as_ref()
-            .map_or(0, Introspector::total_pushed);
+        let pushed = self.introspector.as_ref().map_or(0, Introspector::pushes);
         completed as u64 + pushed
     }
 
@@ -757,6 +754,26 @@ impl Executor {
         }));
         self.ready.push(id);
         id
+    }
+
+    /// Replace the order in which the spawned tasks get their first poll
+    /// (spawn order by default) — how a static schedule reaches the
+    /// ready-queue loop: under FIFO the loop then *is* the schedule's sweep.
+    /// Call it after the last spawn and before the run.
+    ///
+    /// # Panics
+    /// If `order` does not name every spawned task exactly once: a task
+    /// left out would never be polled, one named twice polled out of turn.
+    pub fn set_start_order(&mut self, order: &[usize]) {
+        assert!(
+            is_permutation(order, self.tasks.len()),
+            "start order must be a permutation of the {} spawned tasks",
+            self.tasks.len()
+        );
+        self.ready.with_local(|queue| {
+            queue.clear();
+            queue.extend(order);
+        });
     }
 
     /// Run the scheduling loop until no task can continue (paper step 2),
@@ -944,6 +961,15 @@ impl Executor {
         self.tracer.emit(TraceEvent::RunEnd);
         (stats, profiles.into_iter().flatten().collect())
     }
+}
+
+/// Whether `order` names each of `0..n` exactly once.
+pub(crate) fn is_permutation(order: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    order.len() == n
+        && order
+            .iter()
+            .all(|&id| id < n && !std::mem::replace(&mut seen[id], true))
 }
 
 /// Drive a single future to completion on the current thread, parking the

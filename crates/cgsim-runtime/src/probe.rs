@@ -283,9 +283,10 @@ impl Introspector {
     }
 
     /// Sum of elements ever pushed across all channels — the data-motion
-    /// half of the progress counter. Lock-free (per-channel atomics).
-    pub(crate) fn total_pushed(&self) -> u64 {
-        self.channels.iter().map(|c| c.admin.total_pushed()).sum()
+    /// half of the progress counter. Must run on the executor's thread,
+    /// like [`Introspector::occupancies`].
+    pub(crate) fn pushes(&self) -> u64 {
+        self.channels.iter().map(|c| c.admin.stats().pushes).sum()
     }
 
     /// Current fill level of every channel. Must run on the executor's

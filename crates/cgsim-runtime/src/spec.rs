@@ -46,13 +46,15 @@ pub enum Backend {
     /// runtime configuration applies; schedule, faults, profiling and
     /// deadline are cooperative-engine concepts.
     Threaded,
-    /// The compiled static-schedule engine (`cgsim-compiled`): kernels run
-    /// in a precompiled topological order over buffers sized ahead of run
-    /// from the SDF firing vector — no ready queue, no wake bookkeeping.
+    /// The cooperative simulator following a compiled static schedule
+    /// (`cgsim-compiled`): coroutines get their first poll in a precompiled
+    /// topological order and channels are sized ahead of the run from the
+    /// SDF analysis, so the ready queue is never needed (see
+    /// [`RuntimeContext::with_plan`](crate::RuntimeContext::with_plan)).
     /// Only statically schedulable graphs (merge-free, rate-balanced,
-    /// acyclic, fault-free) compile; dispatchers fall back to
-    /// [`Backend::Cooperative`] for the rest. The schedule policy and
-    /// fault plan of the runtime configuration do not apply.
+    /// acyclic) under fault-free specs have a plan; dispatchers run the
+    /// rest as [`Backend::Cooperative`]. The schedule policy of the runtime
+    /// configuration does not apply; everything else does.
     Compiled,
 }
 

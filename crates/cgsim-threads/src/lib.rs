@@ -96,6 +96,7 @@ type WorkItem = Box<dyn FnOnce(&Barrier) -> Duration + Send>;
 /// before any data flows) and joins.
 pub struct ThreadedContext<'g> {
     graph: &'g FlatGraph,
+    default_depth: usize,
     channels: Vec<AnyChannel>,
     work: Vec<WorkItem>,
     fed_inputs: Vec<bool>,
@@ -114,11 +115,7 @@ impl<'g> ThreadedContext<'g> {
 
         let mut channels: Vec<AnyChannel> = Vec::with_capacity(graph.connectors.len());
         for (ci, conn) in graph.connectors.iter().enumerate() {
-            let capacity = if conn.settings.depth != 0 {
-                conn.settings.depth as usize
-            } else {
-                config.default_depth
-            };
+            let capacity = conn.depth_or(config.default_depth);
             let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
                 k.ports
                     .iter()
@@ -141,6 +138,7 @@ impl<'g> ThreadedContext<'g> {
         let spawn_errors = Arc::new(Mutex::new(Vec::new()));
         let mut ctx = ThreadedContext {
             graph,
+            default_depth: config.default_depth,
             channels,
             work: Vec::new(),
             fed_inputs: vec![false; graph.inputs.len()],
@@ -189,7 +187,8 @@ impl<'g> ThreadedContext<'g> {
             return Ok(chan);
         }
         if slot.clone().downcast::<()>().is_ok() {
-            let chan = Channel::<T>::new(64);
+            let conn = &self.graph.connectors[connector.index()];
+            let chan = Channel::<T>::new(conn.depth_or(self.default_depth));
             *slot = AnyChannel::typed(chan.clone());
             return Ok(chan);
         }
@@ -295,16 +294,7 @@ impl<'g> ThreadedContext<'g> {
             .channels
             .iter()
             .enumerate()
-            .filter_map(|(ci, c)| {
-                c.admin().map(|a| {
-                    let name = self.graph.connectors[ci]
-                        .attrs
-                        .get_str("name")
-                        .map(str::to_owned)
-                        .unwrap_or_else(|| format!("c{ci}"));
-                    (name, a.stats())
-                })
-            })
+            .filter_map(|(ci, c)| Some((self.graph.connector_name(ci), c.admin()?.stats())))
             .collect();
         Ok(ThreadReport {
             threads,

@@ -43,7 +43,9 @@ fn graph_job(ordinal: u64) -> Job {
         let lib = KernelLibrary::with(|l| {
             l.register::<scale_kernel>();
         });
-        let mut rc = ctx.instantiate(&graph, &lib).map_err(|e| e.to_string())?;
+        let mut rc = ctx
+            .instantiate(&graph, &lib, None)
+            .map_err(|e| e.to_string())?;
         let input: Vec<f32> = (0..4096).map(|i| i as f32 + ordinal as f32).collect();
         rc.feed(0, input).map_err(|e| e.to_string())?;
         let sink = rc.collect::<f32>(0).map_err(|e| e.to_string())?;

@@ -5,7 +5,7 @@
 //!
 //! * [`core`] — graph IR, builder DSL, flattening, partitioning
 //! * [`runtime`] — cooperative simulator (`compute_kernel!`)
-//! * [`compiled`] — static-schedule compiler and fixed-order executor
+//! * [`compiled`] — static-schedule compiler (plans the runtime follows)
 //! * [`threads`] — thread-per-kernel functional simulator
 //! * [`intrinsics`] — AIE vector API emulation
 //! * [`sim`] — cycle-approximate AIE array simulator

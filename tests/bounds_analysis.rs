@@ -13,19 +13,7 @@ use proptest::prelude::*;
 /// configuration, so static capacities equal the capacities the runtime
 /// actually allocates.
 fn lint_cfg() -> LintConfig {
-    LintConfig {
-        default_depth: RuntimeConfig::default().default_depth as u32,
-        ..LintConfig::default()
-    }
-}
-
-/// The connector name as the runtime reports it in `RunReport::channels`.
-fn connector_name(graph: &cgsim::FlatGraph, ci: usize) -> String {
-    graph.connectors[ci]
-        .attrs
-        .get_str("name")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("c{ci}"))
+    RuntimeConfig::default().lint_config()
 }
 
 /// The per-connector bounds table of every paper graph is part of the
@@ -141,7 +129,7 @@ proptest! {
         let bounds = occupancy_bounds(&case.graph, &lint_cfg(), &feed_lens)
             .expect("merge-free generated cases are acyclic with fed kernels");
         let by_name: std::collections::HashMap<String, u64> = (0..case.graph.connectors.len())
-            .map(|ci| (connector_name(&case.graph, ci), bounds[ci]))
+            .map(|ci| (case.graph.connector_name(ci), bounds[ci]))
             .collect();
         let configs = [
             RuntimeConfig::default(),

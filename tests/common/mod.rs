@@ -5,10 +5,11 @@
 
 #![allow(dead_code)]
 
-use cgsim::compiled::CompiledContext;
+use cgsim::compiled::{compile_for, CompiledPlan};
 use cgsim::core::{FlatGraph, StreamData};
 use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Schedule};
 use cgsim::threads::{ThreadedConfig, ThreadedContext};
+use cgsim::trace::Tracer;
 
 /// Run `graph` on the cooperative runtime under the default FIFO schedule:
 /// feed `inputs` positionally, require the run to drain, return output 0.
@@ -28,7 +29,19 @@ pub fn run_coop_scheduled<TIn: StreamData, TOut: StreamData>(
     inputs: Vec<Vec<TIn>>,
     schedule: Schedule,
 ) -> Vec<TOut> {
-    let mut ctx = RuntimeContext::new(graph, lib, RuntimeConfig::scheduled(schedule)).unwrap();
+    run_executor(graph, lib, inputs, RuntimeConfig::scheduled(schedule), None)
+}
+
+fn run_executor<TIn: StreamData, TOut: StreamData>(
+    graph: &FlatGraph,
+    lib: &KernelLibrary,
+    inputs: Vec<Vec<TIn>>,
+    config: RuntimeConfig,
+    plan: Option<&CompiledPlan>,
+) -> Vec<TOut> {
+    let schedule = plan.map(CompiledPlan::schedule);
+    let mut ctx =
+        RuntimeContext::with_plan(graph, lib, config, Tracer::default(), schedule).unwrap();
     for (i, input) in inputs.into_iter().enumerate() {
         ctx.feed(i, input).unwrap();
     }
@@ -54,19 +67,14 @@ pub fn run_threaded<TIn: StreamData, TOut: StreamData>(
     out.take()
 }
 
-/// Run `graph` on the compiled static-schedule backend; same contract as
+/// Run `graph` following its compiled static schedule; same contract as
 /// [`run_coop`].
 pub fn run_compiled<TIn: StreamData, TOut: StreamData>(
     graph: &FlatGraph,
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
-    let mut ctx = CompiledContext::new(graph, lib, RuntimeConfig::default()).unwrap();
-    for (i, input) in inputs.into_iter().enumerate() {
-        ctx.feed(i, input).unwrap();
-    }
-    let out = ctx.collect::<TOut>(0).unwrap();
-    let report = ctx.run().unwrap();
-    assert!(report.drained(), "graph stalled: {:?}", report.stalled);
-    out.take()
+    let config = RuntimeConfig::default();
+    let plan = compile_for(graph, &config).unwrap();
+    run_executor(graph, lib, inputs, config, Some(&plan))
 }

@@ -1,24 +1,15 @@
 //! Compiled static-schedule backend, end to end: golden firing schedules
 //! for the four paper graphs, and property tests over the conformance
-//! generator's random SDF graphs — compiled outputs must be bit-identical
-//! to the cooperative reference, a plan must replay deterministically, and
+//! generator's random SDF graphs — planned outputs must be bit-identical
+//! to the plan-less reference, a plan must replay deterministically, and
 //! the schedule-derived buffer bound must never block a writer.
 
-use cgsim::compiled::{compile, CompiledContext, CompiledPlan, LintConfig};
+use cgsim::compiled::{compile, compile_for, CompiledPlan, LintConfig};
 use cgsim::graphs::all_apps;
+use cgsim::trace::Tracer;
 use cgsim::{RuntimeConfig, RuntimeContext};
 use cgsim_check::gen::{self, GenConfig, GeneratedCase};
 use proptest::prelude::*;
-
-/// Lint configuration matching what `CompiledContext::new` derives from the
-/// default runtime configuration, so the goldens record exactly the plans
-/// the runtime-facing path produces.
-fn lint_cfg() -> LintConfig {
-    LintConfig {
-        default_depth: RuntimeConfig::default().default_depth as u32,
-        ..LintConfig::default()
-    }
-}
 
 /// The compiled firing order and per-connector token bounds of every paper
 /// graph are part of the backend's contract: a schedule change shows up as
@@ -28,7 +19,9 @@ fn lint_cfg() -> LintConfig {
 fn paper_graph_schedules_match_golden_files() {
     for app in all_apps() {
         let graph = app.graph();
-        let plan = compile(&graph, &lint_cfg())
+        // `compile_for` the default configuration, so the goldens record
+        // exactly the plans the runtime-facing path produces.
+        let plan = compile_for(&graph, &RuntimeConfig::default())
             .unwrap_or_else(|e| panic!("{} must be statically schedulable: {e}", app.name()));
         let text = plan.schedule().render(&graph);
         let path = format!(
@@ -61,14 +54,20 @@ fn has_merge(case: &GeneratedCase) -> bool {
     })
 }
 
-/// Run one generated case on the compiled backend from an existing plan.
-/// Asserts the engine's bound guarantee: the run drains and no write ever
-/// blocks (the realized form of "max fill never exceeds the preallocated
-/// capacity").
-fn run_compiled_case(case: &GeneratedCase, plan: &CompiledPlan) -> Vec<Vec<i64>> {
+/// Run one generated case on the one context (default FIFO schedule),
+/// following `plan` when given. Under a plan, asserts its bound guarantee:
+/// no write ever blocks (the realized form of "max fill never exceeds the
+/// schedule-derived capacity").
+fn run_case(case: &GeneratedCase, plan: Option<&CompiledPlan>) -> Vec<Vec<i64>> {
     let lib = cgsim_check::kernels::library();
-    let mut ctx =
-        CompiledContext::with_plan(&case.graph, &lib, plan.clone(), RuntimeConfig::default());
+    let mut ctx = RuntimeContext::with_plan(
+        &case.graph,
+        &lib,
+        RuntimeConfig::default(),
+        Tracer::default(),
+        plan.map(CompiledPlan::schedule),
+    )
+    .unwrap();
     for (i, feed) in case.feeds.iter().enumerate() {
         ctx.feed(i, feed.clone()).unwrap();
     }
@@ -78,32 +77,19 @@ fn run_compiled_case(case: &GeneratedCase, plan: &CompiledPlan) -> Vec<Vec<i64>>
     let report = ctx.run().unwrap();
     assert!(
         report.drained(),
-        "seed {}: compiled run stalled: {:?}",
+        "seed {}: run stalled: {:?}",
         case.seed,
         report.stalled
     );
-    for (name, stats) in &report.channels {
-        assert_eq!(
-            stats.blocked_writes, 0,
-            "seed {}: channel {name} overflowed its schedule-derived bound",
-            case.seed
-        );
+    if plan.is_some() {
+        for (name, stats) in &report.channels {
+            assert_eq!(
+                stats.blocked_writes, 0,
+                "seed {}: channel {name} overflowed its schedule-derived bound",
+                case.seed
+            );
+        }
     }
-    sinks.iter().map(|h| h.take()).collect()
-}
-
-/// The cooperative reference for the same case (default FIFO schedule).
-fn run_cooperative_case(case: &GeneratedCase) -> Vec<Vec<i64>> {
-    let lib = cgsim_check::kernels::library();
-    let mut ctx = RuntimeContext::new(&case.graph, &lib, RuntimeConfig::default()).unwrap();
-    for (i, feed) in case.feeds.iter().enumerate() {
-        ctx.feed(i, feed.clone()).unwrap();
-    }
-    let sinks: Vec<_> = (0..case.graph.outputs.len())
-        .map(|oi| ctx.collect::<i64>(oi).unwrap())
-        .collect();
-    let report = ctx.run().unwrap();
-    assert!(report.drained(), "cooperative reference stalled");
     sinks.iter().map(|h| h.take()).collect()
 }
 
@@ -124,13 +110,13 @@ proptest! {
                     !has_merge(&case),
                     "seed {seed}: merge case must not compile"
                 );
-                let first = run_compiled_case(&case, &plan);
-                let second = run_compiled_case(&case, &plan);
+                let first = run_case(&case, Some(&plan));
+                let second = run_case(&case, Some(&plan));
                 prop_assert!(
                     first == second,
                     "seed {seed}: plan replay diverged"
                 );
-                let reference = run_cooperative_case(&case);
+                let reference = run_case(&case, None);
                 prop_assert!(
                     first == reference,
                     "seed {seed}: compiled diverged from cooperative"

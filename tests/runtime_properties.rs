@@ -239,3 +239,39 @@ proptest! {
         prop_assert!(trace.trace.block_times.windows(2).all(|w| w[0] <= w[1]));
     }
 }
+
+/// A global input wired straight to a global output has no kernel endpoint
+/// to build its channel, so the contexts build it in `feed`/`collect` — at
+/// the same capacity as every other connector (declared depth, else the
+/// configured default), not at a constant of their own.
+#[test]
+fn passthrough_connector_honours_default_depth_on_both_engines() {
+    use cgsim::runtime::{RuntimeConfig, RuntimeContext};
+    use cgsim::threads::{ThreadedConfig, ThreadedContext};
+    let graph = GraphBuilder::build("wire", |g| {
+        let a = g.input::<i64>("a");
+        g.output(&a);
+        Ok(())
+    })
+    .unwrap();
+    let lib = library();
+    let input: Vec<i64> = (0..100).collect();
+
+    let config = RuntimeConfig::default().with_default_depth(4);
+    let mut ctx = RuntimeContext::new(&graph, &lib, config).unwrap();
+    ctx.feed(0, input.clone()).unwrap();
+    let out = ctx.collect::<i64>(0).unwrap();
+    let report = ctx.run().unwrap();
+    assert!(report.drained(), "stalled: {:?}", report.stalled);
+    assert_eq!(out.take(), input);
+    let (name, stats) = &report.channels[0];
+    assert!(stats.max_occupancy <= 4, "{name}: {stats:?}");
+
+    let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig { default_depth: 4 }).unwrap();
+    ctx.feed(0, input.clone()).unwrap();
+    let out = ctx.collect::<i64>(0).unwrap();
+    let report = ctx.run().unwrap();
+    assert_eq!(out.take(), input);
+    let (name, stats) = &report.channels[0];
+    assert!(stats.max_occupancy <= 4, "{name}: {stats:?}");
+}
