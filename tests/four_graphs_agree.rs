@@ -95,6 +95,59 @@ fn cycle_stepping_does_not_change_block_timing() {
     }
 }
 
+/// What a simulator speed-up must not move: the simulated statistics of
+/// the four apps (bitonic, farrow, IIR, bilinear), recorded at PR 16. The
+/// stepped legs also pin the scoreboard fingerprint, which depends on which
+/// nodes are busy in every single cycle.
+#[test]
+fn simulated_statistics_are_pinned() {
+    struct Golden {
+        blocks: u64,
+        end_time: u64,
+        stalls: &'static [u64],
+        micro_fingerprint: u64,
+        entries: usize,
+    }
+    #[rustfmt::skip]
+    let stepped = [
+        Golden { blocks: 280, end_time: 22_416, stalls: &[2, 277, 0], micro_fingerprint: 0xc2ea_7d89_a777_74c1, entries: 280 },
+        Golden { blocks: 2, end_time: 18_512, stalls: &[2, 2, 0, 0, 0], micro_fingerprint: 0xa40d_5f85_bf56_ec6b, entries: 512 },
+        Golden { blocks: 2, end_time: 34_896, stalls: &[2, 0, 0], micro_fingerprint: 0x44a3_6d16_1093_0cff, entries: 2 },
+        Golden { blocks: 4, end_time: 22_576, stalls: &[2, 248, 0], micro_fingerprint: 0x7057_9237_7063_e9d5, entries: 256 },
+    ];
+    // Event-driven at sixteen times the blocks; it keeps no scoreboard.
+    #[rustfmt::skip]
+    let event: [(u64, &[u64]); 4] = [
+        (358_416, &[2, 4_477, 0]),
+        (294_992, &[2, 2, 3_808, 0, 0]),
+        (527_616, &[2, 29, 0]),
+        (360_496, &[2, 4_088, 0]),
+    ];
+    let stepped_cfg = SimConfig {
+        cycle_stepping: true,
+        ..SimConfig::hand_optimized()
+    };
+    for ((app, golden), (event_end, event_stalls)) in all_apps().iter().zip(stepped).zip(event) {
+        let (name, graph, profiles) = (app.name(), app.graph(), app.profiles());
+        let workload = app.workload(golden.blocks);
+        let t = simulate_graph(&graph, &profiles, &stepped_cfg, &workload).unwrap();
+        assert_eq!(t.trace.end_time, golden.end_time, "{name} stepped");
+        assert_eq!(t.trace.stalls, golden.stalls, "{name} stepped");
+        assert_eq!(
+            t.trace.micro_fingerprint, golden.micro_fingerprint,
+            "{name}: fingerprint {:#x}",
+            t.trace.micro_fingerprint
+        );
+        assert_eq!(t.trace.entries.len(), golden.entries, "{name} stepped");
+
+        let workload = app.workload(golden.blocks * 16);
+        let t = simulate_graph(&graph, &profiles, &SimConfig::hand_optimized(), &workload).unwrap();
+        assert_eq!(t.trace.end_time, event_end, "{name} event-driven");
+        assert_eq!(t.trace.stalls, event_stalls, "{name} event-driven");
+        assert_eq!(t.trace.micro_fingerprint, 0, "{name} event-driven");
+    }
+}
+
 #[test]
 fn placement_succeeds_for_all_apps() {
     use cgsim::sim::{ArrayGeometry, Placement};
