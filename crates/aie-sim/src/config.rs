@@ -93,9 +93,11 @@ pub struct SimConfig {
     pub iter_overhead: u64,
     /// Code-generation variant under simulation.
     pub variant: Variant,
-    /// Cycle-stepped execution: one simulator event per busy core cycle.
-    /// Identical timing results, aiesim-like wall-clock cost — used when
-    /// reproducing Table 2's `aiesim` column.
+    /// Cycle-stepped execution: a clock runs beside the event queue and
+    /// every busy node (a tile mid-iteration, a source with a batch in
+    /// flight) updates its microarchitectural scoreboard in every core
+    /// cycle; `SimTrace::micro_fingerprint` folds that state. Identical
+    /// timing results — used when reproducing Table 2's `aiesim` column.
     #[serde(default)]
     pub cycle_stepping: bool,
 }

@@ -62,11 +62,12 @@ impl GraphTrace {
         service_cycles: &std::collections::HashMap<String, u64>,
     ) -> TraceSnapshot {
         let mut snapshot = TraceSnapshot::default();
+        let by_node = self.trace.iterations_by_node();
         for (instance, node) in &self.kernel_nodes {
             let kernel = KernelRef(snapshot.kernels.len() as u32);
             snapshot.kernels.push(instance.clone());
             let service = service_cycles.get(instance).copied().unwrap_or(1);
-            for (iter, end) in self.trace.iterations_of(*node).into_iter().enumerate() {
+            for (iter, &end) in by_node[*node].iter().enumerate() {
                 let start = end.saturating_sub(service);
                 snapshot.records.push(TraceRecord {
                     ts_ns: self.config.cycles_to_ns(end).round() as u64,
@@ -96,7 +97,12 @@ impl GraphTrace {
             .iter()
             .find(|(n, _)| n == instance)
             .map(|(_, id)| *id)?;
-        let times = self.trace.iterations_of(node);
+        self.interval_ns(&self.trace.iterations_of(node))
+    }
+
+    /// Mean interval between the iteration completions `times` (cycles) of
+    /// one kernel, in ns, discarding the pipeline-fill prefix.
+    pub(crate) fn interval_ns(&self, times: &[u64]) -> Option<f64> {
         if times.len() < 2 {
             return None;
         }
@@ -266,7 +272,9 @@ pub fn simulate_graph_traced(
                 batches,
                 initial_delay,
             });
-            sim.name_node(node, &format!("source_{ii}_{}", k.instance));
+            if tracer.is_enabled() {
+                sim.name_node(node, &format!("source_{ii}_{}", k.instance));
+            }
         }
     }
 
@@ -277,7 +285,9 @@ pub fn simulate_graph_traced(
             input: sink_fifos[&ci],
             block_elems: workload.elems_per_block_out[oi].max(1),
         });
-        sim.name_node(node, &format!("sink_{oi}"));
+        if tracer.is_enabled() {
+            sim.name_node(node, &format!("sink_{oi}"));
+        }
     }
 
     let trace = sim.run();

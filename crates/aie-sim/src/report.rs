@@ -52,11 +52,12 @@ impl SimReport {
         config: &SimConfig,
     ) -> SimReport {
         let end = trace.trace.end_time.max(1);
+        let by_node = trace.trace.iterations_by_node();
         let kernels = trace
             .kernel_nodes
             .iter()
             .map(|(instance, node)| {
-                let times = trace.trace.iterations_of(*node);
+                let times = &by_node[*node];
                 let iterations = times.len() as u64;
                 let service = kinds
                     .get(instance)
@@ -69,7 +70,7 @@ impl SimReport {
                     iterations,
                     busy_cycles,
                     utilization: busy_cycles as f64 / end as f64,
-                    interval_ns: trace.kernel_interval_ns(instance),
+                    interval_ns: trace.interval_ns(times),
                     stalls: trace.trace.stalls.get(*node).copied().unwrap_or(0),
                 }
             })

@@ -12,7 +12,8 @@
 //! 3. **Threaded leg**: the thread-per-kernel runtime (`cgsim-threads`).
 //! 4. **DES leg**: the cycle-approximate AIE simulation (`aie-sim`), checked
 //!    structurally — per-kernel iteration counts and per-sink block
-//!    completion against the generator's predictions.
+//!    completion against the generator's predictions — and run again
+//!    cycle-stepped, which must not change the trace.
 //!
 //! Every functional leg must produce bit-identical sink outputs (exact for
 //! order-deterministic outputs, as multisets for merge-fed ones), satisfy
@@ -706,7 +707,8 @@ fn run_threaded(
 
 /// The DES leg: the cycle-approximate simulation has no data values, so the
 /// cross-check is structural — every kernel fires exactly the predicted
-/// number of iterations and every sink completes its single block.
+/// number of iterations and every sink completes its single block — and
+/// the cycle-stepped run of the same case must trace identically.
 fn run_aiesim(case: &GeneratedCase, label: &str, failures: &mut Vec<String>) {
     let stream = PortTraffic {
         elems_per_iter: 1,
@@ -755,6 +757,27 @@ fn run_aiesim(case: &GeneratedCase, label: &str, failures: &mut Vec<String>) {
                         case.kernel_iters[ki]
                     ));
                 }
+            }
+            // Cycle stepping adds the scoreboard and nothing else: the
+            // same case must trace identically with the clock running.
+            let stepped_config = SimConfig {
+                cycle_stepping: true,
+                ..SimConfig::hand_optimized()
+            };
+            match simulate_graph(&case.graph, &profiles, &stepped_config, &workload) {
+                Ok(stepped) => {
+                    let (s, e) = (&stepped.trace, &t.trace);
+                    if (&s.entries, &s.block_times, s.end_time, &s.stalls)
+                        != (&e.entries, &e.block_times, e.end_time, &e.stalls)
+                    {
+                        failures.push(format!(
+                            "{label}: cycle-stepped trace differs from the event-driven one \
+                             (ends at {} against {}, stalls {:?} against {:?})",
+                            s.end_time, e.end_time, s.stalls, e.stalls
+                        ));
+                    }
+                }
+                Err(e) => failures.push(format!("{label}: cycle-stepped simulation failed: {e}")),
             }
         }
         Err(e) => failures.push(format!("{label}: simulation failed: {e}")),

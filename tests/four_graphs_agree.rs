@@ -92,6 +92,71 @@ fn cycle_stepping_does_not_change_block_timing() {
             "{}: cycle stepping changed timing",
             app.name()
         );
+        assert_eq!(plain.trace.entries, stepped.trace.entries, "{}", app.name());
+        assert_eq!(plain.trace.end_time, stepped.trace.end_time);
+        assert_eq!(plain.trace.stalls, stepped.trace.stalls, "{}", app.name());
+    }
+}
+
+/// `SimReport::build` and `iteration_snapshot` read the trace through one
+/// per-node bucketing pass; each row must be what a scan per kernel gives.
+#[test]
+fn report_and_snapshot_match_a_scan_per_kernel() {
+    use cgsim::sim::{KernelReport, SimReport};
+    use cgsim::trace::TraceEvent;
+    use std::collections::HashMap;
+    let config = SimConfig::hand_optimized();
+    for app in all_apps() {
+        let (graph, profiles) = (app.graph(), app.profiles());
+        let t = simulate_graph(&graph, &profiles, &config, &app.workload(8)).unwrap();
+        let kinds: HashMap<String, String> = graph
+            .kernels
+            .iter()
+            .map(|k| (k.instance.clone(), k.kind.clone()))
+            .collect();
+        let services: HashMap<String, u64> = kinds
+            .iter()
+            .map(|(instance, kind)| (instance.clone(), profiles[kind].iteration_cycles(&config)))
+            .collect();
+
+        let report = SimReport::build(&t, &profiles, &kinds, &config);
+        let snapshot = t.iteration_snapshot(&services);
+        assert_eq!(report.kernels.len(), graph.kernels.len());
+        let mut records = snapshot.records.iter();
+        for (ki, ((instance, node), row)) in t.kernel_nodes.iter().zip(&report.kernels).enumerate()
+        {
+            let times = t.trace.iterations_of(*node);
+            assert!(!times.is_empty(), "{instance} never ran");
+            let busy_cycles = times.len() as u64 * services[instance];
+            let want = KernelReport {
+                instance: instance.clone(),
+                iterations: times.len() as u64,
+                busy_cycles,
+                utilization: busy_cycles as f64 / t.trace.end_time as f64,
+                interval_ns: t.kernel_interval_ns(instance),
+                stalls: t.trace.stalls[*node],
+            };
+            assert_eq!(*row, want, "{}", app.name());
+
+            assert_eq!(snapshot.kernels[ki], *instance);
+            for (iteration, end) in times.into_iter().enumerate() {
+                let record = records.next().expect("one record per iteration");
+                let start = end.saturating_sub(services[instance]);
+                assert_eq!(record.ts_ns, config.cycles_to_ns(end).round() as u64);
+                match record.event {
+                    TraceEvent::IterationEnd {
+                        kernel,
+                        iteration: i,
+                        start_ns,
+                    } => {
+                        assert_eq!((kernel.0 as usize, i), (ki, iteration as u64));
+                        assert_eq!(start_ns, config.cycles_to_ns(start).round() as u64);
+                    }
+                    ref other => panic!("{instance}: unexpected {other:?}"),
+                }
+            }
+        }
+        assert!(records.next().is_none());
     }
 }
 
