@@ -213,6 +213,62 @@ fn simulated_statistics_are_pinned() {
     }
 }
 
+/// What a kernel speed-up must not move: output checksum and length, the
+/// engine's exact counts and the intrinsic ops of each app under the
+/// cooperative and the compiled engine, at `paper_sim`'s block counts.
+/// Recorded at PR 18.
+#[test]
+fn functional_runs_are_pinned() {
+    use cgsim::intrinsics::counter::metered;
+    struct Golden {
+        blocks: u64,
+        checksum: u64,
+        out_elems: usize,
+        polls: [u64; 2],
+        pushes: u64,
+        blocked_writes: u64,
+        ops: u64,
+    }
+    #[rustfmt::skip]
+    let goldens = [
+        Golden { blocks: 512, checksum: 0x578e_024c_3b91_073f, out_elems: 8_192, polls: [386, 3], pushes: 16_384, blocked_writes: 0, ops: 21_504 },
+        Golden { blocks: 32, checksum: 0x9bdf_55d5_1ed4_732a, out_elems: 65_536, polls: [4_100, 5], pushes: 196_609, blocked_writes: 0, ops: 143_360 },
+        Golden { blocks: 16, checksum: 0x538a_c158_8aed_1748, out_elems: 32_768, polls: [2_019, 3], pushes: 65_536, blocked_writes: 0, ops: 311_296 },
+        Golden { blocks: 64, checksum: 0xda2b_d422_edc9_ce96, out_elems: 32_768, polls: [1_538, 3], pushes: 65_536, blocked_writes: 0, ops: 45_056 },
+    ];
+    for (app, golden) in all_apps().iter().zip(goldens) {
+        for (backend, polls) in [Backend::Cooperative, Backend::Compiled]
+            .into_iter()
+            .zip(golden.polls)
+        {
+            let spec = RunSpec::for_graph(app.name()).backend(backend);
+            let (run, ops) = metered(|| app.run_spec(&spec, golden.blocks));
+            let what = format!("{} under {backend:?}", app.name());
+            let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                run.checksum, golden.checksum,
+                "{what}: checksum {:#x}",
+                run.checksum
+            );
+            assert_eq!(run.out_elems, golden.out_elems, "{what}");
+            assert_eq!(ops.total(), golden.ops, "{what}: ops");
+            let report = run.report.expect("executor runs report");
+            let channels = || report.channels.iter().map(|(_, c)| c);
+            assert_eq!(report.exec.polls, polls, "{what}: polls");
+            assert_eq!(
+                channels().map(|c| c.pushes).sum::<u64>(),
+                golden.pushes,
+                "{what}: pushes"
+            );
+            assert_eq!(
+                channels().map(|c| c.blocked_writes).sum::<u64>(),
+                golden.blocked_writes,
+                "{what}: blocked_writes"
+            );
+        }
+    }
+}
+
 #[test]
 fn placement_succeeds_for_all_apps() {
     use cgsim::sim::{ArrayGeometry, Placement};
