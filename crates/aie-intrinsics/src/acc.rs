@@ -22,6 +22,7 @@ pub struct AccI48<const N: usize> {
 }
 
 impl<const N: usize> Default for AccI48<N> {
+    #[inline]
     fn default() -> Self {
         Self::zero()
     }
@@ -29,16 +30,19 @@ impl<const N: usize> Default for AccI48<N> {
 
 impl<const N: usize> AccI48<N> {
     /// The zero accumulator (AIE `null_v*acc48`).
+    #[inline]
     pub const fn zero() -> Self {
         AccI48 { lanes: [0; N] }
     }
 
     /// Raw lane values (full `i64` precision, pre-saturation).
+    #[inline]
     pub fn to_array(self) -> [i64; N] {
         self.lanes
     }
 
     /// Construct from raw lane values (e.g. when restoring state).
+    #[inline]
     pub const fn from_array(lanes: [i64; N]) -> Self {
         AccI48 { lanes }
     }
@@ -46,6 +50,7 @@ impl<const N: usize> AccI48<N> {
     /// Widen a narrow vector into accumulator precision scaled by
     /// `2^shift` — the vector form of the AIE `ups` intrinsic (the inverse
     /// of [`AccI48::srs`]).
+    #[inline]
     pub fn ups(v: Vector<i16, N>, shift: u32) -> Self {
         record(OpKind::VSrs); // ups shares the srs datapath
         let mut lanes = [0i64; N];
@@ -54,6 +59,7 @@ impl<const N: usize> AccI48<N> {
     }
 
     /// `acc += a * b` lane-wise (AIE `mac16`-family). One VMAC issue.
+    #[inline]
     pub fn mac(mut self, a: Vector<i16, N>, b: Vector<i16, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::mac_i48(&mut self.lanes, a.lanes_ref(), b.lanes_ref());
@@ -61,6 +67,7 @@ impl<const N: usize> AccI48<N> {
     }
 
     /// `acc -= a * b` lane-wise (AIE `msc16`).
+    #[inline]
     pub fn msc(mut self, a: Vector<i16, N>, b: Vector<i16, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::msc_i48(&mut self.lanes, a.lanes_ref(), b.lanes_ref());
@@ -68,6 +75,7 @@ impl<const N: usize> AccI48<N> {
     }
 
     /// `acc = a * b` (AIE `mul16`): multiply overwriting the accumulator.
+    #[inline]
     pub fn mul(a: Vector<i16, N>, b: Vector<i16, N>) -> Self {
         record(OpKind::VMac);
         // MAC into a zero accumulator — identical to a plain product.
@@ -82,6 +90,7 @@ impl<const N: usize> AccI48<N> {
     /// against a sliding window of data lanes.
     ///
     /// `data` must provide `N + tap` valid lanes.
+    #[inline]
     pub fn sliding_mac(mut self, data: &[i16], tap: usize, coeff: i16) -> Self {
         record(OpKind::VMac);
         assert!(
@@ -97,6 +106,7 @@ impl<const N: usize> AccI48<N> {
     /// Lane-wise add of two accumulators (named after the AIE intrinsic,
     /// deliberately not `std::ops::Add`: it issues a vector-ALU op).
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn add(mut self, other: Self) -> Self {
         record(OpKind::VAlu);
         crate::simd::add_i64(&mut self.lanes, &other.lanes);
@@ -106,6 +116,7 @@ impl<const N: usize> AccI48<N> {
     /// Shift-round-saturate the accumulator down to `i16` lanes — the AIE
     /// `srs` datapath op. `shift` is the Q-format scaling (result =
     /// `round(acc / 2^shift)` saturated to i16).
+    #[inline]
     pub fn srs(self, shift: u32) -> Vector<i16, N> {
         record(OpKind::VSrs);
         let mut out = [0i16; N];
@@ -114,6 +125,7 @@ impl<const N: usize> AccI48<N> {
     }
 
     /// Shift-round-saturate to `i32` lanes (AIE `lsrs`).
+    #[inline]
     pub fn srs32(self, shift: u32) -> Vector<i32, N> {
         record(OpKind::VSrs);
         let mut out = [0i32; N];
@@ -130,6 +142,7 @@ pub struct AccF32<const N: usize> {
 }
 
 impl<const N: usize> Default for AccF32<N> {
+    #[inline]
     fn default() -> Self {
         Self::zero()
     }
@@ -137,11 +150,13 @@ impl<const N: usize> Default for AccF32<N> {
 
 impl<const N: usize> AccF32<N> {
     /// The zero accumulator.
+    #[inline]
     pub const fn zero() -> Self {
         AccF32 { lanes: [0.0; N] }
     }
 
     /// Start from an existing vector (AIE `ups` of a float vector is a move).
+    #[inline]
     pub fn from_vector(v: Vector<f32, N>) -> Self {
         AccF32 {
             lanes: v.to_array(),
@@ -149,6 +164,7 @@ impl<const N: usize> AccF32<N> {
     }
 
     /// `acc += a * b` lane-wise (AIE `fpmac`). One VMAC issue.
+    #[inline]
     pub fn fpmac(mut self, a: Vector<f32, N>, b: Vector<f32, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::fpmac_f32(&mut self.lanes, a.lanes_ref(), b.lanes_ref());
@@ -156,6 +172,7 @@ impl<const N: usize> AccF32<N> {
     }
 
     /// `acc -= a * b` lane-wise (AIE `fpmsc`).
+    #[inline]
     pub fn fpmsc(mut self, a: Vector<f32, N>, b: Vector<f32, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::fpmsc_f32(&mut self.lanes, a.lanes_ref(), b.lanes_ref());
@@ -163,10 +180,6 @@ impl<const N: usize> AccF32<N> {
     }
 
     /// `acc += data[i+tap] * coeff` — float sliding MAC (vectorised FIR).
-    // The IIR kernel's inner loop is three of these per 8 samples. A generic
-    // method is only inlined when its instance lands in the caller's codegen
-    // unit, which any edit to the calling crate can change; out of line it
-    // doubles `aie-intrinsics.kernel_us.iir`.
     #[inline]
     pub fn sliding_fpmac(mut self, data: &[f32], tap: usize, coeff: f32) -> Self {
         record(OpKind::VMac);
@@ -181,6 +194,7 @@ impl<const N: usize> AccF32<N> {
     }
 
     /// Read out the accumulator as a plain vector (register move).
+    #[inline]
     pub fn to_vector(self) -> Vector<f32, N> {
         Vector::from_array(self.lanes)
     }

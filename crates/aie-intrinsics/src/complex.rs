@@ -25,11 +25,13 @@ pub struct CInt16 {
 
 impl CInt16 {
     /// Construct from parts.
+    #[inline]
     pub const fn new(re: i16, im: i16) -> Self {
         CInt16 { re, im }
     }
 
     /// Complex conjugate.
+    #[inline]
     pub const fn conj(self) -> Self {
         CInt16 {
             re: self.re,
@@ -57,6 +59,7 @@ pub struct CAccI48<const N: usize> {
 }
 
 impl<const N: usize> Default for CAccI48<N> {
+    #[inline]
     fn default() -> Self {
         Self::zero()
     }
@@ -64,6 +67,7 @@ impl<const N: usize> Default for CAccI48<N> {
 
 impl<const N: usize> CAccI48<N> {
     /// The zero accumulator.
+    #[inline]
     pub const fn zero() -> Self {
         CAccI48 {
             lanes: [CAcc { re: 0, im: 0 }; N],
@@ -71,12 +75,14 @@ impl<const N: usize> CAccI48<N> {
     }
 
     /// Raw lanes.
+    #[inline]
     pub fn to_array(self) -> [CAcc; N] {
         self.lanes
     }
 
     /// `acc += a * b` lane-wise complex multiply-accumulate (AIE `cmac`):
     /// `(ar·br − ai·bi) + j(ar·bi + ai·br)` in full precision.
+    #[inline]
     pub fn cmac(mut self, a: Vector<CInt16, N>, b: Vector<CInt16, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::cmac_c16(
@@ -89,6 +95,7 @@ impl<const N: usize> CAccI48<N> {
 
     /// `acc += a * conj(b)` (AIE `cmac_conf` / conjugate MAC) — the
     /// correlation primitive.
+    #[inline]
     pub fn cmac_conj(mut self, a: Vector<CInt16, N>, b: Vector<CInt16, N>) -> Self {
         record(OpKind::VMac);
         crate::simd::cmac_conj_c16(
@@ -100,6 +107,7 @@ impl<const N: usize> CAccI48<N> {
     }
 
     /// Shift-round-saturate both components back to `cint16` lanes.
+    #[inline]
     pub fn srs(self, shift: u32) -> Vector<CInt16, N> {
         record(OpKind::VSrs);
         let mut out = [CInt16::default(); N];
@@ -113,6 +121,7 @@ impl<const N: usize> CAccI48<N> {
 
 /// Lane-wise complex magnitude-squared into wide lanes (|z|² = re² + im²) —
 /// the power-detector primitive; counted as one MAC issue.
+#[inline]
 pub fn cmag_sq<const N: usize>(v: &Vector<CInt16, N>) -> [i64; N] {
     record(OpKind::VMac);
     let mut out = [0i64; N];
@@ -122,6 +131,7 @@ pub fn cmag_sq<const N: usize>(v: &Vector<CInt16, N>) -> [i64; N] {
 
 /// View complex `i16` lanes as interleaved scalar lanes (`repr(C)` makes
 /// this a pure reinterpretation).
+#[inline]
 fn flat_c16<const N: usize>(lanes: &[CInt16; N]) -> &[i16] {
     // SAFETY: CInt16 is repr(C) { re: i16, im: i16 } — no padding; N pairs
     // occupy exactly 2N contiguous i16s.
@@ -129,18 +139,21 @@ fn flat_c16<const N: usize>(lanes: &[CInt16; N]) -> &[i16] {
 }
 
 /// Mutable variant of [`flat_c16`].
+#[inline]
 fn flat_c16_mut<const N: usize>(lanes: &mut [CInt16; N]) -> &mut [i16] {
     // SAFETY: as in `flat_c16`.
     unsafe { std::slice::from_raw_parts_mut(lanes.as_mut_ptr() as *mut i16, 2 * N) }
 }
 
 /// View complex accumulator lanes as interleaved `i64` lanes.
+#[inline]
 fn flat_acc_ref<const N: usize>(lanes: &[CAcc; N]) -> &[i64] {
     // SAFETY: CAcc is repr(C) { re: i64, im: i64 } — no padding.
     unsafe { std::slice::from_raw_parts(lanes.as_ptr() as *const i64, 2 * N) }
 }
 
 /// Mutable variant of [`flat_acc_ref`].
+#[inline]
 fn flat_acc<const N: usize>(lanes: &mut [CAcc; N]) -> &mut [i64] {
     // SAFETY: as in `flat_acc_ref`.
     unsafe { std::slice::from_raw_parts_mut(lanes.as_mut_ptr() as *mut i64, 2 * N) }

@@ -25,6 +25,17 @@
 //! SSE2/AVX2 kernels that are bit-exact against the always-available scalar
 //! fallback (same wrapping, same IEEE rounding, same saturation, same op
 //! accounting) — see `tests/simd_equivalence.rs` for the proptest contract.
+//!
+//! # Inlining rule
+//!
+//! Every function in [`acc`], [`vector`] and [`complex`] is `#[inline]`,
+//! and so is every slice kernel in [`simd`]. A kernel body is a chain of
+//! these calls, each moving a register of up to 128 bytes by value; out of
+//! line, the moves and the call cost more than the lane arithmetic. Without
+//! the attribute a generic method inlines only when its instance lands in
+//! the caller's codegen unit, which any edit to the calling crate can
+//! change (PR 16 doubled `aie-intrinsics.kernel_us.iir` that way). CI fails
+//! the `bench` job if the benchmark runner keeps any of them out of line.
 
 #![warn(missing_docs)]
 // Lane loops index multiple arrays in lockstep; iterator rewrites obscure

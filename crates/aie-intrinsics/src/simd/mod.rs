@@ -39,8 +39,11 @@
 //! `CGSIM_SIMD` environment variable (`scalar`, `sse2` or `avx2`), and can
 //! be overridden per thread with [`set_tier`]/[`with_tier`] — that is how
 //! the equivalence tests and the scalar-vs-SIMD benches run both paths in
-//! one process. Without the `simd` cargo feature only [`Tier::Scalar`]
-//! exists and dispatch compiles down to direct scalar calls.
+//! one process. Without the `simd` cargo feature (or off `x86_64`) only
+//! [`Tier::Scalar`] exists, and `dispatch!` is defined under `cfg` as a
+//! direct call into [`scalar`]: an op neither reads the tier thread-local
+//! nor calls [`default_tier`], and the scalar loop inlines into the
+//! intrinsic that called it.
 
 pub mod scalar;
 
@@ -239,31 +242,37 @@ const AVX2_MIN_LANES: usize = 32;
 /// [`AVX2_MIN_LANES`] short-slice heuristic. The AVX2 arm is `unsafe`
 /// because those functions carry `#[target_feature]`; reaching it
 /// requires [`capability`] to have detected AVX2 at startup.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 macro_rules! dispatch {
     // `@all`: no short-slice heuristic — for kernels whose AVX2 form is a
     // single wide instruction even at `Vector` widths (8/16 lanes), where
     // routing down would leave the 256-bit path unreachable.
     (@all $name:ident($($arg:expr),*)) => {
         match active_tier() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             // SAFETY: Tier::Avx2 is only selectable when AVX2 was detected.
             Tier::Avx2 => unsafe { avx2::$name($($arg),*) },
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             Tier::Sse2 => sse2::$name($($arg),*),
-            _ => scalar::$name($($arg),*),
+            Tier::Scalar => scalar::$name($($arg),*),
         }
     };
     ($name:ident($first:expr $(, $arg:expr)*)) => {
         match active_tier() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             // SAFETY: Tier::Avx2 is only selectable when AVX2 was detected.
             Tier::Avx2 if $first.len() >= AVX2_MIN_LANES => {
                 unsafe { avx2::$name($first $(, $arg)*) }
             }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             Tier::Avx2 | Tier::Sse2 => sse2::$name($first $(, $arg)*),
-            _ => scalar::$name($first $(, $arg)*),
+            Tier::Scalar => scalar::$name($first $(, $arg)*),
         }
+    };
+}
+
+/// Without the vector tiers there is nothing to choose: every kernel is a
+/// direct scalar call, and no op reads the tier thread-local.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+macro_rules! dispatch {
+    ($(@all)? $name:ident($($arg:expr),*)) => {
+        scalar::$name($($arg),*)
     };
 }
 

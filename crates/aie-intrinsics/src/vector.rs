@@ -16,6 +16,7 @@ pub struct Vector<T, const N: usize> {
 }
 
 impl<T: Copy + Default, const N: usize> Default for Vector<T, N> {
+    #[inline]
     fn default() -> Self {
         Vector {
             lanes: [T::default(); N],
@@ -31,11 +32,13 @@ impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for Vector<T, N> {
 
 impl<T: Copy, const N: usize> Vector<T, N> {
     /// Construct from a lane array (register move; not counted).
+    #[inline]
     pub const fn from_array(lanes: [T; N]) -> Self {
         Vector { lanes }
     }
 
     /// All lanes set to `value` (broadcast).
+    #[inline]
     pub fn splat(value: T) -> Self {
         record(OpKind::Scalar);
         Vector { lanes: [value; N] }
@@ -43,6 +46,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
 
     /// Load a vector register from memory (counted as one vector load,
     /// matching the AIE's 128/256-bit load units).
+    #[inline]
     pub fn load(slice: &[T]) -> Self {
         assert!(
             slice.len() >= N,
@@ -55,6 +59,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
     }
 
     /// Store the register to memory (one vector store).
+    #[inline]
     pub fn store(&self, out: &mut [T]) {
         assert!(
             out.len() >= N,
@@ -66,17 +71,20 @@ impl<T: Copy, const N: usize> Vector<T, N> {
     }
 
     /// The lane array.
+    #[inline]
     pub fn to_array(self) -> [T; N] {
         self.lanes
     }
 
     /// Read lane `i` (scalar extract).
+    #[inline]
     pub fn extract(&self, i: usize) -> T {
         record(OpKind::Scalar);
         self.lanes[i]
     }
 
     /// Return a copy with lane `i` replaced (scalar insert).
+    #[inline]
     pub fn insert(mut self, i: usize, value: T) -> Self {
         record(OpKind::Scalar);
         self.lanes[i] = value;
@@ -85,6 +93,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
 
     /// Two-source permute: indices `< N` pick from `self`, indices in
     /// `N..2N` pick from `other` (AIE two-input shuffle).
+    #[inline]
     pub fn shuffle2(&self, other: &Self, pattern: &[usize; N]) -> Self {
         record(OpKind::VShuffle);
         let mut lanes = self.lanes;
@@ -101,6 +110,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
 
     /// Apply `f` lane-wise (helper for building derived intrinsics; counted
     /// as a vector ALU op).
+    #[inline]
     pub fn map(self, f: impl Fn(T) -> T) -> Self {
         record(OpKind::VAlu);
         let mut lanes = self.lanes;
@@ -111,6 +121,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
     }
 
     /// Combine two vectors lane-wise (counted as one vector ALU op).
+    #[inline]
     pub fn zip_with(self, other: Self, f: impl Fn(T, T) -> T) -> Self {
         record(OpKind::VAlu);
         let mut lanes = self.lanes;
@@ -121,12 +132,14 @@ impl<T: Copy, const N: usize> Vector<T, N> {
     }
 
     /// Number of lanes.
+    #[inline]
     pub const fn lanes() -> usize {
         N
     }
 
     /// Borrow the lane array (crate-internal zero-copy view for the SIMD
     /// dispatch layer).
+    #[inline]
     pub(crate) fn lanes_ref(&self) -> &[T; N] {
         &self.lanes
     }
@@ -135,6 +148,7 @@ impl<T: Copy, const N: usize> Vector<T, N> {
 impl<T: Copy + 'static, const N: usize> Vector<T, N> {
     /// Permute lanes: output lane `i` takes input lane `pattern[i]`
     /// (the AIE `shuffle`/`select` permute network).
+    #[inline]
     pub fn shuffle(&self, pattern: &[usize; N]) -> Self {
         record(OpKind::VShuffle);
         for &p in pattern {
@@ -147,6 +161,7 @@ impl<T: Copy + 'static, const N: usize> Vector<T, N> {
 
     /// Lane-wise selection: where `mask` is true take `self`, else `other`
     /// (the AIE `select` intrinsic with an immediate mask).
+    #[inline]
     pub fn select(&self, other: &Self, mask: &[bool; N]) -> Self {
         record(OpKind::VAlu);
         let mut lanes = self.lanes;
@@ -157,6 +172,7 @@ impl<T: Copy + 'static, const N: usize> Vector<T, N> {
 
 impl<T: Copy + PartialOrd + 'static, const N: usize> Vector<T, N> {
     /// Lane-wise minimum (AIE `min` — one vector ALU op).
+    #[inline]
     pub fn min(&self, other: &Self) -> Self {
         record(OpKind::VAlu);
         let mut lanes = self.lanes;
@@ -165,6 +181,7 @@ impl<T: Copy + PartialOrd + 'static, const N: usize> Vector<T, N> {
     }
 
     /// Lane-wise maximum (AIE `max`).
+    #[inline]
     pub fn max(&self, other: &Self) -> Self {
         record(OpKind::VAlu);
         let mut lanes = self.lanes;
@@ -175,6 +192,7 @@ impl<T: Copy + PartialOrd + 'static, const N: usize> Vector<T, N> {
 
 impl<T: Copy + PartialOrd, const N: usize> Vector<T, N> {
     /// Lane-wise `<` comparison mask (AIE `lt`).
+    #[inline]
     pub fn lt(&self, other: &Self) -> [bool; N] {
         record(OpKind::VAlu);
         let mut mask = [false; N];
@@ -187,6 +205,7 @@ impl<T: Copy + PartialOrd, const N: usize> Vector<T, N> {
 
 impl<T, const N: usize> Index<usize> for Vector<T, N> {
     type Output = T;
+    #[inline]
     fn index(&self, i: usize) -> &T {
         &self.lanes[i]
     }
@@ -196,6 +215,7 @@ macro_rules! float_vector_ops {
     ($t:ty, $add:ident, $sub:ident, $mul:ident, $neg:ident) => {
         impl<const N: usize> Add for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: Self) -> Self {
                 record(OpKind::VAlu);
                 let mut lanes = self.lanes;
@@ -205,6 +225,7 @@ macro_rules! float_vector_ops {
         }
         impl<const N: usize> Sub for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn sub(self, rhs: Self) -> Self {
                 record(OpKind::VAlu);
                 let mut lanes = self.lanes;
@@ -214,6 +235,7 @@ macro_rules! float_vector_ops {
         }
         impl<const N: usize> Neg for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn neg(self) -> Self {
                 record(OpKind::VAlu);
                 let mut lanes = self.lanes;
@@ -223,6 +245,7 @@ macro_rules! float_vector_ops {
         }
         impl<const N: usize> Mul for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn mul(self, rhs: Self) -> Self {
                 record(OpKind::VMac); // multiplies use the MAC datapath
                 let mut lanes = self.lanes;
@@ -236,6 +259,7 @@ macro_rules! float_vector_ops {
             /// unit: counted as one ALU op per tree level). The summation
             /// order is sequential — part of the bit-exactness contract —
             /// so this stays scalar on every dispatch tier.
+            #[inline]
             pub fn reduce_add(self) -> $t {
                 let mut width = N;
                 let mut levels = 0u64;
@@ -256,6 +280,7 @@ macro_rules! int_vector_ops {
     ($t:ty, $add:ident, $sub:ident) => {
         impl<const N: usize> Add for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: Self) -> Self {
                 record(OpKind::VAlu);
                 let mut lanes = self.lanes;
@@ -265,6 +290,7 @@ macro_rules! int_vector_ops {
         }
         impl<const N: usize> Sub for Vector<$t, N> {
             type Output = Self;
+            #[inline]
             fn sub(self, rhs: Self) -> Self {
                 record(OpKind::VAlu);
                 let mut lanes = self.lanes;

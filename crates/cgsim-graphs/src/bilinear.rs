@@ -48,7 +48,7 @@ pub struct PixelQuad {
 /// with vector subtract/multiply and the four corner contributions are
 /// accumulated with `fpmac` — the AMD example's instruction mix. Shared
 /// between the kernel coroutine and the cost profiler.
-pub fn interp_iteration(quads: &[PixelQuad]) -> Vec<f32> {
+pub fn interp_iteration(quads: &[PixelQuad]) -> [f32; LANES] {
     debug_assert_eq!(quads.len(), LANES);
     let gather = |f: fn(&PixelQuad) -> f32| {
         let lanes: [f32; LANES] = std::array::from_fn(|i| f(&quads[i]));
@@ -75,15 +75,17 @@ pub fn interp_iteration(quads: &[PixelQuad]) -> Vec<f32> {
         .fpmac(p01, w01)
         .fpmac(p10, w10)
         .fpmac(p11, w11);
-    acc.to_vector().to_array().to_vec()
+    acc.to_vector().to_array()
 }
 
 compute_kernel! {
     /// Bilinear interpolator: 8 pixel quads per vector iteration.
     #[realm(aie)]
     pub fn bilinear_kernel(quads: ReadPort<PixelQuad>, out: WritePort<f32>) {
-        while let Some(batch) = quads.get_window(LANES).await {
+        let mut batch = Vec::with_capacity(LANES);
+        while quads.get_window_into(&mut batch, LANES).await {
             out.put_window(interp_iteration(&batch)).await;
+            batch.clear();
         }
     }
 }
@@ -309,7 +311,7 @@ mod tests {
                 .collect();
             let vec_out = interp_iteration(&quads);
             let scalar = reference(&quads);
-            proptest::prop_assert_eq!(vec_out, scalar);
+            proptest::prop_assert_eq!(vec_out.to_vec(), scalar);
         }
     }
 

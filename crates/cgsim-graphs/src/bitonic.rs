@@ -27,10 +27,10 @@ pub const BLOCK_BYTES: u64 = 64;
 /// Sort one 16-element chunk with the vectorised bitonic network — the
 /// kernel's compute routine, shared between the coroutine and the cost
 /// profiler.
-pub fn sort16(chunk: &[f32]) -> Vec<f32> {
+pub fn sort16(chunk: &[f32]) -> [f32; SORT_WIDTH] {
     let v = Vector::<f32, SORT_WIDTH>::load(chunk);
     let sorted = bitonic_sort16(v);
-    let mut out = vec![0.0f32; SORT_WIDTH];
+    let mut out = [0.0f32; SORT_WIDTH];
     sorted.store(&mut out);
     out
 }
@@ -40,8 +40,10 @@ compute_kernel! {
     /// ascending.
     #[realm(aie)]
     pub fn bitonic_kernel(input: ReadPort<f32>, out: WritePort<f32>) {
-        while let Some(chunk) = input.get_window(SORT_WIDTH).await {
+        let mut chunk = Vec::with_capacity(SORT_WIDTH);
+        while input.get_window_into(&mut chunk, SORT_WIDTH).await {
             out.put_window(sort16(&chunk)).await;
+            chunk.clear();
         }
     }
 }

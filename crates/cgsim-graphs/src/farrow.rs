@@ -78,7 +78,7 @@ pub struct BranchSet {
 /// One vector iteration of the FIR stage: `data` holds `LANES + TAPS - 1`
 /// samples (history first); returns `LANES` branch sets. Shared between the
 /// kernel coroutine and the cost profiler.
-pub fn fir_iteration(data: &[i16], coeffs: &[[i16; TAPS]; BRANCHES]) -> Vec<BranchSet> {
+pub fn fir_iteration(data: &[i16], coeffs: &[[i16; TAPS]; BRANCHES]) -> [BranchSet; LANES] {
     debug_assert!(data.len() >= LANES + TAPS - 1);
     let mut branch_out = [[0i16; LANES]; BRANCHES];
     for (b, branch) in coeffs.iter().enumerate() {
@@ -89,16 +89,14 @@ pub fn fir_iteration(data: &[i16], coeffs: &[[i16; TAPS]; BRANCHES]) -> Vec<Bran
         let v = acc.srs(QBITS); // Q15·Q15 → Q15 readout (coeffs pre-halved)
         v.store(&mut branch_out[b]);
     }
-    (0..LANES)
-        .map(|i| BranchSet {
-            b: [
-                branch_out[0][i],
-                branch_out[1][i],
-                branch_out[2][i],
-                branch_out[3][i],
-            ],
-        })
-        .collect()
+    std::array::from_fn(|i| BranchSet {
+        b: [
+            branch_out[0][i],
+            branch_out[1][i],
+            branch_out[2][i],
+            branch_out[3][i],
+        ],
+    })
 }
 
 /// One vector iteration of the Horner combiner over `LANES` branch sets
@@ -106,7 +104,7 @@ pub fn fir_iteration(data: &[i16], coeffs: &[[i16; TAPS]; BRANCHES]) -> Vec<Bran
 /// polynomial evaluation: `y = ((b3·mu + b2)·mu + b1)·mu + b0`, all in Q15
 /// with `srs` rescaling after each product (×2 readjusts the pre-halved
 /// coefficient scale).
-pub fn comb_iteration(sets: &[BranchSet], mu_q15: i16) -> Vec<i16> {
+pub fn comb_iteration(sets: &[BranchSet], mu_q15: i16) -> [i16; LANES] {
     debug_assert_eq!(sets.len(), LANES);
     let branch_vec = |b: usize| {
         let lanes: [i16; LANES] = std::array::from_fn(|i| sets[i].b[b]);
@@ -121,7 +119,7 @@ pub fn comb_iteration(sets: &[BranchSet], mu_q15: i16) -> Vec<i16> {
     }
     // Undo the 0.5 coefficient pre-scale.
     let doubled = acc_v + acc_v;
-    doubled.to_array().to_vec()
+    doubled.to_array()
 }
 
 compute_kernel! {
@@ -133,14 +131,15 @@ compute_kernel! {
         branches: WritePort<BranchSet> @ PortSettings::new().window_bytes(1024).ping_pong(),
     ) {
         let coeffs = q15_coeffs();
-        // Persistent sliding-window history across iterations (zeros
-        // prime the filter, like the hardware's initial window margin).
-        let mut history = vec![0i16; TAPS - 1];
-        while let Some(chunk) = samples.get_window(LANES).await {
-            let mut data = history.clone();
-            data.extend_from_slice(&chunk);
+        // One buffer for the whole run: the sliding-window history at the
+        // front (zeros prime the filter, like the hardware's initial window
+        // margin), each window appended behind it and drained once used,
+        // which leaves its last `TAPS - 1` samples as the next history.
+        let mut data = Vec::with_capacity(TAPS - 1 + LANES);
+        data.resize(TAPS - 1, 0i16);
+        while samples.get_window_into(&mut data, LANES).await {
             let sets = fir_iteration(&data, &coeffs);
-            history = data[data.len() - (TAPS - 1)..].to_vec();
+            data.drain(..LANES);
             branches.put_window(sets).await;
         }
     }
@@ -156,8 +155,10 @@ compute_kernel! {
         out: WritePort<i16> @ PortSettings::new().window_bytes(4096).ping_pong(),
     ) {
         let mu_q15 = mu.get().await.unwrap_or(0);
-        while let Some(sets) = branches.get_window(LANES).await {
+        let mut sets = Vec::with_capacity(LANES);
+        while branches.get_window_into(&mut sets, LANES).await {
             out.put_window(comb_iteration(&sets, mu_q15)).await;
+            sets.clear();
         }
     }
 }
@@ -416,7 +417,7 @@ mod tests {
             let sets = fir_iteration(&data, &coeffs);
             let vec_out = comb_iteration(&sets, mu);
             let scalar = reference(&raw, mu);
-            proptest::prop_assert_eq!(vec_out, scalar);
+            proptest::prop_assert_eq!(vec_out.to_vec(), scalar);
         }
     }
 }

@@ -646,17 +646,18 @@ impl<T: Clone> Channel<T> {
         })
     }
 
-    /// Drain up to `max` available elements into a fresh chunk.
-    fn poll_recv_chunk(
+    /// Drain up to `max` available elements onto the end of `out`.
+    /// Resolves to the number of elements moved.
+    fn poll_recv_vec(
         &self,
         idx: usize,
         max: usize,
+        out: &mut Vec<T>,
         cx: &mut Context<'_>,
-    ) -> Poll<Option<Vec<T>>> {
+    ) -> Poll<Option<usize>> {
         self.poll_recv_batch(idx, max, cx, |inner, batch| {
-            let mut chunk = Vec::with_capacity(batch);
-            inner.take_batch(idx, batch, &mut chunk);
-            chunk
+            inner.take_batch(idx, batch, out);
+            batch
         })
     }
 
@@ -800,17 +801,26 @@ impl<T: Clone> Consumer<T> {
         }
     }
 
-    /// Receive up to `max` elements (at least one) in one state
-    /// acquisition, waking producers once per batch. Resolves to `None`
-    /// once all producers are dropped and the stream is drained; otherwise
-    /// yields `1..=max` elements in stream order.
-    pub fn pop_chunk(&mut self, max: usize) -> RecvChunkFuture<'_, T> {
-        assert!(max >= 1, "pop_chunk needs a chunk size of at least 1");
-        RecvChunkFuture {
-            chan: &self.chan,
-            idx: self.idx,
-            max,
-        }
+    /// Receive up to `max` elements (at least one) onto the end of `out`
+    /// in one state acquisition, waking producers once per batch; `out`
+    /// keeps its allocation. Resolves to the number of elements moved
+    /// (`1..=max`, in stream order), or `None` once all producers are
+    /// dropped and the stream is drained.
+    pub fn pop_vec<'a>(
+        &'a mut self,
+        out: &'a mut Vec<T>,
+        max: usize,
+    ) -> impl std::future::Future<Output = Option<usize>> + 'a {
+        assert!(max >= 1, "pop_vec needs a batch size of at least 1");
+        let (chan, idx) = (&self.chan, self.idx);
+        std::future::poll_fn(move |cx| chan.poll_recv_vec(idx, max, out, cx))
+    }
+
+    /// [`Consumer::pop_vec`] into a fresh chunk: `None` at end-of-stream,
+    /// otherwise `1..=max` elements in stream order.
+    pub async fn pop_chunk(&mut self, max: usize) -> Option<Vec<T>> {
+        let mut chunk = Vec::new();
+        self.pop_vec(&mut chunk, max).await.map(|_| chunk)
     }
 
     /// Receive up to `max` elements (at least one) straight onto the end of
@@ -906,23 +916,6 @@ impl<T: Clone> std::future::Future for RecvFuture<'_, T> {
 }
 
 impl<T: Clone> Unpin for RecvFuture<'_, T> {}
-
-/// Future returned by [`Consumer::pop_chunk`].
-pub struct RecvChunkFuture<'a, T: Clone> {
-    chan: &'a Channel<T>,
-    idx: usize,
-    max: usize,
-}
-
-impl<T: Clone> std::future::Future for RecvChunkFuture<'_, T> {
-    type Output = Option<Vec<T>>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Vec<T>>> {
-        self.chan.poll_recv_chunk(self.idx, self.max, cx)
-    }
-}
-
-impl<T: Clone> Unpin for RecvChunkFuture<'_, T> {}
 
 /// Future returned by [`Consumer::pop_into`].
 pub struct PopIntoFuture<'a, T: Clone> {
@@ -1562,10 +1555,12 @@ mod tests {
             assert_eq!(slice.len(), 3);
             assert_eq!(chan.stats().blocked_writes, 1);
             // One chunk pop frees the buffer; the retry completes in one go.
-            match chan.poll_recv_chunk(0, 4, &mut cx) {
-                Poll::Ready(Some(chunk)) => assert_eq!(chunk, vec![0, 1, 2, 3]),
-                other => panic!("expected a full chunk, got {other:?}"),
-            }
+            let mut chunk = Vec::new();
+            assert_eq!(
+                chan.poll_recv_vec(0, 4, &mut chunk, &mut cx),
+                Poll::Ready(Some(4))
+            );
+            assert_eq!(chunk, vec![0, 1, 2, 3]);
             assert!(matches!(
                 chan.poll_send_iter(&mut slice, &mut cx),
                 Poll::Ready(())
@@ -1764,11 +1759,13 @@ mod props {
                     continue;
                 }
                 match batched {
-                    Some(chunk) => match chan.poll_recv_chunk(ci, chunk, &mut cx) {
-                        Poll::Ready(Some(vs)) => outs[ci].extend(vs),
-                        Poll::Ready(None) => done[ci] = true,
-                        Poll::Pending => {}
-                    },
+                    Some(chunk) => {
+                        if let Poll::Ready(None) =
+                            chan.poll_recv_vec(ci, chunk, &mut outs[ci], &mut cx)
+                        {
+                            done[ci] = true;
+                        }
+                    }
                     None => match chan.poll_recv(ci, &mut cx) {
                         Poll::Ready(Some(v)) => outs[ci].push(v),
                         Poll::Ready(None) => done[ci] = true,

@@ -35,26 +35,25 @@ impl<T: StreamData> KernelReadPort<T> {
     /// available; a trailing partial block is discarded, matching hardware
     /// window semantics where a kernel only fires on full buffers.
     pub async fn get_window(&mut self, n: usize) -> Option<Vec<T>> {
-        self.read_window(n).await
+        let mut window = Vec::with_capacity(n);
+        self.get_window_into(&mut window, n).await.then_some(window)
     }
 
-    /// Batched window acquire: accumulates `n` elements via
-    /// [`Consumer::pop_chunk`], draining whatever is available per channel
-    /// acquisition instead of one element at a time. Same contract as
-    /// [`KernelReadPort::get_window`] — a trailing partial window yields
-    /// `None`.
-    pub async fn read_window(&mut self, n: usize) -> Option<Vec<T>> {
-        if n == 0 {
-            return Some(Vec::new());
+    /// Append the next full window of `n` elements to `window`, keeping its
+    /// allocation: the form of [`KernelReadPort::get_window`] for a kernel
+    /// that reuses one buffer. The window arrives in
+    /// [`Consumer::pop_vec`] batches, taking whatever is available per
+    /// channel acquisition. Returns `false` exactly where `get_window`
+    /// returns `None`; the partial window is then left appended.
+    pub async fn get_window_into(&mut self, window: &mut Vec<T>, n: usize) -> bool {
+        let mut missing = n;
+        while missing > 0 {
+            match self.consumer.pop_vec(window, missing).await {
+                Some(moved) => missing -= moved,
+                None => return false,
+            }
         }
-        // The common case: the first chunk is already the whole window.
-        let mut window = self.consumer.pop_chunk(n).await?;
-        window.reserve(n - window.len());
-        while window.len() < n {
-            let mut chunk = self.consumer.pop_chunk(n - window.len()).await?;
-            window.append(&mut chunk);
-        }
-        Some(window)
+        true
     }
 }
 
@@ -75,16 +74,15 @@ impl<T: StreamData> KernelWritePort<T> {
     }
 
     /// Send a full window of elements (AIE window port release). Batched:
-    /// the whole window moves through [`Producer::push_slice`], waking
-    /// consumers once per batch rather than once per element.
-    pub async fn put_window(&mut self, window: impl IntoIterator<Item = T>) {
-        self.write_window(window.into_iter().collect()).await;
-    }
-
-    /// Batched window release from an owned buffer — the zero-adaptor form
-    /// of [`KernelWritePort::put_window`].
-    pub async fn write_window(&mut self, window: Vec<T>) {
-        self.producer.push_slice(window).await;
+    /// the window moves through [`Producer::push_iter`] without being
+    /// collected first, waking consumers once per batch rather than once
+    /// per element.
+    pub async fn put_window<I>(&mut self, window: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.producer.push_iter(window.into_iter()).await;
     }
 }
 
@@ -126,8 +124,7 @@ mod tests {
             "writer",
             Box::pin(async move {
                 for base in 0..4u32 {
-                    out.write_window((0..16).map(|i| base * 16 + i).collect())
-                        .await;
+                    out.put_window((0..16).map(|i| base * 16 + i)).await;
                 }
             }),
         );
@@ -136,7 +133,7 @@ mod tests {
         ex.spawn(
             "reader",
             Box::pin(async move {
-                while let Some(w) = inp.read_window(16).await {
+                while let Some(w) = inp.get_window(16).await {
                     sink.borrow_mut().extend(w);
                 }
             }),
@@ -155,8 +152,15 @@ mod tests {
             out.put_window(0..10u32).await;
             drop(out);
             assert_eq!(inp.get_window(4).await, Some(vec![0, 1, 2, 3]));
-            assert_eq!(inp.get_window(4).await, Some(vec![4, 5, 6, 7]));
-            // Only 2 elements remain: partial window → None.
+            // The reusing form appends behind what the buffer holds.
+            let mut window = vec![99];
+            assert!(inp.get_window_into(&mut window, 4).await);
+            assert_eq!(window, [99, 4, 5, 6, 7]);
+            // Only 2 elements remain: partial window → None / false, and
+            // the partial window is left appended.
+            window.clear();
+            assert!(!inp.get_window_into(&mut window, 4).await);
+            assert_eq!(window, [8, 9]);
             assert_eq!(inp.get_window(4).await, None);
         });
     }
