@@ -14,8 +14,11 @@
 //! * [`lint`] — ahead-of-run static graph verifier
 //! * [`pool`] — parallel multi-instance batch engine
 //! * [`serve`] — simulation-as-a-service HTTP daemon
+//! * [`paper_tables`] — the paper's Table 1 and Table 2, reproduced
 
 #![warn(missing_docs)]
+
+pub mod paper_tables;
 
 pub use aie_intrinsics as intrinsics;
 pub use aie_sim as sim;

@@ -1,0 +1,196 @@
+//! The paper's evaluation tables (§5.2), reproduced.
+//!
+//! * [`table1`] — processing time per input block on the simulated AIE
+//!   hardware, hand-optimized vs cgsim-extracted, with relative throughput
+//!   (paper Table 1);
+//! * [`table2`] — wall-clock simulation time of the three simulators:
+//!   cgsim (cooperative), x86sim substitute (thread-per-kernel) and the
+//!   aiesim substitute (cycle-approximate, cycle-stepped) (paper Table 2),
+//!   plus the §5.2 kernel-time-fraction profile.
+//!
+//! The `repro_table1` and `repro_table2` examples print these rows side by
+//! side with the paper's published values ([`PAPER_TABLE1`],
+//! [`PAPER_TABLE2`]).
+
+/// Paper-published Table 1 values (ns per block) for side-by-side output.
+pub const PAPER_TABLE1: [(&str, u64, f64, f64); 4] = [
+    ("bitonic", 64, 3556.8, 4168.8),
+    ("farrow", 4096, 912.8, 1019.0),
+    ("IIR", 8192, 5410.0, 5385.0),
+    ("bilinear", 2048, 484.0, 567.2),
+];
+
+/// Paper-published Table 2 values (repetitions, cgsim s, x86sim s,
+/// aiesim s).
+pub const PAPER_TABLE2: [(&str, u64, f64, f64, f64); 4] = [
+    ("bitonic", 1024, 14.32, 22.90, 5825.96),
+    ("farrow", 512, 22.26, 20.70, 4287.03),
+    ("IIR", 256, 18.20, 21.37, 4346.19),
+    ("bilinear", 1, 14.95, 15.57, 3534.90),
+];
+
+/// Table 1: processing time per input block, hand-optimized AMD kernels vs
+/// cgsim-extracted kernels, on the cycle-approximate simulator.
+///
+/// Methodology follows §5.2: the metric is the time between iterations in
+/// the execution trace at an AIE clock of 1250 MHz (PL 625 MHz). The two
+/// variants run the *same* graph and measured cost profiles; they differ
+/// only in the modeled stream-access code generation
+/// ([`aie_sim::Variant`]), the paper's stated cause of the gap.
+pub mod table1 {
+    use aie_sim::{simulate_graph, SimConfig};
+    use cgsim_graphs::{all_apps, EvalApp};
+
+    /// One reproduced Table 1 row.
+    #[derive(Clone, Debug)]
+    pub struct Table1Row {
+        /// Graph name.
+        pub graph: String,
+        /// Block size in bytes.
+        pub block_bytes: u64,
+        /// ns per block, hand-optimized variant ("AMD").
+        pub hand_ns: f64,
+        /// ns per block, extracted variant ("This work").
+        pub extracted_ns: f64,
+    }
+
+    impl Table1Row {
+        /// Relative throughput of the extracted variant in percent
+        /// (hand-optimized time / extracted time × 100).
+        pub fn rel_throughput_pct(&self) -> f64 {
+            self.hand_ns / self.extracted_ns * 100.0
+        }
+    }
+
+    /// Simulate one app under both variants.
+    pub fn measure_app(app: &dyn EvalApp, blocks: u64) -> Table1Row {
+        let graph = app.graph();
+        let profiles = app.profiles();
+        let workload = app.workload(blocks);
+
+        let hand = simulate_graph(&graph, &profiles, &SimConfig::hand_optimized(), &workload)
+            .expect("hand-optimized simulation")
+            .ns_per_block()
+            .expect("enough blocks for steady state");
+        let extracted = simulate_graph(&graph, &profiles, &SimConfig::extracted(), &workload)
+            .expect("extracted simulation")
+            .ns_per_block()
+            .expect("enough blocks for steady state");
+
+        Table1Row {
+            graph: app.name().to_owned(),
+            block_bytes: app.block_bytes(),
+            hand_ns: hand,
+            extracted_ns: extracted,
+        }
+    }
+
+    /// Reproduce all four rows.
+    pub fn compute(blocks: u64) -> Vec<Table1Row> {
+        all_apps()
+            .iter()
+            .map(|a| measure_app(a.as_ref(), blocks))
+            .collect()
+    }
+}
+
+/// Table 2: wall-clock simulation time of the three simulators.
+///
+/// Per §5.2 the paper repeats each example's input vectors until the
+/// functional simulator runs ~20 s, then compares: cgsim's cooperative
+/// single-thread runtime, x86sim's thread-per-kernel runtime, and the
+/// cycle-approximate aiesim. This reproduces the comparison at a
+/// configurable scale; absolute seconds depend on the host, so the
+/// `repro_table2` example prints each row's measured ratios rather than
+/// asserting a shape.
+pub mod table2 {
+    use aie_sim::{simulate_graph, SimConfig};
+    use cgsim_graphs::{all_apps, Backend, EvalApp, Profiling, RunSpec};
+    use std::time::Duration;
+
+    /// One reproduced Table 2 row.
+    #[derive(Clone, Debug)]
+    pub struct Table2Row {
+        /// Graph name.
+        pub graph: String,
+        /// Input blocks simulated.
+        pub blocks: u64,
+        /// Wall time of the cooperative functional simulation (cgsim).
+        pub cgsim: Duration,
+        /// Wall time of the thread-per-kernel functional simulation (x86sim
+        /// substitute).
+        pub x86sim: Duration,
+        /// Wall time of the cycle-stepped cycle-approximate simulation
+        /// (aiesim substitute).
+        pub aiesim: Duration,
+        /// Fraction of cgsim's runtime spent inside kernels (§5.2 perf
+        /// claim).
+        pub kernel_fraction: f64,
+    }
+
+    /// Default block counts per app for one "repetition unit", scaled so the
+    /// four runs have comparable volume (the paper equalises runtimes by
+    /// choosing per-app repetition counts — 1024/512/256/1 — for the same
+    /// reason).
+    pub fn default_blocks(app: &dyn EvalApp, scale: u64) -> u64 {
+        let base = match app.name() {
+            "bitonic" => 1024, // tiny blocks → many of them
+            "farrow" => 64,
+            "IIR" => 32,
+            "bilinear" => 128,
+            _ => 64,
+        };
+        (base * scale).max(4)
+    }
+
+    /// Measure one app at the given scale.
+    pub fn measure_app(app: &dyn EvalApp, scale: u64) -> Table2Row {
+        let blocks = default_blocks(app, scale);
+
+        // Full per-poll timing: the kernel-fraction column reproduces the
+        // §5.2 profiling methodology (the runtime's default
+        // `Profiling::Sampled` extrapolates and is too noisy for batch-heavy
+        // polls to assert on).
+        let coop = app
+            .run_spec(
+                &RunSpec::for_graph(app.name()).profiling(Profiling::Full),
+                blocks,
+            )
+            .expect("cooperative run verifies");
+        let threaded = app
+            .run_spec(
+                &RunSpec::for_graph(app.name()).backend(Backend::Threaded),
+                blocks,
+            )
+            .expect("threaded run verifies");
+
+        // Cycle-approximate (cycle-stepped) run of the same workload.
+        let graph = app.graph();
+        let profiles = app.profiles();
+        let workload = app.workload(blocks);
+        let config = SimConfig {
+            cycle_stepping: true,
+            ..SimConfig::hand_optimized()
+        };
+        let start = std::time::Instant::now();
+        simulate_graph(&graph, &profiles, &config, &workload).expect("cycle simulation");
+        let aiesim = start.elapsed();
+
+        Table2Row {
+            graph: app.name().to_owned(),
+            blocks,
+            cgsim: coop.wall_time,
+            x86sim: threaded.wall_time,
+            aiesim,
+            kernel_fraction: coop.kernel_fraction.unwrap_or(0.0),
+        }
+    }
+
+    /// Reproduce all four rows at the given scale factor.
+    pub fn compute(scale: u64) -> Vec<Table2Row> {
+        all_apps()
+            .iter()
+            .map(|a| measure_app(a.as_ref(), scale))
+            .collect()
+    }
+}
