@@ -1,10 +1,9 @@
 //! Exporters over a [`crate::TraceSnapshot`]: Chrome-trace JSON for
 //! `chrome://tracing` / Perfetto, a plain-text summary table, a
-//! machine-readable JSON snapshot, Prometheus text exposition for live
-//! scraping, and flamegraph folded stacks.
+//! machine-readable JSON snapshot, and Prometheus text exposition for live
+//! scraping.
 
 pub mod chrome;
-pub mod folded;
 pub mod json;
 pub mod prometheus;
 pub mod summary;
