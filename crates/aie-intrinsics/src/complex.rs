@@ -13,7 +13,7 @@ use crate::vector::Vector;
 /// A complex number with `i16` components (`cint16`).
 ///
 /// `repr(C)` pins the in-memory layout to the hardware's interleaved
-/// `re, im` pair so the SIMD kernels can operate on flattened lanes.
+/// `re, im` pair so the slice kernels can operate on flattened lanes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(C)]
 pub struct CInt16 {
@@ -42,7 +42,7 @@ impl CInt16 {
 
 /// A complex number with wide (`i64`) components — one accumulator lane of
 /// the AIE `cacc48` register. `repr(C)` pins the interleaved `re, im`
-/// layout for the SIMD kernels.
+/// layout for the slice kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(C)]
 pub struct CAcc {

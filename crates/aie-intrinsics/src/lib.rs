@@ -20,11 +20,8 @@
 //! derives kernel compute cycles by packing these op counts into VLIW issue
 //! slots, instead of hard-coding per-kernel cycle numbers.
 //!
-//! With the `simd` cargo feature the lane loops execute on real x86 vector
-//! units: the [`simd`] module dispatches every op to runtime-detected
-//! SSE2/AVX2 kernels that are bit-exact against the always-available scalar
-//! fallback (same wrapping, same IEEE rounding, same saturation, same op
-//! accounting) — see `tests/simd_equivalence.rs` for the proptest contract.
+//! Every lane op lowers onto one slice kernel in [`simd`]: a plain loop the
+//! compiler vectorises for whatever target it builds for.
 //!
 //! # Inlining rule
 //!

@@ -91,6 +91,29 @@ impl<T: Copy, const N: usize> Vector<T, N> {
         self
     }
 
+    /// Permute lanes: output lane `i` takes input lane `pattern[i]`
+    /// (the AIE `shuffle`/`select` permute network).
+    #[inline]
+    pub fn shuffle(&self, pattern: &[usize; N]) -> Self {
+        record(OpKind::VShuffle);
+        for &p in pattern {
+            assert!(p < N, "shuffle index {p} out of range for {N} lanes");
+        }
+        let mut lanes = self.lanes;
+        crate::simd::permute_lanes(&self.lanes, pattern, &mut lanes);
+        Vector { lanes }
+    }
+
+    /// Lane-wise selection: where `mask` is true take `self`, else `other`
+    /// (the AIE `select` intrinsic with an immediate mask).
+    #[inline]
+    pub fn select(&self, other: &Self, mask: &[bool; N]) -> Self {
+        record(OpKind::VAlu);
+        let mut lanes = self.lanes;
+        crate::simd::select_lanes(&self.lanes, &other.lanes, mask, &mut lanes);
+        Vector { lanes }
+    }
+
     /// Two-source permute: indices `< N` pick from `self`, indices in
     /// `N..2N` pick from `other` (AIE two-input shuffle).
     #[inline]
@@ -137,40 +160,15 @@ impl<T: Copy, const N: usize> Vector<T, N> {
         N
     }
 
-    /// Borrow the lane array (crate-internal zero-copy view for the SIMD
-    /// dispatch layer).
+    /// Borrow the lane array (crate-internal zero-copy view for the slice
+    /// kernels).
     #[inline]
     pub(crate) fn lanes_ref(&self) -> &[T; N] {
         &self.lanes
     }
 }
 
-impl<T: Copy + 'static, const N: usize> Vector<T, N> {
-    /// Permute lanes: output lane `i` takes input lane `pattern[i]`
-    /// (the AIE `shuffle`/`select` permute network).
-    #[inline]
-    pub fn shuffle(&self, pattern: &[usize; N]) -> Self {
-        record(OpKind::VShuffle);
-        for &p in pattern {
-            assert!(p < N, "shuffle index {p} out of range for {N} lanes");
-        }
-        let mut lanes = self.lanes;
-        crate::simd::permute_lanes(&self.lanes, pattern, &mut lanes);
-        Vector { lanes }
-    }
-
-    /// Lane-wise selection: where `mask` is true take `self`, else `other`
-    /// (the AIE `select` intrinsic with an immediate mask).
-    #[inline]
-    pub fn select(&self, other: &Self, mask: &[bool; N]) -> Self {
-        record(OpKind::VAlu);
-        let mut lanes = self.lanes;
-        crate::simd::select_lanes(&self.lanes, &other.lanes, mask, &mut lanes);
-        Vector { lanes }
-    }
-}
-
-impl<T: Copy + PartialOrd + 'static, const N: usize> Vector<T, N> {
+impl<T: Copy + PartialOrd, const N: usize> Vector<T, N> {
     /// Lane-wise minimum (AIE `min` — one vector ALU op).
     #[inline]
     pub fn min(&self, other: &Self) -> Self {
@@ -188,9 +186,7 @@ impl<T: Copy + PartialOrd + 'static, const N: usize> Vector<T, N> {
         crate::simd::max_lanes(&self.lanes, &other.lanes, &mut lanes);
         Vector { lanes }
     }
-}
 
-impl<T: Copy + PartialOrd, const N: usize> Vector<T, N> {
     /// Lane-wise `<` comparison mask (AIE `lt`).
     #[inline]
     pub fn lt(&self, other: &Self) -> [bool; N] {
@@ -257,8 +253,7 @@ macro_rules! float_vector_ops {
         impl<const N: usize> Vector<$t, N> {
             /// Horizontal sum of all lanes (reduction tree on the vector
             /// unit: counted as one ALU op per tree level). The summation
-            /// order is sequential — part of the bit-exactness contract —
-            /// so this stays scalar on every dispatch tier.
+            /// order is sequential — part of the bit-exactness contract.
             #[inline]
             pub fn reduce_add(self) -> $t {
                 let mut width = N;
