@@ -160,30 +160,42 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 
 // ---------------------------------------------------------------- parsing
 
+/// How deep arrays and objects may nest, as in upstream `serde_json`: the
+/// parser recurses once per level, so an unbounded depth would let a
+/// hostile document overflow the thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-/// Parse JSON text into a [`Value`].
+/// Parse JSON text into a [`Value`]. Nesting deeper than [`MAX_DEPTH`] is
+/// an [`Error`].
 pub fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        src: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn err(&self, msg: &str) -> Error {
         let (mut line, mut col) = (1usize, 1usize);
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.bytes()[..self.pos.min(self.src.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -195,7 +207,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -205,7 +217,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -218,7 +230,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -232,11 +244,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String> {
@@ -262,14 +286,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not produced by this shim's
                             // writer; accept BMP scalars only.
                             out.push(
@@ -282,12 +303,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both are ASCII, so the run ends on a char
+                    // boundary of the source text.
+                    let rest = &self.bytes()[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.src[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -309,8 +334,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         let n = if is_float {
             Number::Float(
                 text.parse::<f64>()
@@ -428,6 +452,43 @@ mod tests {
         assert_eq!(v["label"], "x");
         assert_eq!(v["n"], 3);
         assert_eq!(v["traceEvents"].as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for (open, inner, close) in [("[", "", "]"), ("{\"a\":", "null", "}")] {
+            let nest = |depth| format!("{}{inner}{}", open.repeat(depth), close.repeat(depth));
+            assert!(
+                parse(&nest(MAX_DEPTH)).is_ok(),
+                "depth {MAX_DEPTH} must parse"
+            );
+            let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level deeper is refused");
+            assert!(err.0.contains("recursion limit"), "{err}");
+        }
+    }
+
+    /// A hostile document far deeper than the cap is refused before it can
+    /// recurse deep, even on a small thread stack.
+    #[test]
+    fn deep_input_on_a_small_stack_is_an_error() {
+        let deep = "[".repeat(100_000);
+        let objects = "{\"a\":".repeat(100_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (parse(&deep).is_err(), parse(&objects).is_err()))
+            .unwrap()
+            .join()
+            .expect("parser thread must not overflow its stack");
+        assert_eq!(result, (true, true));
+    }
+
+    #[test]
+    fn four_mib_string_parses() {
+        // 12 bytes per repeat: ASCII, 2-, 3- and 4-byte scalars, an escape.
+        let body: String = "aé€😀\\n".repeat((4 << 20) / 12 + 1);
+        assert!(body.len() >= 4 << 20);
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v, Value::String(body.replace("\\n", "\n")));
     }
 
     #[test]

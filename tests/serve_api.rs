@@ -155,6 +155,25 @@ fn unknown_app_and_bad_json_are_structured_errors() {
     handle.shutdown();
 }
 
+/// A body nested far past the JSON depth cap is a structured 400, not a
+/// stack overflow that takes the daemon down with it.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let addr = handle.addr().to_string();
+
+    let deep = format!(r#"{{"graph":{}"#, "[".repeat(100_000));
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &deep);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("BAD_REQUEST"), "{body}");
+    assert!(body.contains("recursion limit"), "{body}");
+
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200);
+    assert_eq!(body, "ok\n");
+    handle.shutdown();
+}
+
 // A minimal kernel kind for hand-built manifests.
 struct Copy;
 impl KernelDecl for Copy {
