@@ -9,7 +9,8 @@
 //! 2. **Permutation legs**: the same executor under LIFO and N seeded
 //!    ready-list permutations, plus seeded fault-injection rounds (forced
 //!    stalls / wake reordering) and one early-sink-closure round.
-//! 3. **Threaded leg**: the thread-per-kernel runtime (`cgsim-threads`).
+//! 3. **Threaded leg**: the same runtime context under its thread-per-kernel
+//!    scheduler (`Backend::Threaded`).
 //! 4. **DES leg**: the cycle-approximate AIE simulation (`aie-sim`), checked
 //!    structurally — per-kernel iteration counts and per-sink block
 //!    completion against the generator's predictions — and run again
@@ -29,10 +30,9 @@ use cgsim_compiled::{compile, CompiledPlan};
 use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, PortKind};
 use cgsim_runtime::{
-    ChannelMode, ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec,
-    RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
+    Backend, ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec, RuntimeConfig,
+    RuntimeContext, Schedule, SchedulePolicy,
 };
-use cgsim_threads::{ThreadedConfig, ThreadedContext};
 use cgsim_trace::{invariants, Tracer};
 use std::collections::HashMap;
 
@@ -45,10 +45,9 @@ pub struct OracleConfig {
     pub fault_rounds: u32,
     /// Run the LIFO (depth-first) permutation leg.
     pub lifo: bool,
-    /// Run the channel-backend and profiling-mode legs (mutex-guarded
-    /// channels, profiling off, full per-poll timing) — these exercise the
-    /// hot-loop configuration axes and must be bit-identical to the
-    /// reference.
+    /// Run the profiling-mode legs (profiling off, full per-poll timing) —
+    /// these exercise the hot loop's timing axis and must be bit-identical
+    /// to the reference.
     pub backend_legs: bool,
     /// Run one round with an early-closing sink on output 0.
     pub early_close: bool,
@@ -210,11 +209,10 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
     }
 
     if cfg.backend_legs {
-        // Same FIFO schedule as the reference, varying only the hot-loop
-        // configuration axes: channel storage policy and profiling mode.
-        // All three must be bit-identical to the reference leg.
+        // Same FIFO schedule as the reference, varying only the profiling
+        // mode; both must be bit-identical to the reference leg. (Mutex
+        // channels come with the threaded leg.)
         let backend_specs = [
-            coop_spec(cfg, "coop-mutex", Schedule::Fifo).channels(ChannelMode::Shared),
             coop_spec(cfg, "coop-prof-off", Schedule::Fifo).profiling(Profiling::Off),
             coop_spec(cfg, "coop-prof-full", Schedule::Fifo).profiling(Profiling::Full),
         ];
@@ -525,10 +523,10 @@ fn check_conservation(
     }
 }
 
-/// Build the launch spec for one cooperative oracle leg: default fast-path
-/// channels and sampled profiling under the given schedule, with the
-/// oracle's poll budget applied. Legs that vary the channel backend or
-/// profiling mode chain the relevant builder call onto the returned spec.
+/// Build the launch spec for one cooperative oracle leg: sampled profiling
+/// under the given schedule, with the oracle's poll budget applied. Legs
+/// that vary the profiling mode chain the builder call onto the returned
+/// spec.
 fn coop_spec(cfg: &OracleConfig, label: impl Into<String>, schedule: Schedule) -> RunSpec {
     RunSpec::for_graph(label)
         .max_polls(cfg.max_polls)
@@ -671,7 +669,8 @@ fn run_threaded(
     label: &str,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
-    let mut ctx = match ThreadedContext::new(&case.graph, lib, ThreadedConfig::default()) {
+    let spec = RunSpec::for_graph(label).backend(Backend::Threaded);
+    let mut ctx = match RuntimeContext::from_spec(&case.graph, lib, &spec) {
         Ok(ctx) => ctx,
         Err(e) => {
             failures.push(format!("{label}: context construction failed: {e}"));
@@ -811,7 +810,7 @@ mod tests {
         assert!(verdict.ok(), "{:#?}", verdict.failures);
         let expected = 1 // fifo
             + 1 // lifo
-            + 3 // backend legs: mutex channels, profiling off, profiling full
+            + 2 // backend legs: profiling off, profiling full
             + if verdict.compiled_rejected { 0 } else { 2 } // compiled + compiled-reuse
             + cfg.schedules as usize
             + cfg.fault_rounds as usize

@@ -19,8 +19,8 @@ use std::fmt;
 /// Marker trait for values that can travel through a compute-graph stream.
 ///
 /// Automatically implemented for every eligible type. The `Send` bound exists
-/// because the same kernels may be executed by the thread-per-kernel
-/// functional simulator (`cgsim-threads`).
+/// because the same kernels may run one OS thread per kernel, under the
+/// runtime's threads scheduler (`Backend::Threaded`).
 pub trait StreamData: Clone + Send + 'static {
     /// Serialized type descriptor for this type.
     fn dtype() -> DTypeDesc {

@@ -25,7 +25,6 @@ impl Blacklist {
         Blacklist {
             patterns: vec![
                 "cgsim_runtime".into(),
-                "cgsim_threads".into(),
                 "std::io".into(),
                 "std::fs".into(),
                 "std::thread".into(),

@@ -3,8 +3,9 @@
 //! Each ported AMD example implements [`EvalApp`], exposing everything the
 //! benchmark harnesses need: the graph, the kernel library, measured cost
 //! profiles, workload specs matching the paper's block sizes, and
-//! self-verifying functional runs on both the cooperative runtime (cgsim)
-//! and the thread-per-kernel runtime (x86sim substitute).
+//! self-verifying functional runs under every backend of the one runtime
+//! context: cooperative (cgsim), compiled, and thread-per-kernel (the
+//! x86sim substitute).
 
 use aie_sim::{KernelCostProfile, WorkloadSpec};
 use cgsim_compiled::CompiledPlan;
@@ -58,12 +59,11 @@ pub struct AppRun {
     /// FNV-1a checksum over the output bytes (for cross-runtime equality
     /// checks without holding the data).
     pub checksum: u64,
-    /// Fraction of time spent in kernels (cooperative runs only; the §5.2
-    /// profiling claim).
+    /// Fraction of time spent in kernels (the §5.2 profiling claim); 0
+    /// under `Backend::Threaded`, whose threads time no polls.
     pub kernel_fraction: Option<f64>,
-    /// The full runtime report (`None` for threaded runs, which have no
-    /// scheduler). `Arc`-wrapped so cloning an
-    /// `AppRun` stays cheap.
+    /// The full runtime report; every backend produces one. `Arc`-wrapped
+    /// so cloning an `AppRun` stays cheap.
     pub report: Option<Arc<RunReport>>,
 }
 

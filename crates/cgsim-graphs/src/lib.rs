@@ -10,7 +10,7 @@
 //! | [`bilinear`] | 1 | 2048 B | f32 vector MACs, custom struct streams |
 //!
 //! Every app ships a scalar golden reference with *identical operation
-//! ordering*, so functional runs on both runtimes are verified bit-exactly,
+//! ordering*, so functional runs under every backend are verified bit-exactly,
 //! plus measured cost profiles for the cycle-approximate simulator. The
 //! [`apps::EvalApp`] trait is the interface the Table 1/Table 2 harnesses
 //! consume.
@@ -25,4 +25,4 @@ pub mod iir;
 pub mod support;
 
 pub use apps::{all_apps, AppRun, EvalApp, Launch};
-pub use cgsim_runtime::{Backend, ChannelMode, Profiling, RunSpec, Schedule};
+pub use cgsim_runtime::{Backend, Profiling, RunSpec, Schedule};

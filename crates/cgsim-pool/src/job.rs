@@ -291,12 +291,14 @@ impl JobCtx {
     /// Instantiate a [`RuntimeContext`] for `graph` under this job's spec,
     /// with the job's tracer attached and the job's absolute deadline,
     /// cancellation token and (under an observer) executor probe armed on
-    /// the embedded scheduler. With `plan` the run follows that static
-    /// schedule — the sweep pattern: [`cgsim_compiled::compile`] the graph
-    /// *once*, then submit many jobs that each pass the shared plan here.
-    /// Feed inputs, bind outputs, then `run()` as usual
-    /// — and pass `report.trace` to [`JobCtx::keep_trace`] if the pool
-    /// report should include the run's trace.
+    /// the embedded scheduler. The spec's backend picks the scheduler, so a
+    /// `Backend::Threaded` job runs one OS thread per task, where deadline,
+    /// cancellation and probe do not apply. With `plan` the run follows
+    /// that static schedule — the sweep pattern: [`cgsim_compiled::compile`]
+    /// the graph *once*, then submit many jobs that each pass the shared
+    /// plan here. Feed inputs, bind outputs, then `run()` as usual — and
+    /// pass `report.trace` to [`JobCtx::keep_trace`] if the pool report
+    /// should include the run's trace.
     pub fn instantiate<'g>(
         &self,
         graph: &'g FlatGraph,

@@ -7,7 +7,8 @@ use cgsim_pool::{
 use cgsim_runtime::cgsim_core::{FlatGraph, GraphBuilder};
 use cgsim_runtime::{compute_kernel, Backend, KernelLibrary, RunSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 compute_kernel! {
@@ -16,6 +17,20 @@ compute_kernel! {
     pub fn scaler_kernel(input: ReadPort<f32>, out: WritePort<f32>) {
         while let Some(v) = input.get().await {
             out.put(v * 3.0 + 1.0).await;
+        }
+    }
+}
+
+/// The OS thread [`thread_probe_kernel`] last ran on.
+static KERNEL_THREAD: Mutex<Option<ThreadId>> = Mutex::new(None);
+
+compute_kernel! {
+    /// Forwards its stream and records which OS thread runs it.
+    #[realm(aie)]
+    pub fn thread_probe_kernel(input: ReadPort<f32>, out: WritePort<f32>) {
+        *KERNEL_THREAD.lock().unwrap() = Some(std::thread::current().id());
+        while let Some(v) = input.get().await {
+            out.put(v).await;
         }
     }
 }
@@ -222,6 +237,50 @@ fn compiled_job_is_sampled_by_the_observer() {
         sampled,
         "observer never saw the compiled job's final progress"
     );
+}
+
+#[test]
+fn threaded_job_runs_its_kernels_on_their_own_threads() {
+    // `JobCtx::instantiate` honours the spec's backend: a `Threaded` job's
+    // kernel runs on a thread of its own, not on the pool worker.
+    let graph_fn = || {
+        GraphBuilder::build("probe", |g| {
+            let a = g.input::<f32>("a");
+            let b = g.wire::<f32>();
+            thread_probe_kernel::invoke(g, &a, &b)?;
+            g.output(&b);
+            Ok(())
+        })
+        .unwrap()
+    };
+    let spec = RunSpec::for_graph("threaded").backend(Backend::Threaded);
+    let job = Job::new(spec, move |ctx| {
+        let graph = graph_fn();
+        let lib = KernelLibrary::with(|l| {
+            l.register::<thread_probe_kernel>();
+        });
+        let mut rc = ctx
+            .instantiate(&graph, &lib, None)
+            .map_err(|e| e.to_string())?;
+        rc.feed(0, vec![1.0f32; 64]).map_err(|e| e.to_string())?;
+        let sink = rc.collect::<f32>(0).map_err(|e| e.to_string())?;
+        rc.run().map_err(|e| e.to_string())?;
+        let worker = std::thread::current().id();
+        match KERNEL_THREAD.lock().unwrap().take() {
+            Some(kernel) if kernel != worker => {}
+            kernel => {
+                return Err(format!(
+                    "kernel ran on {kernel:?}, the worker is {worker:?}"
+                ))
+            }
+        }
+        Ok(JobOutput::new(0).elements(sink.len() as u64))
+    });
+    let (outcomes, _report) = Pool::run_batch(PoolConfig::default().with_workers(1), vec![job]);
+    match &outcomes[0] {
+        JobOutcome::Completed(r) => assert_eq!(r.output.elements, 64),
+        other => panic!("threaded job did not complete: {other:?}"),
+    }
 }
 
 #[test]

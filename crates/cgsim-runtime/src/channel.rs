@@ -19,12 +19,11 @@
 //!
 //! The shared state sits behind one of two storage policies selected at
 //! construction ([`ChannelMode`]): the default `Shared` mode guards it with
-//! a `std::sync::Mutex` so the *same* channel type serves both the
-//! cooperative single-threaded executor and the thread-per-kernel
-//! functional simulator; `SingleThread` mode replaces the mutex with an
-//! uncontended interior-mutability cell for the cooperative executor's hot
-//! path (§5.2 — per-element synchronisation must stay negligible). Both
-//! modes expose identical semantics, stats, and futures.
+//! a `std::sync::Mutex` for endpoints on many threads, `SingleThread` mode
+//! replaces the mutex with an uncontended interior-mutability cell for the
+//! cooperative executor's hot path (§5.2 — per-element synchronisation must
+//! stay negligible). `RuntimeContext` picks the mode from its scheduler;
+//! both modes expose identical semantics, stats, and futures.
 
 use cgsim_trace::{BlockSide, ChannelRef, Counter, Gauge, TraceEvent, Tracer};
 use std::cell::{Cell, UnsafeCell};
@@ -33,14 +32,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
-/// Selects the storage policy guarding a channel's shared state.
+/// Selects the storage policy guarding a channel's shared state. A
+/// `RuntimeContext` derives it from its scheduler: `SingleThread` under
+/// the cooperative executor, `Shared` under `Backend::Threaded`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
 pub enum ChannelMode {
-    /// Mutex-guarded state, safe for endpoints on any thread. Used by the
-    /// thread-per-kernel simulator (`cgsim-threads`) and the historical
-    /// default for [`Channel::new`].
+    /// Mutex-guarded state, safe for endpoints on any thread: the threads
+    /// scheduler's storage, and the default for [`Channel::new`].
     #[default]
     Shared,
     /// Uncontended single-thread cell for the cooperative executor: all

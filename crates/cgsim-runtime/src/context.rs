@@ -5,22 +5,24 @@
 //! from the serialized descriptors, instantiates every kernel through the
 //! registry, and connects global inputs/outputs to user-supplied data
 //! sources and sinks (specialized coroutines, §3.7). [`RuntimeContext::run`]
-//! then drives the embedded cooperative scheduler to quiescence and returns
-//! a [`RunReport`].
+//! then runs every coroutine to quiescence under one of two schedulers and
+//! returns a [`RunReport`]: the embedded cooperative executor (cgsim), or
+//! one OS thread per coroutine under [`Backend::Threaded`] (the paper's
+//! x86sim comparison point, §5.2).
 
 use crate::channel::{Channel, ChannelAdmin, ChannelMode, ChannelStats};
 use crate::executor::{
-    is_permutation, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan,
-    Interrupt, LocalBoxFuture, Profiling, Schedule, SchedulePolicy,
+    block_on, is_permutation, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor,
+    FaultPlan, Interrupt, LocalBoxFuture, Profiling, Schedule, SchedulePolicy, TaskProfile,
 };
 use crate::library::{AnyChannel, KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
-use crate::spec::RunSpec;
+use crate::spec::{Backend, RunSpec};
 use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
 use cgsim_trace::{TraceSnapshot, Tracer};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 // The lint-gate policy lives in `cgsim-lint` (it is shared with `aie-sim`'s
 // deployment gate); re-exported here so existing
@@ -51,12 +53,6 @@ pub struct RuntimeConfig {
     /// Ahead-of-run `cgsim-lint` gate on Error diagnostics (deny by
     /// default; see [`VerifyPolicy`]).
     pub verify: VerifyPolicy,
-    /// Channel storage policy. The cooperative context is single-threaded
-    /// by construction (`!Send`), so the uncontended
-    /// [`ChannelMode::SingleThread`] fast path is the default;
-    /// [`ChannelMode::Shared`] restores the mutex-guarded pre-optimisation
-    /// behaviour (and is what `cgsim-threads` uses).
-    pub channels: ChannelMode,
     /// Per-poll timing mode for the embedded scheduler; see [`Profiling`].
     /// Defaults to `Profiling::Sampled(64)`.
     pub profiling: Profiling,
@@ -70,7 +66,6 @@ impl Default for RuntimeConfig {
             schedule: Schedule::Fifo,
             faults: None,
             verify: VerifyPolicy::Deny,
-            channels: ChannelMode::SingleThread,
             profiling: Profiling::default(),
         }
     }
@@ -79,7 +74,8 @@ impl Default for RuntimeConfig {
 // Hand-written wire impls: the derive cannot express "absent field means
 // the documented default" for a `#[non_exhaustive]` config whose defaults
 // are not `Default::default()` of each field type, and starting from
-// `RuntimeConfig::default()` keeps old payloads valid as tunables grow.
+// `RuntimeConfig::default()` keeps old payloads valid as tunables come and
+// go (a key no field reads, such as the retired `channels`, is ignored).
 #[cfg(feature = "serde")]
 mod config_wire {
     use super::RuntimeConfig;
@@ -93,7 +89,6 @@ mod config_wire {
                 ("schedule".to_string(), self.schedule.to_value()),
                 ("faults".to_string(), self.faults.to_value()),
                 ("verify".to_string(), self.verify.to_value()),
-                ("channels".to_string(), self.channels.to_value()),
                 ("profiling".to_string(), self.profiling.to_value()),
             ])
         }
@@ -119,9 +114,6 @@ mod config_wire {
             }
             if let Some(v) = get_field(obj, "verify") {
                 cfg.verify = Deserialize::from_value(v)?;
-            }
-            if let Some(v) = get_field(obj, "channels") {
-                cfg.channels = Deserialize::from_value(v)?;
             }
             if let Some(v) = get_field(obj, "profiling") {
                 cfg.profiling = Deserialize::from_value(v)?;
@@ -178,12 +170,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the channel storage policy.
-    pub fn with_channels(mut self, mode: ChannelMode) -> Self {
-        self.channels = mode;
-        self
-    }
-
     /// Set the per-poll timing mode.
     pub fn with_profiling(mut self, profiling: Profiling) -> Self {
         self.profiling = profiling;
@@ -198,16 +184,16 @@ pub struct SinkHandle<T> {
 }
 
 impl<T> SinkHandle<T> {
-    /// An empty sink handle; used by alternative runtimes (e.g. the
-    /// thread-per-kernel simulator) that drive their own sink coroutines.
-    pub fn new() -> Self {
+    /// An empty sink handle; the context's sink coroutine appends into
+    /// [`SinkHandle::shared`].
+    pub(crate) fn new() -> Self {
         SinkHandle {
             data: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
     /// The shared buffer a sink coroutine appends into.
-    pub fn shared(&self) -> Arc<Mutex<Vec<T>>> {
+    pub(crate) fn shared(&self) -> Arc<Mutex<Vec<T>>> {
         Arc::clone(&self.data)
     }
 
@@ -227,13 +213,15 @@ impl<T> SinkHandle<T> {
     }
 }
 
-impl<T> Default for SinkHandle<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Result of one graph execution.
+///
+/// Under [`Backend::Threaded`] the report carries less, because no
+/// scheduler sits between the tasks: `tasks[i].busy` is the time task `i`
+/// spent inside [`block_on`] on its thread, `exec.total_time` is the wall
+/// time of the parallel phase (spawn to last join), every task completes,
+/// so `stalled` is empty, and the poll counters and `exec.kernel_time` are
+/// 0. `channels`, `elements_moved` and the channel part of `trace` are
+/// gathered as under the executor.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Scheduler statistics (poll counts, kernel-time fraction …).
@@ -293,16 +281,24 @@ impl RunReport {
     }
 }
 
-/// A single execution instance of a compute graph (§3.6) — the one
-/// single-threaded context. A run either discovers its order at run time
-/// (the ready queue under `RuntimeConfig::schedule`) or follows a compiled
-/// [`StaticSchedule`] handed to [`RuntimeContext::with_plan`]; everything
-/// else — I/O binding, deadline, cancel, poll budget, profiling, tracing,
-/// probe, bounds checks, [`RunReport`] — is the same code either way.
+/// A single execution instance of a compute graph (§3.6) — the one context.
+///
+/// Its scheduler is the embedded cooperative executor, which either
+/// discovers the order at run time (the ready queue under
+/// `RuntimeConfig::schedule`) or follows a compiled [`StaticSchedule`]
+/// handed to [`RuntimeContext::with_plan`]; or, for a [`RunSpec`] targeting
+/// [`Backend::Threaded`], one OS thread per task. Validation, the lint
+/// gate, channel construction, I/O binding, channel instrumentation and
+/// [`RunReport`] assembly are the same code for all of them; deadline,
+/// cancel, poll budget, profiling, probe and bounds checks belong to the
+/// executor.
 pub struct RuntimeContext<'g> {
     graph: &'g FlatGraph,
     channels: Vec<AnyChannel>,
     executor: Executor,
+    /// `Some` under [`Backend::Threaded`]: the tasks [`RuntimeContext::run`]
+    /// gives one OS thread each, in place of the executor.
+    threads: Option<Vec<ThreadTask<'g>>>,
     fed_inputs: Vec<bool>,
     bound_outputs: Vec<bool>,
     config: RuntimeConfig,
@@ -319,6 +315,24 @@ pub struct RuntimeContext<'g> {
     /// Per-connector static occupancy bounds awaiting arming in `run`
     /// (channels may still be placeholders until every feed/collect ran).
     bounds: Option<Vec<u64>>,
+}
+
+/// A task of the threads scheduler: its label, and what builds its
+/// coroutine — called on the task's own thread, because a
+/// [`LocalBoxFuture`] is not `Send`.
+type ThreadTask<'g> = (
+    String,
+    Box<dyn FnOnce() -> Result<LocalBoxFuture, GraphError> + Send + 'g>,
+);
+
+/// Channel storage for a scheduler: the executor keeps every endpoint on
+/// its one thread, threads need the mutex.
+fn storage(threads: bool) -> ChannelMode {
+    if threads {
+        ChannelMode::Shared
+    } else {
+        ChannelMode::SingleThread
+    }
 }
 
 /// `plan`'s kernel firing order as task ids (kernel coroutines are spawned
@@ -352,11 +366,10 @@ impl<'g> RuntimeContext<'g> {
     /// spec's runtime configuration and, when the spec carries a deadline
     /// budget, arms it from this instant.
     ///
-    /// The spec's backend tag is not dispatched here: `RuntimeContext` is
-    /// the cooperative backend, and the compiled one when handed a plan
-    /// ([`RuntimeContext::from_spec_with_tracer`]). Callers that honour
-    /// [`Backend::Threaded`](crate::spec::Backend) dispatch before reaching
-    /// this constructor (see `cgsim-graphs::support` and `cgsim-pool`).
+    /// The spec's backend picks the scheduler: [`Backend::Threaded`] runs
+    /// every task on its own OS thread, the other two run the executor
+    /// (which follows a plan only when
+    /// [`RuntimeContext::from_spec_with_tracer`] is handed one).
     pub fn from_spec(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
@@ -374,7 +387,8 @@ impl<'g> RuntimeContext<'g> {
         tracer: Tracer,
         plan: Option<&StaticSchedule>,
     ) -> Result<Self, GraphError> {
-        let mut ctx = Self::with_plan(graph, library, *spec.config(), tracer, plan)?;
+        let threads = spec.target() == Backend::Threaded;
+        let mut ctx = Self::build(graph, library, *spec.config(), tracer, plan, threads)?;
         if let Some(budget) = spec.deadline_budget() {
             ctx.set_deadline(Instant::now() + budget);
         }
@@ -459,6 +473,21 @@ impl<'g> RuntimeContext<'g> {
         tracer: Tracer,
         plan: Option<&StaticSchedule>,
     ) -> Result<Self, GraphError> {
+        Self::build(graph, library, config, tracer, plan, false)
+    }
+
+    /// [`RuntimeContext::with_plan`] under the executor, or with `threads`
+    /// one OS thread per task. A plan under threads sizes the channels and
+    /// replaces the lint gate as under the executor; its order has nothing
+    /// to apply to.
+    fn build(
+        graph: &'g FlatGraph,
+        library: &'g KernelLibrary,
+        config: RuntimeConfig,
+        tracer: Tracer,
+        plan: Option<&StaticSchedule>,
+        threads: bool,
+    ) -> Result<Self, GraphError> {
         graph.validate()?;
         let plan_order = plan.map(|p| plan_order(graph, p)).transpose()?;
 
@@ -500,7 +529,7 @@ impl<'g> RuntimeContext<'g> {
                 Some((ki, pi)) => library.get(&graph.kernels[ki].kind)?.make_channel_mode(
                     pi,
                     graph.connectors[ci].depth_or(config.default_depth),
-                    config.channels,
+                    storage(threads),
                 )?,
                 None => AnyChannel::placeholder(),
             });
@@ -522,24 +551,11 @@ impl<'g> RuntimeContext<'g> {
             executor = executor.with_faults(plan);
         }
 
-        // Instantiate all kernels and register their coroutines (suspended)
-        // with the scheduler (§3.8 step 1).
-        for k in &graph.kernels {
-            let entry = library.get(&k.kind)?;
-            let kernel_channels: Vec<AnyChannel> = k
-                .ports
-                .iter()
-                .map(|p| channels[p.connector.index()].clone())
-                .collect();
-            let mut binder = PortBinder::new(&k.instance, &kernel_channels);
-            let fut = entry.spawn(&mut binder)?;
-            executor.spawn(k.instance.clone(), fut);
-        }
-
-        Ok(RuntimeContext {
+        let mut ctx = RuntimeContext {
             graph,
             channels,
             executor,
+            threads: threads.then(Vec::new),
             fed_inputs: vec![false; graph.inputs.len()],
             bound_outputs: vec![false; graph.outputs.len()],
             config,
@@ -549,7 +565,37 @@ impl<'g> RuntimeContext<'g> {
             probe: None,
             io_tasks: Vec::new(),
             bounds: None,
-        })
+        };
+
+        // Instantiate all kernels and register their coroutines (suspended)
+        // with the scheduler (§3.8 step 1); task id == kernel index.
+        for k in &graph.kernels {
+            let entry = library.get(&k.kind)?;
+            let kernel_channels: Vec<AnyChannel> = k
+                .ports
+                .iter()
+                .map(|p| ctx.channels[p.connector.index()].clone())
+                .collect();
+            ctx.add_task(k.instance.clone(), move || {
+                entry.spawn(&mut PortBinder::new(&k.instance, &kernel_channels))
+            })?;
+        }
+        Ok(ctx)
+    }
+
+    /// Register a task with the run's scheduler and return its id: the
+    /// executor spawns it now, the threads scheduler keeps it for
+    /// [`RuntimeContext::run`] to build on the task's own thread.
+    fn add_task(
+        &mut self,
+        label: String,
+        build: impl FnOnce() -> Result<LocalBoxFuture, GraphError> + Send + 'g,
+    ) -> Result<usize, GraphError> {
+        let Some(tasks) = &mut self.threads else {
+            return Ok(self.executor.spawn(label, build()?));
+        };
+        tasks.push((label, Box::new(build)));
+        Ok(tasks.len() - 1)
     }
 
     fn typed_channel<T: StreamData>(
@@ -565,7 +611,7 @@ impl<'g> RuntimeContext<'g> {
         // if the slot is still the unit placeholder.
         if slot.clone().downcast::<()>().is_ok() {
             let capacity = self.graph.connectors[ci].depth_or(self.config.default_depth);
-            let chan = Channel::<T>::with_mode(capacity, self.config.channels);
+            let chan = Channel::<T>::with_mode(capacity, storage(self.threads.is_some()));
             *slot = AnyChannel::typed(chan.clone());
             return Ok(chan);
         }
@@ -592,16 +638,22 @@ impl<'g> RuntimeContext<'g> {
         let chan = self.typed_channel::<T>(connector)?;
         let mut tx = chan.add_producer();
         self.fed_inputs[index] = true;
-        // A plan sizes the channels from the feed length, so the stream is
-        // buffered to count it; without one the source stays lazy.
-        let future: LocalBoxFuture = if self.plan_order.is_some() {
+        let label = format!("source_{index}");
+        // A plan sizes the channels from the feed length, and a source
+        // thread takes its stream along, so both buffer it; a plan-less
+        // executor run keeps the source lazy.
+        let id = if self.plan_order.is_none() && self.threads.is_none() {
+            let future = Box::pin(async move { tx.push_iter(data.into_iter()).await });
+            self.executor.spawn(label, future)
+        } else {
             let data: Vec<T> = data.into_iter().collect();
             self.feed_lens[index] = data.len() as u64;
-            Box::pin(async move { tx.push_iter(data.into_iter()).await })
-        } else {
-            Box::pin(async move { tx.push_iter(data.into_iter()).await })
+            self.add_task(label, move || {
+                Ok(Box::pin(
+                    async move { tx.push_iter(data.into_iter()).await },
+                ))
+            })?
         };
-        let id = self.executor.spawn(format!("source_{index}"), future);
         self.io_tasks.push((id, connector.index(), true));
         Ok(())
     }
@@ -658,17 +710,18 @@ impl<'g> RuntimeContext<'g> {
         let rx = chan.add_consumer();
         self.bound_outputs[index] = true;
         let handle = SinkHandle::new();
-        let id = self.executor.spawn(
-            format!("sink_{index}"),
-            Box::pin(rx.collect_into(handle.shared(), limit)),
-        );
+        let data = handle.shared();
+        let id = self.add_task(format!("sink_{index}"), move || {
+            Ok(Box::pin(rx.collect_into(data, limit)))
+        })?;
         self.io_tasks.push((id, connector.index(), false));
         Ok(handle)
     }
 
-    /// Start the embedded task scheduler and run the graph to quiescence
-    /// (§3.8). Every global input must have been fed and every global output
-    /// bound, mirroring the paper's positional source/sink arguments.
+    /// Start the scheduler and run the graph to quiescence (§3.8). Every
+    /// global input must have been fed and every global output bound,
+    /// mirroring the paper's positional source/sink arguments. Under
+    /// threads, the first kernel whose ports fail to bind is the error.
     pub fn run(mut self) -> Result<RunReport, GraphError> {
         if let Some(missing) = self.fed_inputs.iter().position(|f| !f) {
             return Err(GraphError::IoArityMismatch {
@@ -691,7 +744,8 @@ impl<'g> RuntimeContext<'g> {
             .enumerate()
             .filter_map(|(ci, ch)| Some((ci, graph.connector_name(ci), Arc::clone(ch.admin()?))))
             .collect();
-        if let Some(order) = self.plan_order.take() {
+        let plan_order = self.plan_order.take();
+        if plan_order.is_some() {
             // Capacity per connector: the exact workload token traffic from
             // the `CG060` bounds analysis (total ever pushed through the
             // connector for these feed lengths), floored by the capacity
@@ -704,6 +758,49 @@ impl<'g> RuntimeContext<'g> {
                     admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
                 }
             }
+        }
+        // Wire every connector's counters and events into the tracer under
+        // its graph name (free when untraced) — after the capacities are
+        // final, because the tracer records them.
+        for (_, name, admin) in &admins {
+            admin.instrument(&self.tracer, name);
+        }
+        let (exec, tasks, bounds_violations) = match self.threads.take() {
+            Some(threads) => {
+                let (exec, tasks) = run_threads(threads)?;
+                (exec, tasks, Vec::new())
+            }
+            None => self.run_executor(&admins, plan_order),
+        };
+        let stalled = tasks
+            .iter()
+            .filter(|t| !t.completed)
+            .map(|t| t.label.clone())
+            .collect();
+        let channels: Vec<(String, ChannelStats)> = admins
+            .into_iter()
+            .map(|(_, name, admin)| (name, admin.stats()))
+            .collect();
+        let elements_moved = channels.iter().map(|(_, stats)| stats.pushes).sum();
+        Ok(RunReport {
+            exec,
+            stalled,
+            elements_moved,
+            tasks,
+            channels,
+            trace: self.tracer.snapshot(),
+            bounds_violations,
+        })
+    }
+
+    /// The executor's run: start order under a plan, probe and bounds
+    /// checks when armed, then the ready-queue loop to quiescence.
+    fn run_executor(
+        &mut self,
+        admins: &[(usize, String, Arc<dyn ChannelAdmin>)],
+        plan_order: Option<Vec<usize>>,
+    ) -> (ExecStats, Vec<TaskProfile>, Vec<BoundsViolation>) {
+        if let Some(order) = plan_order {
             // Kernel coroutines were spawned in graph order: task id == ki.
             let io = |writes| self.io_tasks.iter().filter(move |t| t.2 == writes);
             let start: Vec<usize> = (io(true).map(|t| t.0))
@@ -712,21 +809,15 @@ impl<'g> RuntimeContext<'g> {
                 .collect();
             self.executor.set_start_order(&start);
         }
-        // Wire every connector's counters and events into the tracer under
-        // its graph name (free when untraced) — after the capacities are
-        // final, because the tracer records them.
-        for (_, name, admin) in &admins {
-            admin.instrument(&self.tracer, name);
-        }
         if let Some(probe) = self.probe.take() {
             let mut intro = Introspector::new();
             let mut slots: Vec<Option<usize>> = vec![None; self.channels.len()];
-            for (ci, name, admin) in &admins {
+            for (ci, name, admin) in admins {
                 slots[*ci] =
                     Some(intro.add_channel(name.clone(), admin.capacity(), Arc::clone(admin)));
             }
             // Kernel coroutines were spawned in graph order: task id == ki.
-            for (ki, k) in graph.kernels.iter().enumerate() {
+            for (ki, k) in self.graph.kernels.iter().enumerate() {
                 for p in &k.ports {
                     if let Some(idx) = slots[p.connector.index()] {
                         match p.dir {
@@ -762,27 +853,59 @@ impl<'g> RuntimeContext<'g> {
             self.executor.set_bounds_checks(checks);
         }
         let (exec, tasks) = self.executor.run_profiled();
-        let bounds_violations = self.executor.take_bounds_violations();
-        let stalled = tasks
-            .iter()
-            .filter(|t| !t.completed)
-            .map(|t| t.label.clone())
-            .collect();
-        let channels: Vec<(String, ChannelStats)> = admins
-            .into_iter()
-            .map(|(_, name, admin)| (name, admin.stats()))
-            .collect();
-        let elements_moved = channels.iter().map(|(_, stats)| stats.pushes).sum();
-        Ok(RunReport {
-            exec,
-            stalled,
-            elements_moved,
-            tasks,
-            channels,
-            trace: self.tracer.snapshot(),
-            bounds_violations,
-        })
+        (exec, tasks, self.executor.take_bounds_violations())
     }
+}
+
+/// The threads scheduler's run: every task on its own scoped OS thread
+/// under [`block_on`] — the paper's x86sim model — behind a start barrier,
+/// so every kernel has bound its ports before any data flows.
+fn run_threads(tasks: Vec<ThreadTask<'_>>) -> Result<(ExecStats, Vec<TaskProfile>), GraphError> {
+    let barrier = Barrier::new(tasks.len());
+    let started = Instant::now();
+    let ran: Vec<(String, Result<Duration, GraphError>)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (tasks.into_iter())
+            .map(|(label, build)| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let future = build();
+                    // Every task reaches the barrier, a failed binding
+                    // included, or the others wait for it forever.
+                    barrier.wait();
+                    let start = Instant::now();
+                    let busy = future.map(|f| {
+                        block_on(f);
+                        start.elapsed()
+                    });
+                    (label, busy)
+                })
+            })
+            .collect();
+        (threads.into_iter())
+            .map(|t| {
+                t.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let total_time = started.elapsed();
+    let tasks = (ran.into_iter())
+        .map(|(label, busy)| {
+            Ok(TaskProfile {
+                label,
+                polls: 0,
+                busy: busy?,
+                completed: true,
+            })
+        })
+        .collect::<Result<Vec<_>, GraphError>>()?;
+    let exec = ExecStats {
+        tasks: tasks.len(),
+        completed: tasks.len(),
+        total_time,
+        ..ExecStats::default()
+    };
+    Ok((exec, tasks))
 }
 
 #[cfg(test)]
@@ -1090,5 +1213,142 @@ mod tests {
         assert_eq!(got[7], 28.0);
         // Depth-1 queue must have caused producer suspensions.
         assert!(report.exec.suspensions > 0);
+    }
+
+    // --- The threads scheduler (`Backend::Threaded`) ---
+
+    compute_kernel! {
+        #[realm(aie)]
+        pub fn inc_kernel(input: ReadPort<i64>, out: WritePort<i64>) {
+            while let Some(v) = input.get().await {
+                out.put(v + 1).await;
+            }
+        }
+    }
+
+    fn threaded<'g>(graph: &'g FlatGraph, lib: &'g KernelLibrary) -> RuntimeContext<'g> {
+        let spec = RunSpec::for_graph("threads").backend(Backend::Threaded);
+        RuntimeContext::from_spec(graph, lib, &spec).unwrap()
+    }
+
+    fn inc_library() -> KernelLibrary {
+        KernelLibrary::with(|l| {
+            l.register::<inc_kernel>();
+            l.register::<adder_kernel>();
+        })
+    }
+
+    fn inc_graph(depth: usize) -> FlatGraph {
+        GraphBuilder::build("inc", |g| {
+            let mut prev = g.input::<i64>("a");
+            for _ in 0..depth {
+                let next = g.wire::<i64>();
+                inc_kernel::invoke(g, &prev, &next)?;
+                prev = next;
+            }
+            g.output(&prev);
+            Ok(())
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn threads_run_a_single_kernel_pipeline() {
+        let graph = inc_graph(1);
+        let lib = inc_library();
+        let mut ctx = threaded(&graph, &lib);
+        ctx.feed(0, vec![10i64, 20, 30]).unwrap();
+        let out = ctx.collect::<i64>(0).unwrap();
+        let report = ctx.run().unwrap();
+        assert_eq!(report.tasks.len(), 3); // kernel + source + sink
+        assert!(report.drained());
+        assert_eq!(out.take(), vec![11, 21, 31]);
+        // Channel counters survive the parallel run: both connectors moved
+        // 3 elements each way.
+        assert_eq!(report.channels.len(), 2);
+        for (name, stats) in &report.channels {
+            assert_eq!(stats.pushes, 3, "channel {name}");
+            assert_eq!(stats.pops, 3, "channel {name}");
+        }
+    }
+
+    #[test]
+    fn threads_run_a_deep_pipeline() {
+        const DEPTH: usize = 8;
+        let graph = inc_graph(DEPTH);
+        let lib = inc_library();
+        let mut ctx = threaded(&graph, &lib);
+        ctx.feed(0, (0..1000i64).collect::<Vec<_>>()).unwrap();
+        let out = ctx.collect::<i64>(0).unwrap();
+        let report = ctx.run().unwrap();
+        assert_eq!(report.tasks.len(), DEPTH + 2);
+        let got = out.take();
+        assert_eq!(got.len(), 1000);
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(i, v)| *v == i as i64 + DEPTH as i64));
+    }
+
+    #[test]
+    fn threads_broadcast_and_merge() {
+        // a → [inc, inc] → merged wire → output. The merge interleaves
+        // nondeterministically across threads; only the multiset is fixed.
+        let graph = GraphBuilder::build("diamond", |g| {
+            let a = g.input::<i64>("a");
+            let m = g.wire::<i64>();
+            inc_kernel::invoke(g, &a, &m)?;
+            inc_kernel::invoke(g, &a, &m)?;
+            g.output(&m);
+            Ok(())
+        })
+        .unwrap();
+        let lib = inc_library();
+        let mut ctx = threaded(&graph, &lib);
+        ctx.feed(0, vec![1i64, 2, 3]).unwrap();
+        let out = ctx.collect::<i64>(0).unwrap();
+        ctx.run().unwrap();
+        let mut got = out.take();
+        got.sort_unstable();
+        assert_eq!(got, vec![2, 2, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn threads_join_two_inputs() {
+        let graph = adder_graph();
+        let lib = inc_library();
+        let mut ctx = threaded(&graph, &lib);
+        ctx.feed(0, vec![1.0f32, 2.0, 3.0]).unwrap();
+        ctx.feed(1, vec![10.0f32, 20.0, 30.0]).unwrap();
+        let out = ctx.collect::<f32>(0).unwrap();
+        ctx.run().unwrap();
+        assert_eq!(out.take(), vec![11.0, 22.0, 33.0]);
+    }
+
+    #[test]
+    fn threads_reject_missing_io() {
+        let graph = inc_graph(1);
+        let lib = inc_library();
+        let ctx = threaded(&graph, &lib);
+        assert!(matches!(ctx.run(), Err(GraphError::IoArityMismatch { .. })));
+    }
+
+    #[test]
+    fn threads_match_the_executor() {
+        let graph = inc_graph(2);
+        let lib = inc_library();
+        let input: Vec<i64> = (0..500).collect();
+
+        let mut coop = RuntimeContext::new(&graph, &lib, RuntimeConfig::default()).unwrap();
+        coop.feed(0, input.clone()).unwrap();
+        let coop_out = coop.collect::<i64>(0).unwrap();
+        coop.run().unwrap();
+
+        let mut thr = threaded(&graph, &lib);
+        thr.feed(0, input).unwrap();
+        let thr_out = thr.collect::<i64>(0).unwrap();
+        thr.run().unwrap();
+
+        assert_eq!(coop_out.take(), thr_out.take());
     }
 }

@@ -975,9 +975,10 @@ pub(crate) fn is_permutation(order: &[usize], n: usize) -> bool {
 /// Drive a single future to completion on the current thread, parking the
 /// thread while the future is suspended.
 ///
-/// The thread-per-kernel functional simulator (`cgsim-threads`, the paper's
-/// x86sim comparison point) runs each kernel coroutine under `block_on` on a
-/// dedicated OS thread; channel wakers then unpark the right thread.
+/// The threads scheduler of `RuntimeContext` (`Backend::Threaded`, the
+/// paper's x86sim comparison point) runs each kernel, source and sink
+/// coroutine under `block_on` on a dedicated OS thread; channel wakers then
+/// unpark the right thread.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     struct ThreadWaker {
         thread: std::thread::Thread,

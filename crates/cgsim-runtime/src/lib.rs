@@ -6,7 +6,9 @@
 //! broadcast queues. A [`RuntimeContext`] re-instantiates a flattened graph
 //! ([`cgsim_core::FlatGraph`]) on the runtime heap, attaches user-supplied
 //! data sources and sinks to the graph's global I/O, and runs the embedded
-//! scheduler to quiescence.
+//! scheduler to quiescence. A [`RunSpec`] targeting [`Backend::Threaded`]
+//! swaps that scheduler for one OS thread per coroutine — the paper's
+//! x86sim comparison point — and changes nothing else.
 //!
 //! ```
 //! use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};

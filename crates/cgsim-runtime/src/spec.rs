@@ -22,11 +22,10 @@
 //! ```
 //!
 //! [`RuntimeContext::from_spec`](crate::RuntimeContext::from_spec) launches
-//! a cooperative run directly from a spec; `cgsim-graphs::support` adds the
-//! [`Backend::Threaded`] dispatch; `cgsim-pool` executes whole batches of
-//! specs on a worker pool.
+//! a run of any backend directly from a spec; `cgsim-graphs::support` adds
+//! the compiled plan for [`Backend::Compiled`]; `cgsim-pool` executes whole
+//! batches of specs on a worker pool.
 
-use crate::channel::ChannelMode;
 use crate::context::{RuntimeConfig, VerifyPolicy};
 use crate::executor::{FaultPlan, Profiling, Schedule};
 use cgsim_core::CostEstimate;
@@ -41,10 +40,15 @@ pub enum Backend {
     /// primary engine).
     #[default]
     Cooperative,
-    /// The thread-per-kernel functional simulator (`cgsim-threads`, the
-    /// paper's x86sim comparison point). Only `default_depth` of the
-    /// runtime configuration applies; schedule, faults, profiling and
-    /// deadline are cooperative-engine concepts.
+    /// One OS thread per kernel, source and sink, each driving its
+    /// coroutine with [`block_on`](crate::block_on) over mutex-guarded
+    /// channels — the paper's x86sim comparison point (§5.2). The same
+    /// [`RuntimeContext`](crate::RuntimeContext) as the other backends, with
+    /// a different scheduler: validation, the lint gate, `default_depth` and
+    /// I/O binding apply; schedule, faults, profiling, `max_polls`, the
+    /// deadline, cancellation, the probe and bounds checks are the
+    /// executor's and do not. See [`RunReport`](crate::RunReport) for what a
+    /// threaded report carries.
     Threaded,
     /// The cooperative simulator following a compiled static schedule
     /// (`cgsim-compiled`): coroutines get their first poll in a precompiled
@@ -102,12 +106,6 @@ impl RunSpec {
     /// Set the scheduler's ready-list policy.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.config = self.config.with_schedule(schedule);
-        self
-    }
-
-    /// Set the channel storage policy.
-    pub fn channels(mut self, mode: ChannelMode) -> Self {
-        self.config = self.config.with_channels(mode);
         self
     }
 
@@ -254,7 +252,6 @@ mod tests {
         let spec = RunSpec::for_graph("g")
             .backend(Backend::Threaded)
             .schedule(Schedule::Lifo)
-            .channels(ChannelMode::Shared)
             .profiling(Profiling::Off)
             .verify(VerifyPolicy::Off)
             .faults(FaultPlan::new(7, 25))
@@ -265,7 +262,6 @@ mod tests {
         assert_eq!(spec.target(), Backend::Threaded);
         let cfg = spec.config();
         assert_eq!(cfg.schedule, Schedule::Lifo);
-        assert_eq!(cfg.channels, ChannelMode::Shared);
         assert_eq!(cfg.profiling, Profiling::Off);
         assert_eq!(cfg.verify, VerifyPolicy::Off);
         assert_eq!(cfg.faults, Some(FaultPlan::new(7, 25)));
@@ -282,7 +278,6 @@ mod tests {
         let d = RuntimeConfig::default();
         let c = spec.config();
         assert_eq!(c.schedule, d.schedule);
-        assert_eq!(c.channels, d.channels);
         assert_eq!(c.verify, d.verify);
         assert_eq!(c.default_depth, d.default_depth);
     }
@@ -303,7 +298,6 @@ mod tests {
         let spec = RunSpec::for_graph("wire")
             .backend(Backend::Compiled)
             .schedule(Schedule::Seeded(11))
-            .channels(ChannelMode::Shared)
             .profiling(Profiling::Full)
             .verify(VerifyPolicy::Warn)
             .faults(FaultPlan::new(3, 10))
@@ -317,7 +311,6 @@ mod tests {
         assert_eq!(back.deadline_budget(), spec.deadline_budget());
         let (a, b) = (back.config(), spec.config());
         assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.channels, b.channels);
         assert_eq!(a.profiling, b.profiling);
         assert_eq!(a.verify, b.verify);
         assert_eq!(a.faults, b.faults);

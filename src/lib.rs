@@ -4,9 +4,9 @@
 //! crates carry the detailed documentation:
 //!
 //! * [`core`] — graph IR, builder DSL, flattening, partitioning
-//! * [`runtime`] — cooperative simulator (`compute_kernel!`)
+//! * [`runtime`] — the simulator (`compute_kernel!`): cooperative or
+//!   thread-per-kernel scheduling of one runtime context
 //! * [`compiled`] — static-schedule compiler (plans the runtime follows)
-//! * [`threads`] — thread-per-kernel functional simulator
 //! * [`intrinsics`] — AIE vector API emulation
 //! * [`sim`] — cycle-approximate AIE array simulator
 //! * [`extract`] — source-to-source graph extractor
@@ -30,7 +30,6 @@ pub use cgsim_lint as lint;
 pub use cgsim_pool as pool;
 pub use cgsim_runtime as runtime;
 pub use cgsim_serve as serve;
-pub use cgsim_threads as threads;
 pub use cgsim_trace as trace;
 
 pub use cgsim_core::{Connector, FlatGraph, GraphBuilder, GraphError, PortSettings, Realm};

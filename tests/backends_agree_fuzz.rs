@@ -6,7 +6,6 @@
 //! (`cargo run -p cgsim-check --bin conform -- --seed S --cases N`).
 
 use cgsim::graphs::{all_apps, Backend, Launch, Profiling, RunSpec, Schedule};
-use cgsim::runtime::ChannelMode;
 
 /// ≥ 8 per the conformance harness design; spread out so neighbouring seeds
 /// don't share low bits.
@@ -75,18 +74,17 @@ fn paper_graphs_agree_between_seeded_cooperative_and_threaded() {
 #[test]
 fn paper_graphs_agree_across_channel_backends_and_profiling_modes() {
     // The hot-loop configuration axes — channel storage policy (fast-path
-    // cell vs mutex) and profiling mode (off / sampled / full) — must be
-    // pure observers: bit-identical output on every paper graph.
+    // cell under the executor, mutex under threads) and profiling mode
+    // (off / sampled / full) — must be pure observers: bit-identical
+    // output on every paper graph.
     for app in all_apps() {
         let reference = app
             .run_spec(&RunSpec::for_graph("fuzz-ref"), 4)
             .unwrap_or_else(|e| panic!("{} reference: {e}", app.name()));
         let legs: [(&str, RunSpec); 4] = [
             (
-                "mutex channels + full timing",
-                RunSpec::for_graph("fuzz-mutex")
-                    .channels(ChannelMode::Shared)
-                    .profiling(Profiling::Full),
+                "mutex channels (threads)",
+                RunSpec::for_graph("fuzz-mutex").backend(Backend::Threaded),
             ),
             (
                 "profiling off",

@@ -1,5 +1,5 @@
 //! Helpers shared by the integration tests: the build-feed-collect-run
-//! boilerplate around both functional runtimes, deduplicated from the
+//! boilerplate around the runtime's backends, deduplicated from the
 //! individual test files. Each test binary compiles its own copy and uses a
 //! subset, hence the `dead_code` allowance.
 
@@ -7,8 +7,7 @@
 
 use cgsim::compiled::{compile_for, CompiledPlan};
 use cgsim::core::{FlatGraph, StreamData};
-use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext, Schedule};
-use cgsim::threads::{ThreadedConfig, ThreadedContext};
+use cgsim::runtime::{Backend, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext, Schedule};
 use cgsim::trace::Tracer;
 
 /// Run `graph` on the cooperative runtime under the default FIFO schedule:
@@ -58,7 +57,8 @@ pub fn run_threaded<TIn: StreamData, TOut: StreamData>(
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
-    let mut ctx = ThreadedContext::new(graph, lib, ThreadedConfig::default()).unwrap();
+    let spec = RunSpec::for_graph(&graph.name).backend(Backend::Threaded);
+    let mut ctx = RuntimeContext::from_spec(graph, lib, &spec).unwrap();
     for (i, input) in inputs.into_iter().enumerate() {
         ctx.feed(i, input).unwrap();
     }

@@ -116,7 +116,7 @@ fn corpus_diagnostics_colour_the_dot_export() {
 /// the richer dynamic-fallback story).
 #[test]
 fn runtime_deny_hook_rejects_error_level_graph() {
-    use cgsim::runtime::{KernelLibrary, RuntimeConfig, RuntimeContext};
+    use cgsim::runtime::{Backend, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext};
     let (graph, report) = lint_corpus("bad_capacity_starved.json");
     assert!(report.has_errors());
     let lib = KernelLibrary::default();
@@ -126,4 +126,21 @@ fn runtime_deny_hook_rejects_error_level_graph() {
     };
     assert_eq!(err.code(), "CG012");
     assert!(err.to_string().contains("CG022"), "{err}");
+
+    // The threaded backend goes through the same gate: a starved graph and
+    // a deadlocked one (whose threads would wait on each other forever)
+    // are refused before a thread starts.
+    let threaded = RunSpec::for_graph("threaded").backend(Backend::Threaded);
+    for (file, code) in [
+        ("bad_capacity_starved.json", "CG022"),
+        ("bad_deadlock_feedback.json", "CG020"),
+    ] {
+        let (graph, _) = lint_corpus(file);
+        let err = match RuntimeContext::from_spec(&graph, &lib, &threaded) {
+            Err(e) => e,
+            Ok(_) => panic!("{file}: threaded construction should fail"),
+        };
+        assert_eq!(err.code(), "CG012", "{file}: {err}");
+        assert!(err.to_string().contains(code), "{file}: {err}");
+    }
 }

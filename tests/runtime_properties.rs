@@ -246,8 +246,7 @@ proptest! {
 /// configured default), not at a constant of their own.
 #[test]
 fn passthrough_connector_honours_default_depth_on_both_engines() {
-    use cgsim::runtime::{RuntimeConfig, RuntimeContext};
-    use cgsim::threads::{ThreadedConfig, ThreadedContext};
+    use cgsim::runtime::{Backend, RunSpec, RuntimeContext};
     let graph = GraphBuilder::build("wire", |g| {
         let a = g.input::<i64>("a");
         g.output(&a);
@@ -257,21 +256,15 @@ fn passthrough_connector_honours_default_depth_on_both_engines() {
     let lib = library();
     let input: Vec<i64> = (0..100).collect();
 
-    let config = RuntimeConfig::default().with_default_depth(4);
-    let mut ctx = RuntimeContext::new(&graph, &lib, config).unwrap();
-    ctx.feed(0, input.clone()).unwrap();
-    let out = ctx.collect::<i64>(0).unwrap();
-    let report = ctx.run().unwrap();
-    assert!(report.drained(), "stalled: {:?}", report.stalled);
-    assert_eq!(out.take(), input);
-    let (name, stats) = &report.channels[0];
-    assert!(stats.max_occupancy <= 4, "{name}: {stats:?}");
-
-    let mut ctx = ThreadedContext::new(&graph, &lib, ThreadedConfig { default_depth: 4 }).unwrap();
-    ctx.feed(0, input.clone()).unwrap();
-    let out = ctx.collect::<i64>(0).unwrap();
-    let report = ctx.run().unwrap();
-    assert_eq!(out.take(), input);
-    let (name, stats) = &report.channels[0];
-    assert!(stats.max_occupancy <= 4, "{name}: {stats:?}");
+    for backend in [Backend::Cooperative, Backend::Threaded] {
+        let spec = RunSpec::for_graph("wire").backend(backend).default_depth(4);
+        let mut ctx = RuntimeContext::from_spec(&graph, &lib, &spec).unwrap();
+        ctx.feed(0, input.clone()).unwrap();
+        let out = ctx.collect::<i64>(0).unwrap();
+        let report = ctx.run().unwrap();
+        assert!(report.drained(), "stalled: {:?}", report.stalled);
+        assert_eq!(out.take(), input);
+        let (name, stats) = &report.channels[0];
+        assert!(stats.max_occupancy <= 4, "{backend:?} {name}: {stats:?}");
+    }
 }

@@ -6,7 +6,7 @@
 //! version in `cgsim-serve::wire` *and* regenerate the fixture — silently
 //! re-pinning would break deployed clients.
 
-use cgsim::graphs::{Backend, ChannelMode, Profiling, RunSpec, Schedule};
+use cgsim::graphs::{Backend, Profiling, RunSpec, Schedule};
 use cgsim::lint::VerifyPolicy;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -20,7 +20,6 @@ fn golden_spec() -> RunSpec {
         .schedule(Schedule::Seeded(42))
         .default_depth(16)
         .profiling(Profiling::Full)
-        .channels(ChannelMode::Shared)
         .verify(VerifyPolicy::Warn)
         .deadline(Duration::from_millis(250))
 }
@@ -35,7 +34,6 @@ fn golden_fixture_deserializes_to_every_axis() {
     assert_eq!(cfg.schedule, Schedule::Seeded(42));
     assert_eq!(cfg.default_depth, 16);
     assert_eq!(cfg.profiling, Profiling::Full);
-    assert_eq!(cfg.channels, ChannelMode::Shared);
     assert_eq!(cfg.verify, VerifyPolicy::Warn);
     assert_eq!(cfg.max_polls, None);
     assert!(cfg.faults.is_none());
@@ -51,6 +49,38 @@ fn serializer_still_emits_the_golden_shape() {
     assert_eq!(
         emitted, pinned,
         "RunSpec wire encoding drifted from tests/golden/runspec_v1.json"
+    );
+}
+
+/// The fixture as pinned before `config.channels` was retired (channel
+/// storage now follows the backend's scheduler). Clients that still send
+/// the key must keep being served.
+const GOLDEN_WITH_CHANNELS: &str = r#"{
+  "label": "golden",
+  "backend": "compiled",
+  "config": {
+    "default_depth": 16,
+    "max_polls": null,
+    "schedule": {
+      "seeded": 42
+    },
+    "faults": null,
+    "verify": "warn",
+    "channels": "shared",
+    "profiling": "full"
+  },
+  "deadline_ns": 250000000,
+  "cost": null
+}"#;
+
+#[test]
+fn retired_channels_key_still_parses() {
+    let old: RunSpec = serde_json::from_str(GOLDEN_WITH_CHANNELS).expect("old fixture parses");
+    let emitted = serde_json::to_value(old).expect("spec serializes");
+    let pinned: serde_json::Value = serde_json::from_str(GOLDEN).expect("golden fixture parses");
+    assert_eq!(
+        emitted, pinned,
+        "the old payload means the current golden spec"
     );
 }
 
@@ -96,7 +126,6 @@ proptest! {
             .schedule(schedule)
             .default_depth(depth)
             .profiling(profiling)
-            .channels(ChannelMode::Shared)
             .verify(VerifyPolicy::Warn);
         if deadline_ns > 0 {
             spec = spec.deadline(Duration::from_nanos(deadline_ns));
@@ -110,7 +139,6 @@ proptest! {
         prop_assert_eq!(back.config().schedule, spec.config().schedule);
         prop_assert_eq!(back.config().default_depth, spec.config().default_depth);
         prop_assert_eq!(back.config().profiling, spec.config().profiling);
-        prop_assert_eq!(back.config().channels, spec.config().channels);
         prop_assert_eq!(back.config().verify, spec.config().verify);
 
         // A second trip must be byte-stable: serialize(deserialize(j)) == j.
