@@ -26,12 +26,10 @@ use crate::gen::GeneratedCase;
 use crate::kernels::{self, PALETTE_SHAPES};
 use aie_intrinsics::OpCounts;
 use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
-use cgsim_compiled::{compile, CompiledPlan};
-use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, PortKind};
 use cgsim_runtime::{
-    Backend, ChannelStats, FaultPlan, KernelLibrary, Profiling, RunReport, RunSpec, RuntimeConfig,
-    RuntimeContext, Schedule, SchedulePolicy,
+    compile, Backend, ChannelStats, CompiledPlan, FaultPlan, KernelLibrary, Launch, Profiling,
+    RunReport, RunSpec, RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
 };
 use cgsim_trace::{invariants, Tracer};
 use std::collections::HashMap;
@@ -51,9 +49,9 @@ pub struct OracleConfig {
     pub backend_legs: bool,
     /// Run one round with an early-closing sink on output 0.
     pub early_close: bool,
-    /// Cross-check against the compiled static-schedule backend
-    /// (`cgsim-compiled`): two legs per case, one freshly compiled and one
-    /// re-instantiated from the same plan. Merge-carrying cases are outside
+    /// Cross-check against the compiled static-schedule backend: two
+    /// `Backend::Compiled` legs per case, one compiling its plan at launch
+    /// and one handed the oracle's plan. Merge-carrying cases are outside
     /// the statically schedulable class; the oracle then asserts the
     /// compiler's reject reason matches the lint verdict (CG043) instead.
     pub check_compiled: bool,
@@ -225,14 +223,15 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
     }
 
     if cfg.check_compiled {
-        // The compiled static-schedule backend: compile once, then run two
-        // legs following the same plan (a fresh context each) — the second
-        // leg is exactly the plan-reuse path `cgsim-pool` sweeps take.
+        // The compiled static-schedule backend: two `Compiled` legs, one
+        // compiling its own plan at launch, one handed the plan compiled
+        // here — exactly the plan-reuse path `cgsim-serve` and `cgsim-pool`
+        // sweeps take.
         let lint_cfg = cgsim_lint::LintConfig::default();
         match compile(&case.graph, &lint_cfg) {
             Ok(plan) => {
-                for label in ["compiled", "compiled-reuse"] {
-                    if let Some(got) = run_compiled(case, &lib, &plan, cfg, label, &mut failures) {
+                for (label, plan) in [("compiled", None), ("compiled-reuse", Some(plan))] {
+                    if let Some(got) = run_compiled(case, &lib, plan, cfg, label, &mut failures) {
                         legs += 1;
                         compare_outputs(label, &got, &reference, case, &mut failures);
                     }
@@ -551,7 +550,7 @@ fn run_cooperative(
 
 /// [`run_cooperative`] returning the full [`RunReport`] too, with an
 /// optional custom schedule policy (the flood leg's demotion schedule) or
-/// static schedule to follow (the compiled legs).
+/// cached plan to hand a `Compiled` spec (the compiled legs).
 #[allow(clippy::too_many_arguments)]
 fn run_cooperative_report(
     case: &GeneratedCase,
@@ -560,16 +559,18 @@ fn run_cooperative_report(
     bound_limit: Option<usize>,
     bounds: Option<&[u64]>,
     policy: Option<Box<dyn SchedulePolicy>>,
-    plan: Option<&StaticSchedule>,
+    plan: Option<CompiledPlan>,
     failures: &mut Vec<String>,
 ) -> Option<(Vec<Vec<i64>>, RunReport)> {
     let label = spec.label();
     // Tracer::enabled() degrades to a no-op in untraced builds; the
     // invariant pass below then sees an empty snapshot and checks nothing,
     // while the channel-counter conservation law still applies.
-    let tracer = Tracer::enabled();
-    let mut ctx = match RuntimeContext::from_spec_with_tracer(&case.graph, lib, spec, tracer, plan)
-    {
+    let launch = Launch {
+        plan,
+        tracer: Tracer::enabled(),
+    };
+    let mut ctx = match RuntimeContext::launch(&case.graph, lib, spec, launch) {
         Ok(ctx) => ctx,
         Err(e) => {
             failures.push(format!("{label}: context construction failed: {e}"));
@@ -634,22 +635,21 @@ fn run_cooperative_report(
     Some((sinks.iter().map(|h| h.take()).collect(), report))
 }
 
-/// One compiled-backend leg: the cooperative leg runner following `plan`
-/// (shared with the sibling reuse leg), so it gets every check those legs
-/// get — plus the plan's own guarantee that its capacities are never
-/// exceeded (`blocked_writes == 0`).
+/// One compiled-backend leg: the cooperative leg runner under a `Compiled`
+/// spec, following `plan` or, without one, the plan its launch compiles —
+/// so it gets every check those legs get, plus the plan's own guarantee
+/// that its capacities are never exceeded (`blocked_writes == 0`).
 fn run_compiled(
     case: &GeneratedCase,
     lib: &KernelLibrary,
-    plan: &CompiledPlan,
+    plan: Option<CompiledPlan>,
     cfg: &OracleConfig,
     label: &str,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
-    let spec = coop_spec(cfg, label, Schedule::Fifo);
-    let schedule = Some(plan.schedule());
+    let spec = coop_spec(cfg, label, Schedule::Fifo).backend(Backend::Compiled);
     let (outputs, report) =
-        run_cooperative_report(case, lib, &spec, None, None, None, schedule, failures)?;
+        run_cooperative_report(case, lib, &spec, None, None, None, plan, failures)?;
     for (name, stats) in &report.channels {
         if stats.blocked_writes != 0 {
             failures.push(format!(

@@ -1,17 +1,17 @@
 //! Delegation shim for the frozen benchmark.
 //!
 //! There is no compiled executor: a [`CompiledPlan`] is data that
-//! `cgsim_runtime::RuntimeContext::with_plan` consumes. `perfbench/` is
-//! frozen between benchmark PRs and still names `CompiledContext::{new,
-//! with_plan, feed, feed_param, collect, run}`, so that name survives here
-//! as a wrapper that forwards every call. No crate of the workspace uses
-//! it; the next benchmark PR moves `perfbench/` onto `RuntimeContext` and
-//! deletes this file.
+//! `cgsim_runtime::RuntimeContext::launch` follows for a `Backend::Compiled`
+//! spec. The benchmark runner (`perfbench/`) still names
+//! `CompiledContext::{new, with_plan, feed, feed_param, collect, run}`, so
+//! that name survives here as a wrapper that forwards every call. No crate
+//! of the workspace uses it.
 
-use crate::compiler::{compile_for, CompileError, CompiledPlan};
-use cgsim_core::{FlatGraph, GraphError, StreamData};
-use cgsim_runtime::{KernelLibrary, RunReport, RuntimeConfig, RuntimeContext, SinkHandle};
-use cgsim_trace::Tracer;
+use cgsim_runtime::cgsim_core::{FlatGraph, GraphError, StreamData};
+use cgsim_runtime::{
+    compile_for, Backend, CompileError, CompiledPlan, KernelLibrary, Launch, RunReport, RunSpec,
+    RuntimeConfig, RuntimeContext, SinkHandle,
+};
 
 /// A [`RuntimeContext`] following a [`CompiledPlan`], under the name and
 /// signatures the frozen benchmark uses. `with_plan` was infallible, so an
@@ -29,20 +29,19 @@ impl<'g> CompiledContext<'g> {
         Ok(Self::with_plan(graph, library, plan, config))
     }
 
-    /// `RuntimeContext::with_plan` with `plan`'s schedule and no tracer.
+    /// `RuntimeContext::launch` of a `Compiled` spec under `config`,
+    /// following `plan`, untraced.
     pub fn with_plan(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         plan: CompiledPlan,
         config: RuntimeConfig,
     ) -> Self {
-        CompiledContext(RuntimeContext::with_plan(
-            graph,
-            library,
-            config,
-            Tracer::default(),
-            Some(plan.schedule()),
-        ))
+        let spec = RunSpec::default()
+            .backend(Backend::Compiled)
+            .with_config(config);
+        let launch = Launch::default().with_plan(plan);
+        CompiledContext(RuntimeContext::launch(graph, library, &spec, launch))
     }
 
     fn inner(&mut self) -> Result<&mut RuntimeContext<'g>, GraphError> {

@@ -8,46 +8,11 @@
 //! x86sim substitute).
 
 use aie_sim::{KernelCostProfile, WorkloadSpec};
-use cgsim_compiled::CompiledPlan;
 use cgsim_core::FlatGraph;
-use cgsim_runtime::cgsim_trace::Tracer;
-use cgsim_runtime::{KernelLibrary, RunReport, RunSpec};
+use cgsim_runtime::{KernelLibrary, Launch, RunReport, RunSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Per-launch resources that accompany a [`RunSpec`] without being part of
-/// the (serializable) spec itself: a precompiled static schedule to reuse
-/// and a tracer to record events into.
-///
-/// The serving layer (`cgsim-serve`) is the motivating caller: its
-/// compiled-graph cache hands every request the same [`CompiledPlan`] so
-/// only instantiation happens per request, and its per-request [`Tracer`]
-/// collects the Chrome-trace the client asked for. Harnesses that need
-/// neither just launch through [`EvalApp::run_spec`].
-#[derive(Clone, Default)]
-pub struct Launch {
-    /// Precompiled static schedule for `Backend::Compiled` runs; when set,
-    /// the run follows it instead of recompiling the graph. Ignored by the
-    /// other backends and by fault-carrying specs.
-    pub plan: Option<CompiledPlan>,
-    /// Tracer events are recorded into (disabled by default).
-    pub tracer: Tracer,
-}
-
-impl Launch {
-    /// Attach a precompiled plan.
-    pub fn with_plan(mut self, plan: CompiledPlan) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
-    /// Attach a tracer.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-}
 
 /// Outcome of one functional simulation run.
 #[derive(Clone, Debug)]
@@ -59,8 +24,8 @@ pub struct AppRun {
     /// FNV-1a checksum over the output bytes (for cross-runtime equality
     /// checks without holding the data).
     pub checksum: u64,
-    /// Fraction of time spent in kernels (the §5.2 profiling claim); 0
-    /// under `Backend::Threaded`, whose threads time no polls.
+    /// `report.exec.kernel_fraction()`, copied for the frozen benchmark
+    /// runner, which still reads it here; read the report instead.
     pub kernel_fraction: Option<f64>,
     /// The full runtime report; every backend produces one. `Arc`-wrapped
     /// so cloning an `AppRun` stays cheap.
@@ -169,10 +134,6 @@ mod tests {
         // plan-less reference on all four paper graphs (checksums are
         // order-sensitive, so matching checksums mean matching streams).
         for app in all_apps() {
-            // All four paper graphs are statically schedulable: the
-            // compiled run below must follow a plan, not fall back.
-            cgsim_compiled::compile_for(&app.graph(), RunSpec::for_graph(app.name()).config())
-                .unwrap_or_else(|e| panic!("{} must compile: {e}", app.name()));
             let coop = app
                 .run_spec(&RunSpec::for_graph(app.name()), 2)
                 .unwrap_or_else(|e| panic!("{} cooperative: {e}", app.name()));
@@ -182,6 +143,10 @@ mod tests {
                     2,
                 )
                 .unwrap_or_else(|e| panic!("{} compiled: {e}", app.name()));
+            // All four paper graphs are statically schedulable: the
+            // compiled run followed a plan, one poll per coroutine.
+            let exec = &compiled.report.as_ref().unwrap().exec;
+            assert_eq!(exec.polls, exec.tasks as u64, "{}", app.name());
             assert_eq!(
                 compiled.checksum,
                 coop.checksum,

@@ -10,8 +10,9 @@
 //!   interpolated pixels per block; the kernel processes 8 quads per
 //!   vector iteration.
 
-use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::apps::{checksum_f32, AppRun, EvalApp};
+use crate::support::{self, measure};
+use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::{AccF32, Vector};
 use aie_sim::{KernelCostProfile, PortTraffic, WorkloadSpec};
@@ -199,7 +200,7 @@ impl EvalApp for BilinearApp {
         let graph = self.graph();
         let lib = self.library();
         let (got, run): (Vec<f32>, AppRun) =
-            run_simple_launched(&graph, &lib, spec, input, launch)?;
+            support::run(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
         if got != expect {
             let first = got.iter().zip(&expect).position(|(a, b)| a != b);
             return Err(format!(

@@ -9,8 +9,9 @@
 //! * Algorithm: in-register bitonic network of shuffle/min/max/select
 //!   stages ([`aie_intrinsics::ops::bitonic_sort16`]).
 
-use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::apps::{checksum_f32, AppRun, EvalApp};
+use crate::support::{self, measure};
+use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::ops::bitonic_sort16;
 use aie_intrinsics::Vector;
@@ -139,7 +140,7 @@ impl EvalApp for BitonicApp {
         let expect = reference(&input);
         let graph = self.graph();
         let lib = self.library();
-        let (got, run) = run_simple_launched::<f32, f32>(&graph, &lib, spec, input, launch)?;
+        let (got, run) = support::run::<f32>(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
         if got != expect {
             return Err(format!(
                 "bitonic output mismatch: {} vs {} elements, first diff at {:?}",

@@ -18,8 +18,9 @@
 //!
 //! * Block size (Table 1): **4096 bytes** = 2048 × i16 samples.
 
-use crate::apps::{checksum_i16, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_with_param_launched};
+use crate::apps::{checksum_i16, AppRun, EvalApp};
+use crate::support::{self, measure};
+use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::fixed::{quantize_q15, srs};
 use aie_intrinsics::{AccI48, Vector};
@@ -299,8 +300,10 @@ impl EvalApp for FarrowApp {
         let expect = reference(&input, mu);
         let graph = self.graph();
         let lib = self.library();
-        let (got, run): (Vec<i16>, AppRun) =
-            run_with_param_launched(&graph, &lib, spec, input, mu, launch)?;
+        let (got, run): (Vec<i16>, AppRun) = support::run(&graph, &lib, spec, launch, |ctx| {
+            ctx.feed(0, input)?;
+            ctx.feed_param(1, mu)
+        })?;
         if got != expect {
             let first = got.iter().zip(&expect).position(|(a, b)| a != b);
             return Err(format!(

@@ -11,8 +11,9 @@
 //! * Block size (Table 1): **8192 bytes** = 2048 × f32 per kernel
 //!   iteration (one full window).
 
-use crate::apps::{checksum_f32, AppRun, EvalApp, Launch};
-use crate::support::{measure, run_simple_launched};
+use crate::apps::{checksum_f32, AppRun, EvalApp};
+use crate::support::{self, measure};
+use crate::Launch;
 use aie_intrinsics::counter::{metered, record_n};
 use aie_intrinsics::{AccF32, OpKind};
 use aie_sim::{KernelCostProfile, PortTraffic, WorkloadSpec};
@@ -250,7 +251,7 @@ impl EvalApp for IirApp {
         let graph = self.graph();
         let lib = self.library();
         let (got, run): (Vec<f32>, AppRun) =
-            run_simple_launched(&graph, &lib, spec, input, launch)?;
+            support::run(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
         if got != expect {
             let first = got.iter().zip(&expect).position(|(a, b)| a != b);
             return Err(format!(

@@ -24,5 +24,5 @@ pub mod farrow;
 pub mod iir;
 pub mod support;
 
-pub use apps::{all_apps, AppRun, EvalApp, Launch};
-pub use cgsim_runtime::{Backend, Profiling, RunSpec, Schedule};
+pub use apps::{all_apps, AppRun, EvalApp};
+pub use cgsim_runtime::{Backend, Launch, Profiling, RunSpec, Schedule};

@@ -3,9 +3,10 @@
 //! awaited through a [`JobHandle`]).
 
 use crate::observer::ObserverConfig;
-use cgsim_compiled::CompiledPlan;
 use cgsim_core::{FlatGraph, GraphError};
-use cgsim_runtime::{CancelToken, ExecProbe, KernelLibrary, RunSpec, RuntimeContext};
+use cgsim_runtime::{
+    CancelToken, CompiledPlan, ExecProbe, KernelLibrary, Launch, RunSpec, RuntimeContext,
+};
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -291,12 +292,14 @@ impl JobCtx {
     /// Instantiate a [`RuntimeContext`] for `graph` under this job's spec,
     /// with the job's tracer attached and the job's absolute deadline,
     /// cancellation token and (under an observer) executor probe armed on
-    /// the embedded scheduler. The spec's backend picks the scheduler, so a
-    /// `Backend::Threaded` job runs one OS thread per task, where deadline,
-    /// cancellation and probe do not apply. With `plan` the run follows
-    /// that static schedule — the sweep pattern: [`cgsim_compiled::compile`]
-    /// the graph *once*, then submit many jobs that each pass the shared
-    /// plan here. Feed inputs, bind outputs, then `run()` as usual — and
+    /// the embedded scheduler. This is [`RuntimeContext::launch`], so the
+    /// spec's backend picks the scheduler: a `Backend::Threaded` job runs
+    /// one OS thread per task, where deadline, cancellation and probe do not
+    /// apply, and a `Backend::Compiled` job follows `plan` as
+    /// [`Launch::plan`] — the sweep pattern: [`cgsim_runtime::compile`] the
+    /// graph *once*, then submit many jobs that each pass the shared plan
+    /// here — or, without one, a plan compiled at launch. Other backends
+    /// ignore `plan`. Feed inputs, bind outputs, then `run()` as usual — and
     /// pass `report.trace` to [`JobCtx::keep_trace`] if the pool report
     /// should include the run's trace.
     pub fn instantiate<'g>(
@@ -305,13 +308,11 @@ impl JobCtx {
         library: &'g KernelLibrary,
         plan: Option<&CompiledPlan>,
     ) -> Result<RuntimeContext<'g>, GraphError> {
-        let mut ctx = RuntimeContext::from_spec_with_tracer(
-            graph,
-            library,
-            &self.spec,
-            self.tracer.clone(),
-            plan.map(CompiledPlan::schedule),
-        )?;
+        let launch = Launch {
+            plan: plan.cloned(),
+            tracer: self.tracer.clone(),
+        };
+        let mut ctx = RuntimeContext::launch(graph, library, &self.spec, launch)?;
         if let Some(at) = self.deadline {
             ctx.set_deadline(at);
         }

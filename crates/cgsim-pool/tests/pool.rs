@@ -133,15 +133,15 @@ fn per_job_results_are_identical_across_worker_counts() {
 #[test]
 fn compiled_plan_is_reused_across_a_parameter_sweep() {
     // Compile the static schedule once, then let every sweep job follow
-    // the shared plan — the cgsim-compiled reuse path. Each job's checksum
+    // the shared plan — the plan-reuse path. Each job's checksum
     // must match the plan-less reference job.
-    let plan = cgsim_compiled::compile(&pipeline_graph(), &cgsim_compiled::LintConfig::default())
+    let plan = cgsim_runtime::compile(&pipeline_graph(), &Default::default())
         .expect("pool pipeline is statically schedulable");
     let sweep: Vec<Job> = (0..6u64)
         .map(|ordinal| {
             let plan = plan.clone();
             Job::new(
-                RunSpec::for_graph(format!("compiled-pipe#{ordinal}")),
+                RunSpec::for_graph(format!("compiled-pipe#{ordinal}")).backend(Backend::Compiled),
                 move |ctx| {
                     let graph = pipeline_graph();
                     let lib = library();
@@ -180,6 +180,32 @@ fn compiled_plan_is_reused_across_a_parameter_sweep() {
 }
 
 #[test]
+fn compiled_job_without_a_plan_compiles_one() {
+    // No plan handed over: the launch compiles one for the `Compiled`
+    // spec, so the job drains in one poll per coroutine all the same.
+    let spec = RunSpec::for_graph("compiled-unplanned").backend(Backend::Compiled);
+    let job = Job::new(spec, |ctx| {
+        let graph = pipeline_graph();
+        let lib = library();
+        let mut rc = ctx
+            .instantiate(&graph, &lib, None)
+            .map_err(|e| e.to_string())?;
+        rc.feed(0, vec![1.0f32; 256]).map_err(|e| e.to_string())?;
+        let sink = rc.collect::<f32>(0).map_err(|e| e.to_string())?;
+        let report = rc.run().map_err(|e| e.to_string())?;
+        if report.exec.polls != report.exec.tasks as u64 {
+            return Err(format!("{} polls: no plan was followed", report.exec.polls));
+        }
+        Ok(JobOutput::new(0).elements(sink.take().len() as u64))
+    });
+    let (outcomes, _) = Pool::run_batch(PoolConfig::default().with_workers(1), vec![job]);
+    match &outcomes[0] {
+        JobOutcome::Completed(r) => assert_eq!(r.output.elements, 256),
+        other => panic!("unplanned compiled job did not complete: {other:?}"),
+    }
+}
+
+#[test]
 fn compiled_job_is_sampled_by_the_observer() {
     // A planned run goes through the same executor as any other, so the
     // job's probe carries its progress to the pool observer. The job holds
@@ -190,7 +216,7 @@ fn compiled_job_is_sampled_by_the_observer() {
             .with_workers(1)
             .with_observer(ObserverConfig::default().with_interval(Duration::from_millis(1))),
     );
-    let plan = cgsim_compiled::compile(&pipeline_graph(), &cgsim_compiled::LintConfig::default())
+    let plan = cgsim_runtime::compile(&pipeline_graph(), &Default::default())
         .expect("pool pipeline is statically schedulable");
     let seen = Arc::new(AtomicBool::new(false));
     let release = Arc::clone(&seen);

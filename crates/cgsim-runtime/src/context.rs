@@ -11,13 +11,16 @@
 //! x86sim comparison point, §5.2).
 
 use crate::channel::{Channel, ChannelAdmin, ChannelMode, ChannelStats};
+use crate::compile::compile_linted;
+#[cfg(doc)]
+use crate::compile::{compile_for, CompiledPlan};
 use crate::executor::{
     block_on, is_permutation, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor,
     FaultPlan, Interrupt, LocalBoxFuture, Profiling, Schedule, SchedulePolicy, TaskProfile,
 };
 use crate::library::{AnyChannel, KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
-use crate::spec::{Backend, RunSpec};
+use crate::spec::{Backend, Launch, RunSpec};
 use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
 use cgsim_trace::{TraceSnapshot, Tracer};
@@ -29,12 +32,11 @@ use std::time::{Duration, Instant};
 // `cgsim_runtime::VerifyPolicy` paths keep working.
 pub use cgsim_lint::VerifyPolicy;
 
-/// Tunables for a simulation run.
+/// Tunables for a simulation run: plain data inside a [`RunSpec`].
 ///
-/// Marked `#[non_exhaustive]`: construct it with [`RuntimeConfig::default`]
-/// (or the higher-level [`RunSpec`] builder) and
-/// adjust fields through the `with_*` setters, so new tunables stop being
-/// breaking changes for downstream crates.
+/// Marked `#[non_exhaustive]`: set the fields through the [`RunSpec`]
+/// builder (or start from [`RuntimeConfig::default`] and assign them), so
+/// new tunables stop being breaking changes for downstream crates.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct RuntimeConfig {
@@ -132,48 +134,6 @@ impl RuntimeConfig {
             default_depth: self.default_depth as u32,
             ..cgsim_lint::LintConfig::default()
         }
-    }
-
-    /// The default configuration running under `schedule`.
-    pub fn scheduled(schedule: Schedule) -> Self {
-        RuntimeConfig::default().with_schedule(schedule)
-    }
-
-    /// Set the default channel capacity (elements) for connectors without an
-    /// explicit `depth`.
-    pub fn with_default_depth(mut self, depth: usize) -> Self {
-        self.default_depth = depth;
-        self
-    }
-
-    /// Bound total scheduler polls (safety valve against busy-yield loops).
-    pub fn with_max_polls(mut self, budget: u64) -> Self {
-        self.max_polls = Some(budget);
-        self
-    }
-
-    /// Set the ready-list schedule policy.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Enable seeded fault injection.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Set the ahead-of-run lint-gate policy.
-    pub fn with_verify(mut self, policy: VerifyPolicy) -> Self {
-        self.verify = policy;
-        self
-    }
-
-    /// Set the per-poll timing mode.
-    pub fn with_profiling(mut self, profiling: Profiling) -> Self {
-        self.profiling = profiling;
-        self
     }
 }
 
@@ -285,9 +245,10 @@ impl RunReport {
 ///
 /// Its scheduler is the embedded cooperative executor, which either
 /// discovers the order at run time (the ready queue under
-/// `RuntimeConfig::schedule`) or follows a compiled [`StaticSchedule`]
-/// handed to [`RuntimeContext::with_plan`]; or, for a [`RunSpec`] targeting
-/// [`Backend::Threaded`], one OS thread per task. Validation, the lint
+/// `RuntimeConfig::schedule`) or, for a [`RunSpec`] targeting
+/// [`Backend::Compiled`], follows a [`CompiledPlan`] (see
+/// [`RuntimeContext::launch`]); or, for [`Backend::Threaded`], one OS
+/// thread per task. Validation, the lint
 /// gate, channel construction, I/O binding, channel instrumentation and
 /// [`RunReport`] assembly are the same code for all of them; deadline,
 /// cancel, poll budget, profiling, probe and bounds checks belong to the
@@ -352,47 +313,23 @@ fn plan_order(graph: &FlatGraph, plan: &StaticSchedule) -> Result<Vec<usize>, Gr
 }
 
 impl<'g> RuntimeContext<'g> {
-    /// Reconstruct a runnable copy of `graph` (§3.6): materialise one
-    /// channel per connector and one coroutine per kernel.
+    /// Reconstruct a runnable copy of `graph` (§3.6) under `config`:
+    /// [`RuntimeContext::launch`] of a cooperative spec, untraced.
     pub fn new(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         config: RuntimeConfig,
     ) -> Result<Self, GraphError> {
-        Self::with_tracer(graph, library, config, Tracer::default())
+        Self::from_spec(graph, library, &RunSpec::default().with_config(config))
     }
 
-    /// Instantiate from a [`RunSpec`] — the unified launch API. Applies the
-    /// spec's runtime configuration and, when the spec carries a deadline
-    /// budget, arms it from this instant.
-    ///
-    /// The spec's backend picks the scheduler: [`Backend::Threaded`] runs
-    /// every task on its own OS thread, the other two run the executor
-    /// (which follows a plan only when
-    /// [`RuntimeContext::from_spec_with_tracer`] is handed one).
+    /// [`RuntimeContext::launch`] with no tracer and no cached plan.
     pub fn from_spec(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
         spec: &RunSpec,
     ) -> Result<Self, GraphError> {
-        Self::from_spec_with_tracer(graph, library, spec, Tracer::default(), None)
-    }
-
-    /// [`RuntimeContext::from_spec`] with an attached tracer and, optionally,
-    /// a static schedule to follow (see [`RuntimeContext::with_plan`]).
-    pub fn from_spec_with_tracer(
-        graph: &'g FlatGraph,
-        library: &'g KernelLibrary,
-        spec: &RunSpec,
-        tracer: Tracer,
-        plan: Option<&StaticSchedule>,
-    ) -> Result<Self, GraphError> {
-        let threads = spec.target() == Backend::Threaded;
-        let mut ctx = Self::build(graph, library, *spec.config(), tracer, plan, threads)?;
-        if let Some(budget) = spec.deadline_budget() {
-            ctx.set_deadline(Instant::now() + budget);
-        }
-        Ok(ctx)
+        Self::launch(graph, library, spec, Launch::default())
     }
 
     /// Arm a wall-clock deadline on the embedded scheduler; past it the run
@@ -438,64 +375,60 @@ impl<'g> RuntimeContext<'g> {
         self.bounds = Some(bounds);
     }
 
-    /// Like [`RuntimeContext::new`], but wires every channel and the
-    /// scheduler to `tracer`, so the run produces a [`TraceSnapshot`]
-    /// (events, per-channel metrics, per-kernel poll profile) in the
-    /// returned [`RunReport`].
-    pub fn with_tracer(
-        graph: &'g FlatGraph,
-        library: &'g KernelLibrary,
-        config: RuntimeConfig,
-        tracer: Tracer,
-    ) -> Result<Self, GraphError> {
-        Self::with_plan(graph, library, config, tracer, None)
-    }
-
-    /// [`RuntimeContext::with_tracer`], optionally following a compiled
-    /// static schedule (`cgsim_compiled::CompiledPlan::schedule`). A plan is
+    /// Reconstruct a runnable copy of `graph` (§3.6) — materialise one
+    /// channel per connector and one coroutine per kernel — as `spec` says:
+    /// its runtime configuration applies, its deadline budget is armed from
+    /// this instant, and its backend picks the scheduler. Every channel and
+    /// the scheduler report to `launch.tracer`, so the run's [`RunReport`]
+    /// carries a [`TraceSnapshot`] when that tracer is live.
+    ///
+    /// [`Backend::Threaded`] runs every task on its own OS thread.
+    /// [`Backend::Compiled`] follows `launch.plan`, or a plan compiled here
+    /// with [`compile_for`]; a spec with a fault plan, or a graph outside
+    /// the statically schedulable class, runs plan-less — exactly as
+    /// [`Backend::Cooperative`], which ignores `launch.plan`. A plan is
     /// order and capacities for the one executor, and changes three things:
     ///
-    /// * **First-poll order**: sources, then kernels in `plan.order`, then
-    ///   sinks, on the FIFO ready queue — `config.schedule` is not consulted.
+    /// * **First-poll order**: sources, then kernels in the plan's order,
+    ///   then sinks, on the FIFO ready queue — `config.schedule` is not
+    ///   consulted.
     /// * **Capacities**: [`RuntimeContext::run`] raises every channel to the
     ///   exact token traffic of the recorded feed lengths
     ///   (`cgsim_lint::workload_tokens`), so no write ever blocks and a
     ///   merge-free graph drains in one poll per coroutine.
-    /// * **No second lint**: a plan is the lint verdict (`compile` ran the
-    ///   passes), so `config.verify` is not consulted either.
+    /// * **No lint gate**: a plan is the lint verdict (compiling it ran the
+    ///   passes), so `config.verify` is not consulted either. When the
+    ///   compile here is rejected, the gate reuses its lint report: the
+    ///   passes run at most once per launch.
     ///
     /// A plan whose order is not a permutation of `graph`'s kernels is
     /// rejected with [`GraphError::IdOutOfRange`].
-    pub fn with_plan(
+    pub fn launch(
         graph: &'g FlatGraph,
         library: &'g KernelLibrary,
-        config: RuntimeConfig,
-        tracer: Tracer,
-        plan: Option<&StaticSchedule>,
-    ) -> Result<Self, GraphError> {
-        Self::build(graph, library, config, tracer, plan, false)
-    }
-
-    /// [`RuntimeContext::with_plan`] under the executor, or with `threads`
-    /// one OS thread per task. A plan under threads sizes the channels and
-    /// replaces the lint gate as under the executor; its order has nothing
-    /// to apply to.
-    fn build(
-        graph: &'g FlatGraph,
-        library: &'g KernelLibrary,
-        config: RuntimeConfig,
-        tracer: Tracer,
-        plan: Option<&StaticSchedule>,
-        threads: bool,
+        spec: &RunSpec,
+        launch: Launch,
     ) -> Result<Self, GraphError> {
         graph.validate()?;
-        let plan_order = plan.map(|p| plan_order(graph, p)).transpose()?;
+        let config = *spec.config();
+        let threads = spec.target() == Backend::Threaded;
+        let mut lint = None;
+        let plan = match spec.target() {
+            Backend::Compiled if config.faults.is_none() => launch.plan.or_else(|| {
+                let cfg = config.lint_config();
+                let report = lint.insert(cgsim_lint::lint_graph(graph, &cfg));
+                compile_linted(graph, &cfg, report).ok()
+            }),
+            _ => None,
+        };
+        let plan_order = plan.map(|p| plan_order(graph, p.schedule())).transpose()?;
 
         // Ahead-of-run verification (§ static analysis): refuse graphs the
         // lint passes can prove broken — deadlock, rate imbalance, realm
         // budget overflow — before materialising a single channel.
-        if plan.is_none() && config.verify != VerifyPolicy::Off {
-            let report = cgsim_lint::lint_graph(graph, &config.lint_config());
+        if plan_order.is_none() && config.verify != VerifyPolicy::Off {
+            let report =
+                lint.unwrap_or_else(|| cgsim_lint::lint_graph(graph, &config.lint_config()));
             if report.has_errors() {
                 match config.verify {
                     VerifyPolicy::Deny => {
@@ -535,7 +468,7 @@ impl<'g> RuntimeContext<'g> {
             });
         }
 
-        let schedule = if plan.is_some() {
+        let schedule = if plan_order.is_some() {
             Schedule::Fifo
         } else {
             config.schedule
@@ -543,7 +476,7 @@ impl<'g> RuntimeContext<'g> {
         let mut executor = Executor::new()
             .with_schedule(schedule)
             .with_profiling(config.profiling)
-            .with_tracer(tracer.clone());
+            .with_tracer(launch.tracer.clone());
         if let Some(budget) = config.max_polls {
             executor = executor.with_poll_budget(budget);
         }
@@ -561,7 +494,7 @@ impl<'g> RuntimeContext<'g> {
             config,
             plan_order,
             feed_lens: vec![0; graph.inputs.len()],
-            tracer,
+            tracer: launch.tracer,
             probe: None,
             io_tasks: Vec::new(),
             bounds: None,
@@ -579,6 +512,9 @@ impl<'g> RuntimeContext<'g> {
             ctx.add_task(k.instance.clone(), move || {
                 entry.spawn(&mut PortBinder::new(&k.instance, &kernel_channels))
             })?;
+        }
+        if let Some(budget) = spec.deadline_budget() {
+            ctx.set_deadline(Instant::now() + budget);
         }
         Ok(ctx)
     }
@@ -1126,10 +1062,10 @@ mod tests {
     fn seeded_schedules_agree_with_fifo() {
         // The same graph+input must produce identical outputs under every
         // schedule permutation — the conformance harness's core property.
-        let run = |config: RuntimeConfig| {
+        let run = |spec: RunSpec| {
             let graph = adder_graph();
             let lib = library();
-            let mut ctx = RuntimeContext::new(&graph, &lib, config).unwrap();
+            let mut ctx = RuntimeContext::from_spec(&graph, &lib, &spec).unwrap();
             ctx.feed(0, (0..50).map(|i| i as f32).collect::<Vec<_>>())
                 .unwrap();
             ctx.feed(1, (0..50).map(|i| (i * 10) as f32).collect::<Vec<_>>())
@@ -1139,18 +1075,17 @@ mod tests {
             assert!(report.drained());
             out.take()
         };
-        let reference = run(RuntimeConfig::default());
+        let reference = run(RunSpec::default());
         for seed in 0..4 {
             assert_eq!(
-                run(RuntimeConfig::scheduled(crate::executor::Schedule::Seeded(
-                    seed
-                ))),
+                run(RunSpec::default().schedule(Schedule::Seeded(seed))),
                 reference,
                 "seed {seed} diverged"
             );
         }
-        let mut faulty = RuntimeConfig::scheduled(crate::executor::Schedule::Seeded(1));
-        faulty.faults = Some(crate::executor::FaultPlan::new(9, 40));
+        let faulty = RunSpec::default()
+            .schedule(Schedule::Seeded(1))
+            .faults(FaultPlan::new(9, 40));
         assert_eq!(run(faulty), reference, "fault injection changed outputs");
     }
 

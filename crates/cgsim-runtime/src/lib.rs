@@ -6,9 +6,12 @@
 //! broadcast queues. A [`RuntimeContext`] re-instantiates a flattened graph
 //! ([`cgsim_core::FlatGraph`]) on the runtime heap, attaches user-supplied
 //! data sources and sinks to the graph's global I/O, and runs the embedded
-//! scheduler to quiescence. A [`RunSpec`] targeting [`Backend::Threaded`]
-//! swaps that scheduler for one OS thread per coroutine — the paper's
-//! x86sim comparison point — and changes nothing else.
+//! scheduler to quiescence. A [`RunSpec`] says everything about a run and
+//! [`RuntimeContext::launch`] does what it says: [`Backend::Compiled`]
+//! follows a [`CompiledPlan`] from the schedule compiler ([`compile`]), and
+//! [`Backend::Threaded`] swaps the scheduler for one OS thread per
+//! coroutine — the paper's x86sim comparison point — and changes nothing
+//! else.
 //!
 //! ```
 //! use cgsim_runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
@@ -47,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+mod compile;
 pub mod context;
 pub mod executor;
 pub mod library;
@@ -62,6 +66,7 @@ pub use cgsim_core;
 
 pub use cgsim_trace;
 pub use channel::{Channel, ChannelAdmin, ChannelMode, ChannelStats, Consumer, Producer};
+pub use compile::{compile, compile_for, CompileError, CompiledPlan, RejectReason};
 pub use context::{RunReport, RuntimeConfig, RuntimeContext, SinkHandle, VerifyPolicy};
 pub use executor::{
     block_on, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan,
@@ -71,4 +76,4 @@ pub use executor::{
 pub use library::{AnyChannel, KernelEntry, KernelImpl, KernelLibrary, PortBinder};
 pub use port::{KernelReadPort, KernelWritePort};
 pub use probe::{ChannelOccupancy, DebugSnapshot, ExecProbe, Introspector, WaitKind, WaitsForEdge};
-pub use spec::{Backend, RunSpec};
+pub use spec::{Backend, Launch, RunSpec};

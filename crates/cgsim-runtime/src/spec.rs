@@ -1,12 +1,10 @@
-//! `RunSpec` — the unified launch API.
+//! `RunSpec` — the one configuration of a run.
 //!
-//! Before this module existed every entry point grew its own launch matrix:
-//! `cgsim-graphs` dispatched on an ad-hoc `Runtime` enum, the conformance
-//! oracle assembled `RuntimeConfig` literals per leg, the bench harness
-//! hard-coded channel/profiling pairs, and `aie-sim` split deployment into
-//! checked/unchecked functions. [`RunSpec`] subsumes all of them: one
-//! chainable builder naming the run, choosing the backend, and carrying the
-//! full [`RuntimeConfig`] plus an optional wall-clock deadline budget.
+//! A [`RunSpec`] says everything about a run: one chainable builder naming
+//! it, choosing the backend, and carrying the full [`RuntimeConfig`] (plain
+//! data, set only through this builder) plus an optional wall-clock
+//! deadline budget and cost estimate. What cannot cross the wire — a tracer
+//! and a cached [`CompiledPlan`] — travels beside it as a [`Launch`].
 //!
 //! ```
 //! use cgsim_runtime::{Profiling, RunSpec, Schedule, VerifyPolicy};
@@ -21,14 +19,16 @@
 //! assert_eq!(spec.config().schedule, Schedule::Seeded(42));
 //! ```
 //!
-//! [`RuntimeContext::from_spec`](crate::RuntimeContext::from_spec) launches
-//! a run of any backend directly from a spec; `cgsim-graphs::support` adds
-//! the compiled plan for [`Backend::Compiled`]; `cgsim-pool` executes whole
-//! batches of specs on a worker pool.
+//! [`RuntimeContext::launch`](crate::RuntimeContext::launch) turns a spec
+//! and a [`Launch`] into a running instance of any backend, and is the one
+//! place that decides what [`Backend::Compiled`] runs; `cgsim-graphs` and
+//! `cgsim-pool` (whole batches of specs on a worker pool) launch through it.
 
+use crate::compile::CompiledPlan;
 use crate::context::{RuntimeConfig, VerifyPolicy};
 use crate::executor::{FaultPlan, Profiling, Schedule};
 use cgsim_core::CostEstimate;
+use cgsim_trace::Tracer;
 use std::time::Duration;
 
 /// Which execution engine a [`RunSpec`] targets.
@@ -50,14 +50,15 @@ pub enum Backend {
     /// executor's and do not. See [`RunReport`](crate::RunReport) for what a
     /// threaded report carries.
     Threaded,
-    /// The cooperative simulator following a compiled static schedule
-    /// (`cgsim-compiled`): coroutines get their first poll in a precompiled
-    /// topological order and channels are sized ahead of the run from the
-    /// SDF analysis, so the ready queue is never needed (see
-    /// [`RuntimeContext::with_plan`](crate::RuntimeContext::with_plan)).
-    /// Only statically schedulable graphs (merge-free, rate-balanced,
-    /// acyclic) under fault-free specs have a plan; dispatchers run the
-    /// rest as [`Backend::Cooperative`]. The schedule policy of the runtime
+    /// The cooperative simulator following a [`CompiledPlan`]: coroutines
+    /// get their first poll in a precompiled topological order and channels
+    /// are sized ahead of the run from the SDF analysis, so the ready queue
+    /// is never needed. The plan is [`Launch::plan`] when one is given, else
+    /// compiled at launch (see
+    /// [`RuntimeContext::launch`](crate::RuntimeContext::launch)). Only
+    /// statically schedulable graphs (merge-free, rate-balanced, acyclic)
+    /// under fault-free specs have a plan; the rest run as
+    /// [`Backend::Cooperative`]. The schedule policy of the runtime
     /// configuration does not apply; everything else does.
     Compiled,
 }
@@ -105,25 +106,25 @@ impl RunSpec {
 
     /// Set the scheduler's ready-list policy.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.config = self.config.with_schedule(schedule);
+        self.config.schedule = schedule;
         self
     }
 
     /// Set the per-poll timing mode.
     pub fn profiling(mut self, profiling: Profiling) -> Self {
-        self.config = self.config.with_profiling(profiling);
+        self.config.profiling = profiling;
         self
     }
 
     /// Set the ahead-of-run lint-gate policy.
     pub fn verify(mut self, policy: VerifyPolicy) -> Self {
-        self.config = self.config.with_verify(policy);
+        self.config.verify = policy;
         self
     }
 
     /// Enable seeded fault injection.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.config = self.config.with_faults(plan);
+        self.config.faults = Some(plan);
         self
     }
 
@@ -137,19 +138,20 @@ impl RunSpec {
 
     /// Bound total scheduler polls (safety valve against busy-yield loops).
     pub fn max_polls(mut self, budget: u64) -> Self {
-        self.config = self.config.with_max_polls(budget);
+        self.config.max_polls = Some(budget);
         self
     }
 
     /// Set the default channel capacity for connectors without an explicit
     /// `depth`.
     pub fn default_depth(mut self, depth: usize) -> Self {
-        self.config = self.config.with_default_depth(depth);
+        self.config.default_depth = depth;
         self
     }
 
     /// Replace the embedded runtime configuration wholesale — the bridge
-    /// for callers that already hold a [`RuntimeConfig`].
+    /// [`RuntimeContext::new`](crate::RuntimeContext::new) takes from a
+    /// bare [`RuntimeConfig`].
     pub fn with_config(mut self, config: RuntimeConfig) -> Self {
         self.config = config;
         self
@@ -188,6 +190,38 @@ impl RunSpec {
     /// The wall-clock budget, if one was set with [`RunSpec::deadline`].
     pub fn deadline_budget(&self) -> Option<Duration> {
         self.deadline
+    }
+}
+
+/// Per-launch resources that accompany a [`RunSpec`] without being part of
+/// the (serializable) spec itself: a precompiled plan to reuse and a tracer
+/// to record events into.
+///
+/// The serving layer (`cgsim-serve`) is the motivating caller: its
+/// compiled-graph cache hands every request the same [`CompiledPlan`] so
+/// only instantiation happens per request, and its per-request [`Tracer`]
+/// collects the Chrome-trace the client asked for.
+#[derive(Clone, Default)]
+pub struct Launch {
+    /// Precompiled plan for [`Backend::Compiled`] runs; when set, the run
+    /// follows it instead of compiling the graph. Ignored by the other
+    /// backends and by fault-carrying specs.
+    pub plan: Option<CompiledPlan>,
+    /// Tracer events are recorded into (disabled by default).
+    pub tracer: Tracer,
+}
+
+impl Launch {
+    /// Attach a precompiled plan.
+    pub fn with_plan(mut self, plan: CompiledPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Attach a tracer.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 }
 
@@ -284,9 +318,11 @@ mod tests {
 
     #[test]
     fn with_config_replaces_wholesale() {
-        let cfg = RuntimeConfig::default()
-            .with_max_polls(99)
-            .with_schedule(Schedule::Seeded(3));
+        let cfg = RuntimeConfig {
+            max_polls: Some(99),
+            schedule: Schedule::Seeded(3),
+            ..RuntimeConfig::default()
+        };
         let spec = RunSpec::for_graph("x").with_config(cfg);
         assert_eq!(spec.config().max_polls, Some(99));
         assert_eq!(spec.config().schedule, Schedule::Seeded(3));

@@ -9,9 +9,9 @@
 //! serve metrics registry.
 
 use aie_sim::DeployManifest;
-use cgsim_compiled::CompiledPlan;
 use cgsim_core::FlatGraph;
 use cgsim_lint::LintReport;
+use cgsim_runtime::CompiledPlan;
 use cgsim_trace::{Counter, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};

@@ -498,7 +498,7 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
             let graph = app.graph();
             let lint_config = LintConfig::default();
             let lint = lint_graph(&graph, &lint_config);
-            let plan = cgsim_compiled::compile(&graph, &lint_config).ok();
+            let plan = cgsim_runtime::compile(&graph, &lint_config).ok();
             Ok(CacheEntry {
                 digest,
                 label: name.clone(),
@@ -726,7 +726,6 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                 report.engine = engine_of(spec.target()).into();
                 report.summary.checksum = Some(run.checksum);
                 report.summary.elements = run.out_elems as u64;
-                report.summary.kernel_fraction = run.kernel_fraction;
                 if report.summary.wall_ns == 0 {
                     report.summary.wall_ns = run.wall_time.as_nanos() as u64;
                 }

@@ -234,28 +234,33 @@ mod tracer_impl {
 
     /// Compile-time no-op stand-in for the real tracer: every method is an
     /// empty inline body, so instrumentation vanishes from optimized code.
-    #[derive(Clone, Copy, Default)]
-    pub struct Tracer;
+    /// The private field and the missing `Copy` keep its API the real
+    /// tracer's: callers write `Tracer::default()` and `.clone()` the same
+    /// way under both builds.
+    #[derive(Clone, Default)]
+    pub struct Tracer {
+        _private: (),
+    }
 
     impl Tracer {
         #[inline(always)]
         pub fn disabled() -> Self {
-            Tracer
+            Tracer::default()
         }
 
         #[inline(always)]
         pub fn ring(_capacity: usize) -> Self {
-            Tracer
+            Tracer::default()
         }
 
         #[inline(always)]
         pub fn enabled() -> Self {
-            Tracer
+            Tracer::default()
         }
 
         #[inline(always)]
         pub fn with_sink(_sink: Arc<dyn TraceSink>) -> Self {
-            Tracer
+            Tracer::default()
         }
 
         #[inline(always)]

@@ -9,7 +9,9 @@
 //! `chrome://tracing` or `ui.perfetto.dev`): one track per kernel, channel
 //! occupancy counters, blocked intervals.
 
-use cgsim::runtime::{compute_graph, compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{
+    compute_graph, compute_kernel, KernelLibrary, Launch, RunSpec, RuntimeContext,
+};
 use cgsim::trace::Tracer;
 
 compute_kernel! {
@@ -96,7 +98,8 @@ fn main() {
     } else {
         Tracer::disabled()
     };
-    let mut ctx = RuntimeContext::with_tracer(&graph, &library, RuntimeConfig::default(), tracer)
+    let launch = Launch::default().with_tracer(tracer);
+    let mut ctx = RuntimeContext::launch(&graph, &library, &RunSpec::default(), launch)
         .expect("instantiate graph");
     ctx.feed(0, vec![1.0f32, 2.0, 3.0, 4.0]).unwrap();
     ctx.feed(1, vec![10.0f32, 20.0, 30.0, 40.0]).unwrap();

@@ -4,9 +4,9 @@
 //! crates carry the detailed documentation:
 //!
 //! * [`core`] — graph IR, builder DSL, flattening, partitioning
-//! * [`runtime`] — the simulator (`compute_kernel!`): cooperative or
-//!   thread-per-kernel scheduling of one runtime context
-//! * [`compiled`] — static-schedule compiler (plans the runtime follows)
+//! * [`runtime`] — the simulator (`compute_kernel!`): cooperative,
+//!   compiled-plan or thread-per-kernel scheduling of one runtime context,
+//!   and the static-schedule compiler whose plans it follows
 //! * [`intrinsics`] — AIE vector API emulation
 //! * [`sim`] — cycle-approximate AIE array simulator
 //! * [`extract`] — source-to-source graph extractor
@@ -22,7 +22,6 @@ pub mod paper_tables;
 
 pub use aie_intrinsics as intrinsics;
 pub use aie_sim as sim;
-pub use cgsim_compiled as compiled;
 pub use cgsim_core as core;
 pub use cgsim_extract as extract;
 pub use cgsim_graphs as graphs;

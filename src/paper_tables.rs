@@ -182,7 +182,7 @@ pub mod table2 {
             cgsim: coop.wall_time,
             x86sim: threaded.wall_time,
             aiesim,
-            kernel_fraction: coop.kernel_fraction.unwrap_or(0.0),
+            kernel_fraction: coop.report.map_or(0.0, |r| r.exec.kernel_fraction()),
         }
     }
 

@@ -131,7 +131,7 @@ fn cached_plan_launch_matches_fresh_compile() {
     for app in all_apps() {
         let spec = RunSpec::for_graph(app.name()).backend(Backend::Compiled);
         let graph = app.graph();
-        let plan = cgsim::compiled::compile(&graph, &cgsim::lint::LintConfig::default())
+        let plan = cgsim::runtime::compile(&graph, &cgsim::lint::LintConfig::default())
             .unwrap_or_else(|e| panic!("{} must compile: {e}", app.name()));
         let cached = app
             .run_launched(&spec, 2, Launch::default().with_plan(plan))

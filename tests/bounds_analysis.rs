@@ -5,7 +5,7 @@
 
 use cgsim::graphs::all_apps;
 use cgsim::lint::{lint_graph, occupancy_bounds, LintConfig};
-use cgsim::{RuntimeConfig, RuntimeContext};
+use cgsim::runtime::{RunSpec, RuntimeConfig, RuntimeContext, Schedule};
 use cgsim_check::gen::{self, GenConfig, GeneratedCase};
 use proptest::prelude::*;
 
@@ -95,9 +95,9 @@ fn has_merge(case: &GeneratedCase) -> bool {
 /// Run one generated case on the cooperative runtime and return the
 /// finished run report (outputs are discarded; the channels' high-water
 /// marks are the subject here).
-fn run_case(case: &GeneratedCase, config: RuntimeConfig) -> cgsim::runtime::RunReport {
+fn run_case(case: &GeneratedCase, spec: &RunSpec) -> cgsim::runtime::RunReport {
     let lib = cgsim_check::kernels::library();
-    let mut ctx = RuntimeContext::new(&case.graph, &lib, config).unwrap();
+    let mut ctx = RuntimeContext::from_spec(&case.graph, &lib, spec).unwrap();
     for (i, feed) in case.feeds.iter().enumerate() {
         ctx.feed(i, feed.clone()).unwrap();
     }
@@ -131,12 +131,12 @@ proptest! {
         let by_name: std::collections::HashMap<String, u64> = (0..case.graph.connectors.len())
             .map(|ci| (case.graph.connector_name(ci), bounds[ci]))
             .collect();
-        let configs = [
-            RuntimeConfig::default(),
-            RuntimeConfig::default().with_schedule(cgsim::runtime::Schedule::Seeded(seed)),
+        let specs = [
+            RunSpec::default(),
+            RunSpec::default().schedule(Schedule::Seeded(seed)),
         ];
-        for config in configs {
-            let report = run_case(&case, config);
+        for spec in &specs {
+            let report = run_case(&case, spec);
             for (name, stats) in &report.channels {
                 let bound = by_name[name];
                 prop_assert!(

@@ -5,10 +5,8 @@
 
 #![allow(dead_code)]
 
-use cgsim::compiled::{compile_for, CompiledPlan};
 use cgsim::core::{FlatGraph, StreamData};
-use cgsim::runtime::{Backend, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext, Schedule};
-use cgsim::trace::Tracer;
+use cgsim::runtime::{compile_for, Backend, KernelLibrary, RunSpec, RuntimeContext, Schedule};
 
 /// Run `graph` on the cooperative runtime under the default FIFO schedule:
 /// feed `inputs` positionally, require the run to drain, return output 0.
@@ -28,19 +26,21 @@ pub fn run_coop_scheduled<TIn: StreamData, TOut: StreamData>(
     inputs: Vec<Vec<TIn>>,
     schedule: Schedule,
 ) -> Vec<TOut> {
-    run_executor(graph, lib, inputs, RuntimeConfig::scheduled(schedule), None)
+    run_spec(
+        graph,
+        lib,
+        inputs,
+        &RunSpec::for_graph(&graph.name).schedule(schedule),
+    )
 }
 
-fn run_executor<TIn: StreamData, TOut: StreamData>(
+fn run_spec<TIn: StreamData, TOut: StreamData>(
     graph: &FlatGraph,
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
-    config: RuntimeConfig,
-    plan: Option<&CompiledPlan>,
+    spec: &RunSpec,
 ) -> Vec<TOut> {
-    let schedule = plan.map(CompiledPlan::schedule);
-    let mut ctx =
-        RuntimeContext::with_plan(graph, lib, config, Tracer::default(), schedule).unwrap();
+    let mut ctx = RuntimeContext::from_spec(graph, lib, spec).unwrap();
     for (i, input) in inputs.into_iter().enumerate() {
         ctx.feed(i, input).unwrap();
     }
@@ -58,23 +58,17 @@ pub fn run_threaded<TIn: StreamData, TOut: StreamData>(
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
     let spec = RunSpec::for_graph(&graph.name).backend(Backend::Threaded);
-    let mut ctx = RuntimeContext::from_spec(graph, lib, &spec).unwrap();
-    for (i, input) in inputs.into_iter().enumerate() {
-        ctx.feed(i, input).unwrap();
-    }
-    let out = ctx.collect::<TOut>(0).unwrap();
-    ctx.run().unwrap();
-    out.take()
+    run_spec(graph, lib, inputs, &spec)
 }
 
-/// Run `graph` following its compiled static schedule; same contract as
-/// [`run_coop`].
+/// Run `graph` following its compiled static schedule (asserted to
+/// exist); same contract as [`run_coop`].
 pub fn run_compiled<TIn: StreamData, TOut: StreamData>(
     graph: &FlatGraph,
     lib: &KernelLibrary,
     inputs: Vec<Vec<TIn>>,
 ) -> Vec<TOut> {
-    let config = RuntimeConfig::default();
-    let plan = compile_for(graph, &config).unwrap();
-    run_executor(graph, lib, inputs, config, Some(&plan))
+    let spec = RunSpec::for_graph(&graph.name).backend(Backend::Compiled);
+    compile_for(graph, spec.config()).unwrap();
+    run_spec(graph, lib, inputs, &spec)
 }

@@ -4,9 +4,9 @@
 //! to the plan-less reference, a plan must replay deterministically, and
 //! the schedule-derived buffer bound must never block a writer.
 
-use cgsim::compiled::{compile, compile_for, CompiledPlan, LintConfig};
 use cgsim::graphs::all_apps;
-use cgsim::trace::Tracer;
+use cgsim::lint::LintConfig;
+use cgsim::runtime::{compile, compile_for, Backend, CompiledPlan, Launch, RunSpec};
 use cgsim::{RuntimeConfig, RuntimeContext};
 use cgsim_check::gen::{self, GenConfig, GeneratedCase};
 use proptest::prelude::*;
@@ -54,20 +54,21 @@ fn has_merge(case: &GeneratedCase) -> bool {
     })
 }
 
-/// Run one generated case on the one context (default FIFO schedule),
-/// following `plan` when given. Under a plan, asserts its bound guarantee:
-/// no write ever blocks (the realized form of "max fill never exceeds the
-/// schedule-derived capacity").
+/// Run one generated case on the one context: a `Compiled` spec following
+/// `plan` when given, else a cooperative spec (default FIFO schedule).
+/// Under a plan, asserts its bound guarantee: no write ever blocks (the
+/// realized form of "max fill never exceeds the schedule-derived
+/// capacity").
 fn run_case(case: &GeneratedCase, plan: Option<&CompiledPlan>) -> Vec<Vec<i64>> {
     let lib = cgsim_check::kernels::library();
-    let mut ctx = RuntimeContext::with_plan(
-        &case.graph,
-        &lib,
-        RuntimeConfig::default(),
-        Tracer::default(),
-        plan.map(CompiledPlan::schedule),
-    )
-    .unwrap();
+    let (spec, launch) = match plan {
+        Some(plan) => (
+            RunSpec::default().backend(Backend::Compiled),
+            Launch::default().with_plan(plan.clone()),
+        ),
+        None => (RunSpec::default(), Launch::default()),
+    };
+    let mut ctx = RuntimeContext::launch(&case.graph, &lib, &spec, launch).unwrap();
     for (i, feed) in case.feeds.iter().enumerate() {
         ctx.feed(i, feed.clone()).unwrap();
     }

@@ -6,7 +6,9 @@ mod common;
 
 use cgsim::core::GraphBuilder;
 use cgsim::extract::Extractor;
-use cgsim::runtime::{compute_kernel, KernelLibrary, RuntimeConfig, RuntimeContext, VerifyPolicy};
+use cgsim::runtime::{
+    compute_kernel, KernelLibrary, RunSpec, RuntimeConfig, RuntimeContext, VerifyPolicy,
+};
 
 compute_kernel! {
     /// Adds pairs from two streams — deadlocks if one stream is starved.
@@ -73,8 +75,8 @@ fn unprimed_feedback_loop_is_reported_not_hung() {
 
     // With verification disabled, the dynamic quiescence diagnosis still
     // works: the run terminates and names the stuck kernel.
-    let cfg = RuntimeConfig::default().with_verify(VerifyPolicy::Off);
-    let mut ctx = RuntimeContext::new(&graph, &lib, cfg).unwrap();
+    let spec = RunSpec::default().verify(VerifyPolicy::Off);
+    let mut ctx = RuntimeContext::from_spec(&graph, &lib, &spec).unwrap();
     ctx.feed(0, vec![1, 2, 3]).unwrap();
     let out = ctx.collect::<i32>(0).unwrap();
     // Terminates (quiescence) and names the stuck kernel.

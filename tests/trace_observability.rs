@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use cgsim::graphs::all_apps;
 use cgsim::runtime::{
-    compute_graph, compute_kernel, KernelLibrary, Profiling, RuntimeConfig, RuntimeContext,
+    compute_graph, compute_kernel, KernelLibrary, Launch, Profiling, RunSpec, RuntimeContext,
 };
 use cgsim::sim::{simulate_graph_traced, SimConfig, SimReport};
 use cgsim::trace::export::prometheus;
@@ -55,13 +55,8 @@ fn traced_quickstart_run() -> cgsim::runtime::RunReport {
         l.register::<adder_kernel>();
         l.register::<doubler_kernel>();
     });
-    let mut ctx = RuntimeContext::with_tracer(
-        &graph,
-        &library,
-        RuntimeConfig::default(),
-        Tracer::enabled(),
-    )
-    .unwrap();
+    let launch = Launch::default().with_tracer(Tracer::enabled());
+    let mut ctx = RuntimeContext::launch(&graph, &library, &RunSpec::default(), launch).unwrap();
     ctx.feed(0, vec![1.0f32, 2.0, 3.0, 4.0]).unwrap();
     ctx.feed(1, vec![10.0f32, 20.0, 30.0, 40.0]).unwrap();
     let out = ctx.collect::<f32>(0).unwrap();
@@ -210,13 +205,9 @@ fn prometheus_export_of_paper_graph_matches_golden_file() {
     let library = KernelLibrary::with(|l| {
         l.register::<bitonic::bitonic_kernel>();
     });
-    let mut ctx = RuntimeContext::with_tracer(
-        &graph,
-        &library,
-        RuntimeConfig::default().with_profiling(Profiling::Off),
-        Tracer::enabled(),
-    )
-    .unwrap();
+    let spec = RunSpec::default().profiling(Profiling::Off);
+    let launch = Launch::default().with_tracer(Tracer::enabled());
+    let mut ctx = RuntimeContext::launch(&graph, &library, &spec, launch).unwrap();
     ctx.feed(0, bitonic::make_input(8)).unwrap();
     let out = ctx.collect::<f32>(0).unwrap();
     let report = ctx.run().unwrap();
