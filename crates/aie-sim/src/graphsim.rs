@@ -539,7 +539,6 @@ mod tests {
         assert!(events.iter().any(|e| e["tid"] == "mac_kernel_0"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_simulation_matches_engine_trace() {
         let graph = linear_graph();

@@ -19,8 +19,8 @@
 //! Every functional leg must produce bit-identical sink outputs (exact for
 //! order-deterministic outputs, as multisets for merge-fed ones), satisfy
 //! the channel conservation law (`pops == pushes × readers` once drained),
-//! and — when tracing is compiled in — pass the graph-agnostic trace
-//! invariants of [`cgsim_trace::invariants`].
+//! and pass the graph-agnostic trace invariants of
+//! [`cgsim_trace::invariants`].
 
 use crate::gen::GeneratedCase;
 use crate::kernels::{self, PALETTE_SHAPES};
@@ -563,9 +563,8 @@ fn run_cooperative_report(
     failures: &mut Vec<String>,
 ) -> Option<(Vec<Vec<i64>>, RunReport)> {
     let label = spec.label();
-    // Tracer::enabled() degrades to a no-op in untraced builds; the
-    // invariant pass below then sees an empty snapshot and checks nothing,
-    // while the channel-counter conservation law still applies.
+    // Traced, so the invariant pass below checks the event stream as well
+    // as the channel-counter conservation law.
     let launch = Launch {
         plan,
         tracer: Tracer::enabled(),

@@ -44,7 +44,7 @@ use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
 use cgsim_core::schedule::{ConnectorBounds, CostEstimate, GraphBounds, Rational};
-use cgsim_core::{ConnectorId, FlatGraph, KernelId, PortDir, PortKind, Topology};
+use cgsim_core::{ConnectorId, FlatGraph, PortDir, PortKind, Topology};
 
 /// Firings per period beyond which `CG064` flags the schedule as too large
 /// for period-unrolled reasoning to stay cheaper than simulation.
@@ -136,7 +136,8 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
     if firing.len() != graph.kernels.len() {
         return None;
     }
-    let order = acyclic_order(graph)?;
+    let topo = Topology::of(graph);
+    let order = topo.topo_order()?;
 
     let connectors: Vec<ConnectorBounds> = (0..graph.connectors.len())
         .map(|ci| {
@@ -196,7 +197,6 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
     // Critical path: node-weighted longest path over the kernel DAG, the
     // weight of a kernel being its firings per period — the length of the
     // longest sequential dependency chain one period must execute.
-    let topo = Topology::of(graph);
     let mut chain = vec![0u64; graph.kernels.len()];
     for &k in &order {
         let ki = k.index();
@@ -311,7 +311,7 @@ struct Propagated {
 }
 
 fn propagate(graph: &FlatGraph, cfg: &LintConfig, feed_lens: &[u64]) -> Option<Propagated> {
-    let order = acyclic_order(graph)?;
+    let order = Topology::of(graph).topo_order()?;
     let mut tokens = vec![0u64; graph.connectors.len()];
     for (i, c) in graph.inputs.iter().enumerate() {
         let fed = feed_lens.get(i).copied().unwrap_or(0);
@@ -373,25 +373,6 @@ fn single_firing_demand(graph: &FlatGraph, cfg: &LintConfig, ci: usize) -> u64 {
         .map(|e| u64::from(port_rate(graph, cfg, e.kernel.index(), e.port)))
         .max()
         .unwrap_or(1)
-}
-
-/// Kahn topological order over the kernel dataflow; `None` on a cycle.
-fn acyclic_order(graph: &FlatGraph) -> Option<Vec<KernelId>> {
-    let topo = Topology::of(graph);
-    let n = topo.succ.len();
-    let mut indegree: Vec<usize> = topo.pred.iter().map(Vec::len).collect();
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(k) = ready.pop() {
-        order.push(KernelId::new(k));
-        for s in &topo.succ[k] {
-            indegree[s.index()] -= 1;
-            if indegree[s.index()] == 0 {
-                ready.push(s.index());
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {

@@ -479,9 +479,6 @@ fn cancelled_and_panicking_jobs_leave_the_pool_healthy() {
     assert_eq!(report.counter("pool_jobs_completed"), 2);
 }
 
-// With tracing compiled out (`--no-default-features`) snapshots carry no
-// records, so there are no tracks to place in lanes.
-#[cfg(feature = "trace")]
 #[test]
 fn chrome_trace_gives_each_worker_a_process_lane() {
     let (outcomes, report) = Pool::run_batch(

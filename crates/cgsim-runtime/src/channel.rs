@@ -50,8 +50,7 @@ pub enum ChannelMode {
 
 /// Counters describing channel activity, used for the paper's §5.2
 /// synchronisation-overhead analysis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChannelStats {
     /// Elements accepted from producers.
     pub pushes: u64,
@@ -1504,7 +1503,6 @@ mod tests {
             assert_eq!(chan.len(), 0);
         }
 
-        #[cfg(feature = "trace")]
         #[test]
         fn a_batch_is_one_trace_record_and_exact_counters() {
             let tracer = Tracer::ring(1024);
@@ -1568,7 +1566,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn instrumented_channel_emits_events_and_counters() {
         let tracer = Tracer::ring(1024);

@@ -78,7 +78,6 @@ impl Default for RuntimeConfig {
 // are not `Default::default()` of each field type, and starting from
 // `RuntimeConfig::default()` keeps old payloads valid as tunables come and
 // go (a key no field reads, such as the retired `channels`, is ignored).
-#[cfg(feature = "serde")]
 mod config_wire {
     use super::RuntimeConfig;
     use serde::{get_field, DeError, Deserialize, Serialize, Value};
@@ -196,8 +195,9 @@ pub struct RunReport {
     /// version of the paper's §5.2 runtime breakdown.
     pub tasks: Vec<crate::executor::TaskProfile>,
     /// Per-connector channel counters `(name, stats)`, in connector order.
-    /// Always populated (the counters are not trace-gated), so conformance
-    /// checks like push/pop conservation work in untraced builds too.
+    /// Always populated (the counters do not depend on the tracer), so
+    /// conformance checks like push/pop conservation work on untraced runs
+    /// too.
     pub channels: Vec<(String, ChannelStats)>,
     /// Everything the attached tracer captured (empty for untraced runs).
     pub trace: TraceSnapshot,

@@ -114,9 +114,8 @@ impl SchedulePolicy for SeededPolicy {
 
 /// Serializable description of a schedule policy — the plumbing-friendly
 /// (`Copy`) form carried by `RuntimeConfig` and printed in repro commands.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Schedule {
     /// Poll the longest-waiting ready task first (deterministic baseline).
     #[default]
@@ -146,8 +145,7 @@ impl Schedule {
 /// either way the wake order is perturbed. Data flow must be unaffected —
 /// the conformance harness asserts outputs are bit-identical under any
 /// plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FaultPlan {
     /// PRNG seed; the same plan replays the same deferral sequence.
     pub seed: u64,
@@ -219,9 +217,8 @@ pub const INTERRUPT_CHECK_EVERY: u64 = 64;
 /// hot path while `ExecStats::kernel_fraction` stays meaningful. `Full`
 /// times every poll (the pre-optimisation behaviour, exact per-task busy
 /// times); `Off` removes timing entirely for pure-throughput runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Profiling {
     /// No per-poll timing: `kernel_time` and per-task busy times stay zero.
     Off,
@@ -1315,7 +1312,6 @@ mod tests {
         assert_eq!(without, *log.borrow());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_emits_poll_and_wake_events() {
         let tracer = Tracer::ring(1024);

@@ -32,9 +32,8 @@ use cgsim_trace::Tracer;
 use std::time::Duration;
 
 /// Which execution engine a [`RunSpec`] targets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(rename_all = "snake_case"))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Backend {
     /// The cooperative single-threaded simulator (`cgsim`, the paper's
     /// primary engine).
@@ -229,7 +228,6 @@ impl Launch {
 // Hand-written so absent fields fall back to builder defaults and the
 // deadline crosses the wire as integer nanoseconds rather than an opaque
 // `Duration` encoding.
-#[cfg(feature = "serde")]
 mod wire {
     use super::RunSpec;
     use serde::{get_field, DeError, Deserialize, Serialize, Value};
@@ -328,7 +326,6 @@ mod tests {
         assert_eq!(spec.config().schedule, Schedule::Seeded(3));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn wire_round_trip_preserves_every_axis() {
         let spec = RunSpec::for_graph("wire")
@@ -354,7 +351,6 @@ mod tests {
         assert_eq!(a.default_depth, b.default_depth);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn wire_absent_fields_fall_back_to_defaults() {
         let spec: RunSpec = serde_json::from_str(r#"{"label":"sparse"}"#).expect("deserialize");

@@ -28,7 +28,7 @@ use cgsim_lint::{lint_graph, LintConfig, Severity};
 use cgsim_pool::{
     Admission, Job, JobOutcome, JobOutput, ObserverConfig, Pool, PoolConfig, SubmitError,
 };
-use cgsim_runtime::Backend;
+use cgsim_runtime::{Backend, RunReport};
 use cgsim_trace::export::prometheus;
 use cgsim_trace::{Counter, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -626,7 +626,7 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
     let _slot = inner.fair.acquire(&client);
 
     let spec = run_request.spec.clone();
-    let app_slot: Arc<Mutex<Option<AppRun>>> = Arc::new(Mutex::new(None));
+    let app_slot = Arc::new(Mutex::new(None::<(AppRun, Arc<RunReport>)>));
     let sim_slot: Arc<Mutex<Option<SimReport>>> = Arc::new(Mutex::new(None));
     let job = match &entry.payload {
         CachePayload::App { name, plan, .. } => {
@@ -644,11 +644,13 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                     tracer: ctx.tracer().clone(),
                 };
                 let run = app.run_launched(&ctx.effective_spec(), blocks, launch)?;
-                if let Some(report) = &run.report {
-                    ctx.keep_trace(report.trace.clone());
-                }
+                let report = run
+                    .report
+                    .clone()
+                    .ok_or_else(|| format!("app `{name}` returned no run report"))?;
+                ctx.keep_trace(report.trace.clone());
                 let output = JobOutput::new(run.checksum).elements(run.out_elems as u64);
-                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(run);
+                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((run, report));
                 Ok(output)
             })
         }
@@ -716,29 +718,18 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
     match handle.wait() {
         JobOutcome::Completed(result) => {
             inner.runs_ok.inc();
-            let mut report = if let Some(run) =
+            let mut report = if let Some((run, run_report)) =
                 app_slot.lock().unwrap_or_else(|e| e.into_inner()).take()
             {
-                let mut report = match &run.report {
-                    Some(run_report) => ServeReport::from(&**run_report),
-                    None => ServeReport::default(),
-                };
+                let mut report = ServeReport::from(&*run_report);
                 report.engine = engine_of(spec.target()).into();
                 report.summary.checksum = Some(run.checksum);
                 report.summary.elements = run.out_elems as u64;
                 if report.summary.wall_ns == 0 {
                     report.summary.wall_ns = run.wall_time.as_nanos() as u64;
                 }
-                if run.report.is_none() {
-                    report.summary.drained = true;
-                    report.summary.tasks = 1;
-                    report.summary.completed = 1;
-                }
                 if run_request.trace {
-                    let chrome = match &run.report {
-                        Some(run_report) => run_report.chrome_trace(),
-                        None => cgsim_trace::export::chrome::chrome_trace_json(&result.trace),
-                    };
+                    let chrome = run_report.chrome_trace();
                     let id = inner
                         .traces
                         .lock()

@@ -12,16 +12,12 @@
 //!   print;
 //! * [`export::json`] — a machine-readable metrics snapshot.
 //!
-//! # Zero cost when disabled
+//! # Off by default, off at run time
 //!
-//! Two layers of "off":
-//!
-//! * **Compile time** — building with `default-features = false` (no
-//!   `enabled` feature) swaps [`Tracer`] for a unit struct whose methods
-//!   are empty `#[inline]` bodies; instrumented code compiles to exactly
-//!   what it was before instrumentation.
-//! * **Run time** — [`Tracer::disabled()`] carries no collector; every
-//!   `emit` is one `Option` check on an `Arc` that is `None`.
+//! There is one build. Whether a run is traced is decided only by the
+//! [`Tracer`] it is given: [`Tracer::disabled()`] (the default) carries no
+//! collector, so every `emit` is one `Option` check on an `Arc` that is
+//! `None`.
 //!
 //! Records land in a bounded drop-oldest ring buffer ([`RingBufferSink`]),
 //! so tracing a long run cannot exhaust memory; overflow is counted and
@@ -38,282 +34,176 @@ pub use event::{BlockSide, ChannelRef, KernelRef, TraceEvent, TraceRecord};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::{NullSink, RingBufferSink, TraceSink};
+pub use sink::RingBufferSink;
 pub use snapshot::{ChannelInfo, TraceSnapshot};
 
-#[cfg(feature = "enabled")]
-mod tracer_impl {
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-    use crate::event::{ChannelRef, KernelRef, TraceEvent, TraceRecord};
-    use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-    use crate::sink::{RingBufferSink, TraceSink};
-    use crate::snapshot::{ChannelInfo, TraceSnapshot};
+/// Default ring-buffer capacity for [`Tracer::ring`]-style defaults:
+/// large enough for the paper graphs, bounded for long runs.
+pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-    /// Default ring-buffer capacity for [`Tracer::ring`]-style defaults:
-    /// large enough for the paper graphs, bounded for long runs.
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+struct TracerCore {
+    epoch: Instant,
+    sink: RingBufferSink,
+    metrics: MetricsRegistry,
+    kernels: Mutex<Vec<String>>,
+    channels: Mutex<Vec<ChannelInfo>>,
+}
 
-    struct TracerCore {
-        epoch: Instant,
-        sink: Arc<dyn TraceSink>,
-        metrics: MetricsRegistry,
-        kernels: Mutex<Vec<String>>,
-        channels: Mutex<Vec<ChannelInfo>>,
+/// Handle to a trace collector. Cheap to clone; all clones feed the
+/// same ring buffer and registries. The default value is disabled.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    inner: Option<Arc<TracerCore>>,
+}
+
+impl Tracer {
+    /// A tracer that records nothing (same as `Tracer::default()`).
+    pub fn disabled() -> Self {
+        Tracer { inner: None }
     }
 
-    /// Handle to a trace collector. Cheap to clone; all clones feed the
-    /// same sink and registries. The default value is disabled.
-    #[derive(Clone, Default)]
-    pub struct Tracer {
-        inner: Option<Arc<TracerCore>>,
+    /// An active tracer collecting into a drop-oldest ring buffer of
+    /// `capacity` records.
+    pub fn ring(capacity: usize) -> Self {
+        Tracer {
+            inner: Some(Arc::new(TracerCore {
+                epoch: Instant::now(),
+                sink: RingBufferSink::new(capacity),
+                metrics: MetricsRegistry::new(),
+                kernels: Mutex::new(Vec::new()),
+                channels: Mutex::new(Vec::new()),
+            })),
+        }
     }
 
-    impl Tracer {
-        /// A tracer that records nothing (same as `Tracer::default()`).
-        pub fn disabled() -> Self {
-            Tracer { inner: None }
-        }
+    /// An active tracer with the default ring capacity.
+    pub fn enabled() -> Self {
+        Self::ring(DEFAULT_RING_CAPACITY)
+    }
 
-        /// An active tracer collecting into a drop-oldest ring buffer of
-        /// `capacity` records.
-        pub fn ring(capacity: usize) -> Self {
-            Self::with_sink(Arc::new(RingBufferSink::new(capacity)))
-        }
+    /// Whether events will actually be recorded. Callers may use this
+    /// to skip building expensive event payloads.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
 
-        /// An active tracer with the default ring capacity.
-        pub fn enabled() -> Self {
-            Self::ring(DEFAULT_RING_CAPACITY)
+    /// Register (or look up) a kernel by instance name. Idempotent:
+    /// the same name always maps to the same handle, so re-running a
+    /// graph keeps ids stable.
+    pub fn register_kernel(&self, name: &str) -> KernelRef {
+        let Some(core) = &self.inner else {
+            return KernelRef(0);
+        };
+        let mut kernels = core.kernels.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(i) = kernels.iter().position(|k| k == name) {
+            return KernelRef(i as u32);
         }
+        kernels.push(name.to_string());
+        KernelRef((kernels.len() - 1) as u32)
+    }
 
-        /// An active tracer feeding a caller-provided sink.
-        pub fn with_sink(sink: Arc<dyn TraceSink>) -> Self {
-            Tracer {
-                inner: Some(Arc::new(TracerCore {
-                    epoch: Instant::now(),
-                    sink,
-                    metrics: MetricsRegistry::new(),
-                    kernels: Mutex::new(Vec::new()),
-                    channels: Mutex::new(Vec::new()),
-                })),
+    /// Register (or look up) a channel by name. Idempotent like
+    /// [`Tracer::register_kernel`]; a later registration with a
+    /// non-zero capacity refines an earlier zero one.
+    pub fn register_channel(&self, name: &str, capacity: u64) -> ChannelRef {
+        let Some(core) = &self.inner else {
+            return ChannelRef(0);
+        };
+        let mut channels = core.channels.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(i) = channels.iter().position(|c| c.name == name) {
+            if channels[i].capacity == 0 {
+                channels[i].capacity = capacity;
             }
+            return ChannelRef(i as u32);
         }
+        channels.push(ChannelInfo {
+            name: name.to_string(),
+            capacity,
+        });
+        ChannelRef((channels.len() - 1) as u32)
+    }
 
-        /// Whether events will actually be recorded. Callers may use this
-        /// to skip building expensive event payloads.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
+    /// Nanoseconds since this tracer was created (0 when disabled).
+    #[inline]
+    pub fn now_ns(&self) -> u64 {
+        match &self.inner {
+            Some(core) => core.epoch.elapsed().as_nanos() as u64,
+            None => 0,
         }
+    }
 
-        /// Register (or look up) a kernel by instance name. Idempotent:
-        /// the same name always maps to the same handle, so re-running a
-        /// graph keeps ids stable.
-        pub fn register_kernel(&self, name: &str) -> KernelRef {
-            let Some(core) = &self.inner else {
-                return KernelRef(0);
-            };
-            let mut kernels = core.kernels.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(i) = kernels.iter().position(|k| k == name) {
-                return KernelRef(i as u32);
-            }
-            kernels.push(name.to_string());
-            KernelRef((kernels.len() - 1) as u32)
+    /// Record an event stamped with the current wall-clock offset.
+    #[inline]
+    pub fn emit(&self, event: TraceEvent) {
+        if let Some(core) = &self.inner {
+            let ts_ns = core.epoch.elapsed().as_nanos() as u64;
+            core.sink.record(TraceRecord { ts_ns, event });
         }
+    }
 
-        /// Register (or look up) a channel by name. Idempotent like
-        /// [`Tracer::register_kernel`]; a later registration with a
-        /// non-zero capacity refines an earlier zero one.
-        pub fn register_channel(&self, name: &str, capacity: u64) -> ChannelRef {
-            let Some(core) = &self.inner else {
-                return ChannelRef(0);
-            };
-            let mut channels = core.channels.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(i) = channels.iter().position(|c| c.name == name) {
-                if channels[i].capacity == 0 {
-                    channels[i].capacity = capacity;
-                }
-                return ChannelRef(i as u32);
-            }
-            channels.push(ChannelInfo {
-                name: name.to_string(),
-                capacity,
-            });
-            ChannelRef((channels.len() - 1) as u32)
+    /// Record an event with an explicit timestamp — used by the
+    /// simulator, whose time axis is simulated cycles converted to ns.
+    #[inline]
+    pub fn emit_at(&self, ts_ns: u64, event: TraceEvent) {
+        if let Some(core) = &self.inner {
+            core.sink.record(TraceRecord { ts_ns, event });
         }
+    }
 
-        /// Nanoseconds since this tracer was created (0 when disabled).
-        #[inline]
-        pub fn now_ns(&self) -> u64 {
-            match &self.inner {
-                Some(core) => core.epoch.elapsed().as_nanos() as u64,
-                None => 0,
-            }
+    /// Counter handle (no-op handle when disabled).
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        match &self.inner {
+            Some(core) => core.metrics.counter(name, labels),
+            None => Counter::default(),
         }
+    }
 
-        /// Record an event stamped with the current wall-clock offset.
-        #[inline]
-        pub fn emit(&self, event: TraceEvent) {
-            if let Some(core) = &self.inner {
-                let ts_ns = core.epoch.elapsed().as_nanos() as u64;
-                core.sink.record(TraceRecord { ts_ns, event });
-            }
+    /// Gauge handle (no-op handle when disabled).
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        match &self.inner {
+            Some(core) => core.metrics.gauge(name, labels),
+            None => Gauge::default(),
         }
+    }
 
-        /// Record an event with an explicit timestamp — used by the
-        /// simulator, whose time axis is simulated cycles converted to ns.
-        #[inline]
-        pub fn emit_at(&self, ts_ns: u64, event: TraceEvent) {
-            if let Some(core) = &self.inner {
-                core.sink.record(TraceRecord { ts_ns, event });
-            }
+    /// Histogram handle (no-op handle when disabled).
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+        match &self.inner {
+            Some(core) => core.metrics.histogram(name, labels),
+            None => Histogram::default(),
         }
+    }
 
-        /// Counter handle (no-op handle when disabled).
-        pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-            match &self.inner {
-                Some(core) => core.metrics.counter(name, labels),
-                None => Counter::default(),
-            }
-        }
-
-        /// Gauge handle (no-op handle when disabled).
-        pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-            match &self.inner {
-                Some(core) => core.metrics.gauge(name, labels),
-                None => Gauge::default(),
-            }
-        }
-
-        /// Histogram handle (no-op handle when disabled).
-        pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-            match &self.inner {
-                Some(core) => core.metrics.histogram(name, labels),
-                None => Histogram::default(),
-            }
-        }
-
-        /// Drain buffered records and freeze everything into a snapshot.
-        /// Registries are preserved; draining twice yields the records
-        /// emitted in between.
-        pub fn snapshot(&self) -> TraceSnapshot {
-            let Some(core) = &self.inner else {
-                return TraceSnapshot::default();
-            };
-            TraceSnapshot {
-                kernels: core
-                    .kernels
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-                channels: core
-                    .channels
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-                records: core.sink.drain(),
-                dropped: core.sink.dropped(),
-                metrics: core.metrics.snapshot(),
-            }
+    /// Drain buffered records and freeze everything into a snapshot.
+    /// Registries are preserved; draining twice yields the records
+    /// emitted in between.
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let Some(core) = &self.inner else {
+            return TraceSnapshot::default();
+        };
+        TraceSnapshot {
+            kernels: core
+                .kernels
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
+            channels: core
+                .channels
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
+            records: core.sink.drain(),
+            dropped: core.sink.dropped(),
+            metrics: core.metrics.snapshot(),
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod tracer_impl {
-    use std::sync::Arc;
-
-    use crate::event::{ChannelRef, KernelRef, TraceEvent};
-    use crate::metrics::{Counter, Gauge, Histogram};
-    use crate::sink::TraceSink;
-    use crate::snapshot::TraceSnapshot;
-
-    /// Default ring-buffer capacity (unused in the disabled build).
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-    /// Compile-time no-op stand-in for the real tracer: every method is an
-    /// empty inline body, so instrumentation vanishes from optimized code.
-    /// The private field and the missing `Copy` keep its API the real
-    /// tracer's: callers write `Tracer::default()` and `.clone()` the same
-    /// way under both builds.
-    #[derive(Clone, Default)]
-    pub struct Tracer {
-        _private: (),
-    }
-
-    impl Tracer {
-        #[inline(always)]
-        pub fn disabled() -> Self {
-            Tracer::default()
-        }
-
-        #[inline(always)]
-        pub fn ring(_capacity: usize) -> Self {
-            Tracer::default()
-        }
-
-        #[inline(always)]
-        pub fn enabled() -> Self {
-            Tracer::default()
-        }
-
-        #[inline(always)]
-        pub fn with_sink(_sink: Arc<dyn TraceSink>) -> Self {
-            Tracer::default()
-        }
-
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub fn register_kernel(&self, _name: &str) -> KernelRef {
-            KernelRef(0)
-        }
-
-        #[inline(always)]
-        pub fn register_channel(&self, _name: &str, _capacity: u64) -> ChannelRef {
-            ChannelRef(0)
-        }
-
-        #[inline(always)]
-        pub fn now_ns(&self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub fn emit(&self, _event: TraceEvent) {}
-
-        #[inline(always)]
-        pub fn emit_at(&self, _ts_ns: u64, _event: TraceEvent) {}
-
-        #[inline(always)]
-        pub fn counter(&self, _name: &str, _labels: &[(&str, &str)]) -> Counter {
-            Counter::default()
-        }
-
-        #[inline(always)]
-        pub fn gauge(&self, _name: &str, _labels: &[(&str, &str)]) -> Gauge {
-            Gauge::default()
-        }
-
-        #[inline(always)]
-        pub fn histogram(&self, _name: &str, _labels: &[(&str, &str)]) -> Histogram {
-            Histogram::default()
-        }
-
-        #[inline(always)]
-        pub fn snapshot(&self) -> TraceSnapshot {
-            TraceSnapshot::default()
-        }
-    }
-}
-
-pub use tracer_impl::{Tracer, DEFAULT_RING_CAPACITY};
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

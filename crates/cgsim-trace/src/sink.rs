@@ -1,26 +1,15 @@
-//! Trace sinks: where emitted [`TraceRecord`]s go.
+//! The trace collector: where emitted [`TraceRecord`]s go.
 //!
-//! The default collector is a bounded ring buffer with drop-oldest
-//! semantics, so a long-running graph cannot exhaust memory no matter how
-//! chatty its channels are; the number of dropped records is counted and
-//! surfaced in the snapshot.
+//! It is a bounded ring buffer with drop-oldest semantics, so a
+//! long-running graph cannot exhaust memory no matter how chatty its
+//! channels are; the number of dropped records is counted and surfaced in
+//! the snapshot.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::event::TraceRecord;
-
-/// Destination for trace records. Implementations must be cheap and
-/// thread-safe: `record` is called from hot scheduler/channel paths.
-pub trait TraceSink: Send + Sync {
-    /// Accept one record.
-    fn record(&self, record: TraceRecord);
-    /// Remove and return all buffered records, oldest first.
-    fn drain(&self) -> Vec<TraceRecord>;
-    /// Number of records discarded because the sink was full.
-    fn dropped(&self) -> u64;
-}
 
 /// Bounded in-memory collector. When full, the **oldest** record is evicted
 /// to make room — recent history wins, matching what you want when a run
@@ -56,10 +45,9 @@ impl RingBufferSink {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&self, record: TraceRecord) {
+    /// Accept one record, evicting the oldest when full.
+    pub fn record(&self, record: TraceRecord) {
         let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
         if self.capacity == 0 {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -72,27 +60,15 @@ impl TraceSink for RingBufferSink {
         buf.push_back(record);
     }
 
-    fn drain(&self) -> Vec<TraceRecord> {
+    /// Remove and return all buffered records, oldest first.
+    pub fn drain(&self) -> Vec<TraceRecord> {
         let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
         buf.drain(..).collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Number of records discarded because the buffer was full.
+    pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// Sink that discards everything. Useful as an explicit "metrics only"
-/// configuration.
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _record: TraceRecord) {}
-    fn drain(&self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-    fn dropped(&self) -> u64 {
-        0
     }
 }
 

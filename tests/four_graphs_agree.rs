@@ -216,10 +216,14 @@ fn simulated_statistics_are_pinned() {
 /// What a kernel speed-up must not move: output checksum and length, the
 /// engine's exact counts and the intrinsic ops of each app under the
 /// cooperative and the compiled engine, at `paper_sim`'s block counts.
-/// Recorded at PR 18.
+/// Recorded at PR 18. Each leg runs untraced and again with an enabled
+/// tracer, which must not move any of them; the untraced run's report
+/// carries an empty trace.
 #[test]
 fn functional_runs_are_pinned() {
+    use cgsim::graphs::Launch;
     use cgsim::intrinsics::counter::metered;
+    use cgsim::trace::Tracer;
     struct Golden {
         blocks: u64,
         checksum: u64,
@@ -241,30 +245,44 @@ fn functional_runs_are_pinned() {
             .into_iter()
             .zip(golden.polls)
         {
-            let spec = RunSpec::for_graph(app.name()).backend(backend);
-            let (run, ops) = metered(|| app.run_spec(&spec, golden.blocks));
-            let what = format!("{} under {backend:?}", app.name());
-            let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert_eq!(
-                run.checksum, golden.checksum,
-                "{what}: checksum {:#x}",
-                run.checksum
-            );
-            assert_eq!(run.out_elems, golden.out_elems, "{what}");
-            assert_eq!(ops.total(), golden.ops, "{what}: ops");
-            let report = run.report.expect("executor runs report");
-            let channels = || report.channels.iter().map(|(_, c)| c);
-            assert_eq!(report.exec.polls, polls, "{what}: polls");
-            assert_eq!(
-                channels().map(|c| c.pushes).sum::<u64>(),
-                golden.pushes,
-                "{what}: pushes"
-            );
-            assert_eq!(
-                channels().map(|c| c.blocked_writes).sum::<u64>(),
-                golden.blocked_writes,
-                "{what}: blocked_writes"
-            );
+            for traced in [false, true] {
+                let spec = RunSpec::for_graph(app.name()).backend(backend);
+                let launch = match traced {
+                    true => Launch::default().with_tracer(Tracer::enabled()),
+                    false => Launch::default(),
+                };
+                let (run, ops) = metered(|| app.run_launched(&spec, golden.blocks, launch));
+                let what = format!("{} under {backend:?} (traced: {traced})", app.name());
+                let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(
+                    run.checksum, golden.checksum,
+                    "{what}: checksum {:#x}",
+                    run.checksum
+                );
+                assert_eq!(run.out_elems, golden.out_elems, "{what}");
+                assert_eq!(ops.total(), golden.ops, "{what}: ops");
+                let report = run.report.expect("executor runs report");
+                let channels = || report.channels.iter().map(|(_, c)| c);
+                assert_eq!(report.exec.polls, polls, "{what}: polls");
+                assert_eq!(
+                    channels().map(|c| c.pushes).sum::<u64>(),
+                    golden.pushes,
+                    "{what}: pushes"
+                );
+                assert_eq!(
+                    channels().map(|c| c.blocked_writes).sum::<u64>(),
+                    golden.blocked_writes,
+                    "{what}: blocked_writes"
+                );
+                let trace = &report.trace;
+                if traced {
+                    assert!(!trace.records.is_empty(), "{what}: nothing recorded");
+                } else {
+                    assert!(trace.records.is_empty(), "{what}: records");
+                    assert_eq!(trace.dropped, 0, "{what}: dropped");
+                    assert!(trace.kernels.is_empty(), "{what}: kernels");
+                }
+            }
         }
     }
 }

@@ -3,8 +3,6 @@
 //! the simulator's live trace agrees with the legacy [`SimReport`] view on
 //! every paper evaluation graph.
 
-#![cfg(feature = "trace")]
-
 use std::collections::HashMap;
 
 use cgsim::graphs::all_apps;
