@@ -155,14 +155,6 @@ impl<const N: usize> AccF32<N> {
         AccF32 { lanes: [0.0; N] }
     }
 
-    /// Start from an existing vector (AIE `ups` of a float vector is a move).
-    #[inline]
-    pub fn from_vector(v: Vector<f32, N>) -> Self {
-        AccF32 {
-            lanes: v.to_array(),
-        }
-    }
-
     /// `acc += a * b` lane-wise (AIE `fpmac`). One VMAC issue.
     #[inline]
     pub fn fpmac(mut self, a: Vector<f32, N>, b: Vector<f32, N>) -> Self {

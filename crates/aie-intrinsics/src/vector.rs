@@ -143,17 +143,6 @@ impl<T: Copy, const N: usize> Vector<T, N> {
         Vector { lanes }
     }
 
-    /// Combine two vectors lane-wise (counted as one vector ALU op).
-    #[inline]
-    pub fn zip_with(self, other: Self, f: impl Fn(T, T) -> T) -> Self {
-        record(OpKind::VAlu);
-        let mut lanes = self.lanes;
-        for i in 0..N {
-            lanes[i] = f(self.lanes[i], other.lanes[i]);
-        }
-        Vector { lanes }
-    }
-
     /// Number of lanes.
     #[inline]
     pub const fn lanes() -> usize {

@@ -99,11 +99,9 @@ impl DeployManifest {
     }
 }
 
-/// How (and whether) to deploy a manifest — the single entry point that
-/// replaced the `run_manifest` / `run_manifest_unchecked` pair. The old
-/// split buried the verification decision in the function name; here it is
-/// an explicit [`VerifyPolicy`] axis, matching `RunSpec::verify` on the
-/// functional-runtime side.
+/// How (and whether) to deploy a manifest through [`deploy`]. The
+/// verification decision is an explicit [`VerifyPolicy`] axis, matching
+/// `RunSpec::verify` on the functional-runtime side.
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
 pub struct DeployOptions {
@@ -166,23 +164,6 @@ pub fn deploy(
         &manifest.config,
         &manifest.workload,
     )
-}
-
-/// Deny-gated deployment — the legacy entry point, equivalent to
-/// [`deploy`] with default options.
-#[deprecated(since = "0.2.0", note = "use deploy(manifest, &DeployOptions::new())")]
-pub fn run_manifest(manifest: &DeployManifest) -> Result<GraphTrace, GraphError> {
-    deploy(manifest, &DeployOptions::new())
-}
-
-/// Ungated deployment — the legacy escape hatch, equivalent to [`deploy`]
-/// with `verify: VerifyPolicy::Off`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use deploy(manifest, &DeployOptions::new().verify(VerifyPolicy::Off))"
-)]
-pub fn run_manifest_unchecked(manifest: &DeployManifest) -> Result<GraphTrace, GraphError> {
-    deploy(manifest, &DeployOptions::new().verify(VerifyPolicy::Off))
 }
 
 #[cfg(test)]
@@ -262,17 +243,6 @@ mod tests {
         let m = manifest();
         let t = deploy(&m, &DeployOptions::new()).unwrap();
         assert_eq!(t.trace.block_times.len(), 8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_deploy() {
-        let m = manifest();
-        let a = run_manifest(&m).unwrap();
-        let b = deploy(&m, &DeployOptions::new()).unwrap();
-        assert_eq!(a.trace.end_time, b.trace.end_time);
-        let c = run_manifest_unchecked(&m).unwrap();
-        assert_eq!(a.trace.end_time, c.trace.end_time);
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub use cgsim_lint::VerifyPolicy;
 pub use cgsim_trace;
 pub use config::{IoInterface, SimConfig, Variant};
 pub use cost::{KernelCostProfile, PortTraffic};
-#[allow(deprecated)]
-pub use deploy::run_manifest;
 pub use deploy::{deploy as deploy_manifest, DeployManifest, DeployOptions};
 pub use engine::{NodeKind, Sim, SimTrace, TraceEntry};
 pub use graphsim::{simulate_graph, simulate_graph_traced, GraphTrace, WorkloadSpec};

@@ -30,7 +30,7 @@ fn main() {
         match arg.as_str() {
             "--seed" => cfg.seed = num(&mut argv),
             "--cases" => cfg.cases = num(&mut argv),
-            "--schedules" => cfg.oracle.schedules = num(&mut argv) as u32,
+            "--schedules" => cfg.schedules = num(&mut argv) as u32,
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => usage(),
             other => {
@@ -42,7 +42,7 @@ fn main() {
 
     println!(
         "conform: seed {} / {} cases / {} schedule permutations per case",
-        cfg.seed, cfg.cases, cfg.oracle.schedules
+        cfg.seed, cfg.cases, cfg.schedules
     );
 
     let mut done = 0u64;

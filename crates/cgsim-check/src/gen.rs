@@ -32,45 +32,26 @@ use cgsim_core::{Connector, FlatGraph, GraphBuilder, PortSettings};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Knobs for the generator. The defaults produce graphs of 2–14 kernels
-/// with a healthy rate of broadcasts, merges and tight channels.
-#[derive(Clone, Copy, Debug)]
-pub struct GenConfig {
-    /// Global inputs per graph, sampled from `1..=max_inputs`.
-    pub max_inputs: usize,
-    /// Kernel invocations, sampled from `min_steps..=max_steps` (plus at
-    /// most one forced consumer per otherwise-dangling global input).
-    pub min_steps: usize,
-    /// See [`GenConfig::min_steps`].
-    pub max_steps: usize,
-    /// Feed length bounds (inclusive); all inputs share one sampled length.
-    pub min_len: u64,
-    /// See [`GenConfig::min_len`].
-    pub max_len: u64,
-    /// Percent chance a wire gets an explicit small depth (possibly 1).
-    pub tight_depth_pct: u8,
-    /// Percent chance an elementwise kernel merges into an existing wire
-    /// instead of creating a new one.
-    pub merge_pct: u8,
-    /// Percent chance a kernel input is taken from an already-consumed wire
-    /// (creating a broadcast) rather than an unconsumed one.
-    pub broadcast_pct: u8,
-}
+// Generator settings: graphs of 2–14 kernels with a healthy rate of
+// broadcasts, merges and tight channels.
 
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_inputs: 3,
-            min_steps: 2,
-            max_steps: 10,
-            min_len: 4,
-            max_len: 24,
-            tight_depth_pct: 35,
-            merge_pct: 15,
-            broadcast_pct: 25,
-        }
-    }
-}
+/// Global inputs per graph, sampled from `1..=MAX_INPUTS`.
+const MAX_INPUTS: usize = 3;
+/// Kernel invocations, sampled from `MIN_STEPS..=MAX_STEPS` (plus at most
+/// one forced consumer per otherwise-dangling global input).
+const MIN_STEPS: usize = 2;
+const MAX_STEPS: usize = 10;
+/// Feed length bounds (inclusive); all inputs share one sampled length.
+const MIN_LEN: u64 = 4;
+const MAX_LEN: u64 = 24;
+/// Percent chance a wire gets an explicit small depth (possibly 1).
+const TIGHT_DEPTH_PCT: u8 = 35;
+/// Percent chance an elementwise kernel merges into an existing wire
+/// instead of creating a new one.
+const MERGE_PCT: u8 = 15;
+/// Percent chance a kernel input is taken from an already-consumed wire
+/// (creating a broadcast) rather than an unconsumed one.
+const BROADCAST_PCT: u8 = 25;
 
 /// What the oracle needs to know about one global output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,11 +130,11 @@ const KIND_POOL: [Kind; 9] = [
 ];
 
 /// Generate the case identified by `seed`.
-pub fn generate(seed: u64, cfg: &GenConfig) -> GeneratedCase {
+pub fn generate(seed: u64) -> GeneratedCase {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_inputs = rng.random_range(1usize..cfg.max_inputs + 1);
-    let feed_len = rng.random_range(cfg.min_len..cfg.max_len + 1);
-    let steps = rng.random_range(cfg.min_steps..cfg.max_steps + 1);
+    let n_inputs = rng.random_range(1usize..MAX_INPUTS + 1);
+    let feed_len = rng.random_range(MIN_LEN..MAX_LEN + 1);
+    let steps = rng.random_range(MIN_STEPS..MAX_STEPS + 1);
 
     let feeds: Vec<Vec<i64>> = (0..n_inputs)
         .map(|_| {
@@ -171,7 +152,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> GeneratedCase {
 
         for i in 0..n_inputs {
             let typed = g.input::<i64>(format!("in{i}"));
-            maybe_tighten(g, &mut rng, cfg, &typed);
+            maybe_tighten(g, &mut rng, &typed);
             wires.push(Wire {
                 typed,
                 len: feed_len,
@@ -184,7 +165,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> GeneratedCase {
 
         for _ in 0..steps {
             let kind = *pick(&mut rng, &KIND_POOL);
-            step(g, &mut rng, cfg, &mut wires, kind, &mut kernel_iters)?;
+            step(g, &mut rng, &mut wires, kind, &mut kernel_iters)?;
         }
 
         // Every global input must reach a kernel: a pure input→output
@@ -253,7 +234,7 @@ fn pick<'a, T>(rng: &mut StdRng, options: &'a [T]) -> &'a T {
 /// connected), sometimes deliberately re-reads a consumed one — which
 /// creates a broadcast. `need_det` restricts the pool to order-deterministic
 /// wires (always non-empty: global inputs never lose determinism).
-fn pick_input(rng: &mut StdRng, cfg: &GenConfig, wires: &[Wire], need_det: bool) -> usize {
+fn pick_input(rng: &mut StdRng, wires: &[Wire], need_det: bool) -> usize {
     let unconsumed: Vec<usize> = wires
         .iter()
         .enumerate()
@@ -267,7 +248,7 @@ fn pick_input(rng: &mut StdRng, cfg: &GenConfig, wires: &[Wire], need_det: bool)
         .map(|(i, _)| i)
         .collect();
     assert!(!all.is_empty(), "wire pool never empty");
-    let broadcast = rng.random_range(0u8..100) < cfg.broadcast_pct;
+    let broadcast = rng.random_range(0u8..100) < BROADCAST_PCT;
     if !unconsumed.is_empty() && !broadcast {
         *pick(rng, &unconsumed)
     } else {
@@ -279,21 +260,20 @@ fn pick_input(rng: &mut StdRng, cfg: &GenConfig, wires: &[Wire], need_det: bool)
 fn step(
     g: &mut GraphBuilder,
     rng: &mut StdRng,
-    cfg: &GenConfig,
     wires: &mut Vec<Wire>,
     kind: Kind,
     kernel_iters: &mut Vec<u64>,
 ) -> cgsim_core::error::Result<()> {
     match kind {
         Kind::Add7 | Kind::Mul3 | Kind::Mix | Kind::Neg => {
-            let wi = pick_input(rng, cfg, wires, false);
+            let wi = pick_input(rng, wires, false);
             // Merge: write into an existing producer-owned wire instead of
             // a fresh one. Legal targets have no consumers yet (so no
             // downstream determinism assumption is already baked in), are
             // not global inputs, and are not ancestors of this kernel's
             // input (no cycles, no self-loop).
             let in_anc = wires[wi].ancestors | (1u64 << wi);
-            let merge_target = if rng.random_range(0u8..100) < cfg.merge_pct {
+            let merge_target = if rng.random_range(0u8..100) < MERGE_PCT {
                 wires
                     .iter()
                     .position(|t| t.consumers == 0 && !t.is_input)
@@ -315,7 +295,7 @@ fn step(
                 }
                 None => {
                     let out = g.wire::<i64>();
-                    maybe_tighten(g, rng, cfg, &out);
+                    maybe_tighten(g, rng, &out);
                     grow_elementwise_into(g, wires, wi, kind, out, kernel_iters)?;
                 }
             }
@@ -323,10 +303,10 @@ fn step(
         Kind::ZipAdd | Kind::ZipMax => {
             // Zips only read deterministic wires (all of which carry the
             // shared feed length), so their output is deterministic too.
-            let a = pick_input(rng, cfg, wires, true);
-            let b = pick_input(rng, cfg, wires, true);
+            let a = pick_input(rng, wires, true);
+            let b = pick_input(rng, wires, true);
             let out = g.wire::<i64>();
-            maybe_tighten(g, rng, cfg, &out);
+            maybe_tighten(g, rng, &out);
             let (wa, wb) = (wires[a].typed, wires[b].typed);
             match kind {
                 Kind::ZipAdd => kernels::ck_zip_add::invoke(g, &wa, &wb, &out)?,
@@ -347,11 +327,11 @@ fn step(
             });
         }
         Kind::Fork => {
-            let wi = pick_input(rng, cfg, wires, false);
+            let wi = pick_input(rng, wires, false);
             let lo = g.wire::<i64>();
             let hi = g.wire::<i64>();
-            maybe_tighten(g, rng, cfg, &lo);
-            maybe_tighten(g, rng, cfg, &hi);
+            maybe_tighten(g, rng, &lo);
+            maybe_tighten(g, rng, &hi);
             kernels::ck_fork::invoke(g, &wires[wi].typed, &lo, &hi)?;
             kernel_iters.push(wires[wi].len);
             wires[wi].consumers += 1;
@@ -413,8 +393,8 @@ fn invoke_elementwise(
 
 /// Occasionally pin an explicit (often tiny) queue depth on a connector so
 /// capacity-1 backpressure paths get continuous coverage.
-fn maybe_tighten(g: &mut GraphBuilder, rng: &mut StdRng, cfg: &GenConfig, c: &Connector<i64>) {
-    if rng.random_range(0u8..100) < cfg.tight_depth_pct {
+fn maybe_tighten(g: &mut GraphBuilder, rng: &mut StdRng, c: &Connector<i64>) {
+    if rng.random_range(0u8..100) < TIGHT_DEPTH_PCT {
         let depth = *pick(rng, &[1u32, 1, 2, 4, 8]);
         g.connector_settings(c, PortSettings::new().depth(depth));
     }
@@ -427,8 +407,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         for seed in 0..32 {
-            let a = generate(seed, &GenConfig::default());
-            let b = generate(seed, &GenConfig::default());
+            let a = generate(seed);
+            let b = generate(seed);
             assert_eq!(a.signature, b.signature, "seed {seed}");
             assert_eq!(a.feeds, b.feeds, "seed {seed}");
             assert_eq!(a.graph, b.graph, "seed {seed}");
@@ -438,7 +418,7 @@ mod tests {
     #[test]
     fn generated_graphs_validate_and_have_io() {
         for seed in 0..64 {
-            let case = generate(seed, &GenConfig::default());
+            let case = generate(seed);
             case.graph.validate().expect("must validate");
             assert!(!case.graph.inputs.is_empty());
             assert!(!case.graph.outputs.is_empty());
@@ -456,7 +436,7 @@ mod tests {
         let mut multi_out = 0usize;
         let mut realms = std::collections::BTreeSet::new();
         for seed in 0..200 {
-            let case = generate(seed, &GenConfig::default());
+            let case = generate(seed);
             let stats = case.graph.stats();
             broadcasts += usize::from(stats.broadcasts > 0);
             merges += usize::from(stats.merges > 0);
@@ -478,7 +458,7 @@ mod tests {
         // The invariant the DES leg relies on: every det output has exactly
         // the shared feed length.
         for seed in 0..64 {
-            let case = generate(seed, &GenConfig::default());
+            let case = generate(seed);
             let feed_len = case.feeds[0].len() as u64;
             for spec in case.outputs.iter().filter(|o| o.det) {
                 assert_eq!(spec.len, feed_len, "seed {seed}");

@@ -31,31 +31,29 @@ pub mod kernels;
 pub mod oracle;
 pub mod repro;
 
-pub use gen::{generate, GenConfig, GeneratedCase, OutputSpec};
-pub use oracle::{check_case, CaseVerdict, OracleConfig};
+pub use gen::{generate, GeneratedCase, OutputSpec};
+pub use oracle::{check_case, CaseVerdict};
 pub use repro::{parse_repro, repro_command};
 
 /// Everything one conformance suite run needs.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct SuiteConfig {
     /// Base seed; case `i` uses seed `seed + i` (wrapping).
     pub seed: u64,
     /// Number of cases to generate and check.
     pub cases: u64,
-    /// Generator shape knobs.
-    pub gen: GenConfig,
-    /// Oracle legs and permutation counts.
-    pub oracle: OracleConfig,
+    /// Seeded ready-list permutations per case (on top of FIFO + LIFO).
+    pub schedules: u32,
 }
 
 impl SuiteConfig {
-    /// A suite of `cases` cases starting at `seed`, with default knobs.
+    /// A suite of `cases` cases starting at `seed`, with the default
+    /// number of schedule permutations.
     pub fn new(seed: u64, cases: u64) -> Self {
         SuiteConfig {
             seed,
             cases,
-            gen: GenConfig::default(),
-            oracle: OracleConfig::default(),
+            schedules: oracle::SCHEDULES,
         }
     }
 }
@@ -106,7 +104,7 @@ pub fn run_suite_with(cfg: &SuiteConfig, mut on_case: impl FnMut(&CaseVerdict)) 
     let mut compiled_rejects = 0usize;
     for i in 0..cfg.cases {
         let case_seed = cfg.seed.wrapping_add(i);
-        let case = gen::generate(case_seed, &cfg.gen);
+        let case = gen::generate(case_seed);
         // Static verification before any leg runs: a generated graph with
         // Error-severity lint findings would hang or misbehave on every
         // backend, so the verdict fails fast with the lint report instead
@@ -127,7 +125,7 @@ pub fn run_suite_with(cfg: &SuiteConfig, mut on_case: impl FnMut(&CaseVerdict)) 
                 ],
             }
         } else {
-            oracle::check_case(&case, &cfg.oracle)
+            oracle::check_case(&case, cfg.schedules)
         };
         signatures.push(verdict.signature.clone());
         legs += verdict.legs;
@@ -149,8 +147,8 @@ pub fn run_suite_with(cfg: &SuiteConfig, mut on_case: impl FnMut(&CaseVerdict)) 
 /// Check a single seed and panic with a reproduction command on any
 /// disagreement — the entry point property tests and CI assertions use.
 pub fn assert_seed_conforms(seed: u64) {
-    let case = gen::generate(seed, &GenConfig::default());
-    let verdict = oracle::check_case(&case, &OracleConfig::default());
+    let case = gen::generate(seed);
+    let verdict = oracle::check_case(&case, oracle::SCHEDULES);
     assert!(
         verdict.ok(),
         "conformance failure for seed {seed} ({}):\n  {}\nreproduce with: {}",
@@ -192,7 +190,7 @@ mod tests {
         // graph `gen` emits must be free of Error-severity findings (merge
         // fan-in CG043 warnings are expected and fine).
         for seed in 0..40u64 {
-            let case = gen::generate(seed, &GenConfig::default());
+            let case = gen::generate(seed);
             let lint = cgsim_lint::lint_graph(&case.graph, &cgsim_lint::LintConfig::default());
             assert!(
                 !lint.has_errors(),

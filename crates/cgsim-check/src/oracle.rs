@@ -34,60 +34,14 @@ use cgsim_runtime::{
 use cgsim_trace::{invariants, Tracer};
 use std::collections::HashMap;
 
-/// Which legs the oracle runs and how hard it shakes the schedule.
-#[derive(Clone, Copy, Debug)]
-pub struct OracleConfig {
-    /// Seeded ready-list permutations per case (on top of FIFO + LIFO).
-    pub schedules: u32,
-    /// Additional rounds with fault injection (forced stalls) enabled.
-    pub fault_rounds: u32,
-    /// Run the LIFO (depth-first) permutation leg.
-    pub lifo: bool,
-    /// Run the profiling-mode legs (profiling off, full per-poll timing) —
-    /// these exercise the hot loop's timing axis and must be bit-identical
-    /// to the reference.
-    pub backend_legs: bool,
-    /// Run one round with an early-closing sink on output 0.
-    pub early_close: bool,
-    /// Cross-check against the compiled static-schedule backend: two
-    /// `Backend::Compiled` legs per case, one compiling its plan at launch
-    /// and one handed the oracle's plan. Merge-carrying cases are outside
-    /// the statically schedulable class; the oracle then asserts the
-    /// compiler's reject reason matches the lint verdict (CG043) instead.
-    pub check_compiled: bool,
-    /// Cross-check against the thread-per-kernel runtime.
-    pub check_threaded: bool,
-    /// Cross-check structure against the cycle-approximate DES.
-    pub check_aiesim: bool,
-    /// Validate the `CG060` static occupancy bounds against real traces on
-    /// merge-free cases: every cooperative leg runs with the runtime's
-    /// bounds-check mode armed (observed high-water occupancy must stay ≤
-    /// the static bound — soundness), and one extra leg floods the
-    /// highest-bound connector under a consumer-starving schedule and
-    /// asserts the bound is within 2× of the occupancy actually reached
-    /// (tightness).
-    pub check_bounds: bool,
-    /// Poll budget per cooperative run — turns a livelock into a reported
-    /// failure instead of a hang.
-    pub max_polls: u64,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            schedules: 4,
-            fault_rounds: 2,
-            lifo: true,
-            backend_legs: true,
-            early_close: true,
-            check_compiled: true,
-            check_threaded: true,
-            check_aiesim: true,
-            check_bounds: true,
-            max_polls: 2_000_000,
-        }
-    }
-}
+/// Seeded ready-list permutations per case (on top of FIFO + LIFO) unless
+/// the suite asks for another count.
+pub(crate) const SCHEDULES: u32 = 4;
+/// Additional rounds with fault injection (forced stalls) enabled.
+const FAULT_ROUNDS: u32 = 2;
+/// Poll budget per cooperative run — turns a livelock into a reported
+/// failure instead of a hang.
+const MAX_POLLS: u64 = 2_000_000;
 
 /// The oracle's verdict on one case.
 #[derive(Clone, Debug)]
@@ -139,8 +93,9 @@ fn perm_seed(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run the full differential check on one generated case.
-pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
+/// Run the full differential check on one generated case, with
+/// `schedules` seeded ready-list permutations.
+pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     let lib = kernels::library();
     let mut failures = Vec::new();
     let mut legs = 0usize;
@@ -156,7 +111,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid)) > 1
     });
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
-    let bounds = (cfg.check_bounds && !has_merge)
+    let bounds = (!has_merge)
         .then(|| {
             let lint_cfg = RuntimeConfig::default().lint_config();
             cgsim_lint::occupancy_bounds(&case.graph, &lint_cfg, &feed_lens)
@@ -168,7 +123,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
     let Some(reference) = run_cooperative(
         case,
         &lib,
-        &coop_spec(cfg, "coop-fifo", Schedule::Fifo),
+        &coop_spec("coop-fifo", Schedule::Fifo),
         None,
         bounds_ref,
         &mut failures,
@@ -192,80 +147,74 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         }
     }
 
-    if cfg.lifo {
-        if let Some(got) = run_cooperative(
-            case,
-            &lib,
-            &coop_spec(cfg, "coop-lifo", Schedule::Lifo),
-            None,
-            bounds_ref,
-            &mut failures,
-        ) {
+    if let Some(got) = run_cooperative(
+        case,
+        &lib,
+        &coop_spec("coop-lifo", Schedule::Lifo),
+        None,
+        bounds_ref,
+        &mut failures,
+    ) {
+        legs += 1;
+        compare_outputs("coop-lifo", &got, &reference, case, &mut failures);
+    }
+
+    // Same FIFO schedule as the reference, varying only the profiling
+    // mode; both must be bit-identical to the reference leg. (Mutex
+    // channels come with the threaded leg.)
+    let backend_specs = [
+        coop_spec("coop-prof-off", Schedule::Fifo).profiling(Profiling::Off),
+        coop_spec("coop-prof-full", Schedule::Fifo).profiling(Profiling::Full),
+    ];
+    for spec in &backend_specs {
+        if let Some(got) = run_cooperative(case, &lib, spec, None, bounds_ref, &mut failures) {
             legs += 1;
-            compare_outputs("coop-lifo", &got, &reference, case, &mut failures);
+            compare_outputs(spec.label(), &got, &reference, case, &mut failures);
         }
     }
 
-    if cfg.backend_legs {
-        // Same FIFO schedule as the reference, varying only the profiling
-        // mode; both must be bit-identical to the reference leg. (Mutex
-        // channels come with the threaded leg.)
-        let backend_specs = [
-            coop_spec(cfg, "coop-prof-off", Schedule::Fifo).profiling(Profiling::Off),
-            coop_spec(cfg, "coop-prof-full", Schedule::Fifo).profiling(Profiling::Full),
-        ];
-        for spec in &backend_specs {
-            if let Some(got) = run_cooperative(case, &lib, spec, None, bounds_ref, &mut failures) {
-                legs += 1;
-                compare_outputs(spec.label(), &got, &reference, case, &mut failures);
-            }
-        }
-    }
-
-    if cfg.check_compiled {
-        // The compiled static-schedule backend: two `Compiled` legs, one
-        // compiling its own plan at launch, one handed the plan compiled
-        // here — exactly the plan-reuse path `cgsim-serve` and `cgsim-pool`
-        // sweeps take.
-        let lint_cfg = cgsim_lint::LintConfig::default();
-        match compile(&case.graph, &lint_cfg) {
-            Ok(plan) => {
-                for (label, plan) in [("compiled", None), ("compiled-reuse", Some(plan))] {
-                    if let Some(got) = run_compiled(case, &lib, plan, cfg, label, &mut failures) {
-                        legs += 1;
-                        compare_outputs(label, &got, &reference, case, &mut failures);
-                    }
-                }
-            }
-            Err(err) => {
-                compiled_rejected = true;
-                // A reject is only legitimate when the compiler's stated
-                // reason matches the static verifier's independent verdict
-                // on the same graph (merge fan-in ⇒ CG043, imbalance ⇒
-                // CG030, cycle ⇒ CG020).
-                match err.reject_reason().and_then(|r| r.lint_code()) {
-                    Some(code) => {
-                        let lint = cgsim_lint::lint_graph(&case.graph, &lint_cfg);
-                        if !lint.codes().contains(code) {
-                            failures.push(format!(
-                                "compiled: rejected claiming {code}, but lint does not \
-                                 report that code: {err}"
-                            ));
-                        }
-                    }
-                    None => failures.push(format!("compiled: unexplained reject: {err}")),
+    // The compiled static-schedule backend: two `Compiled` legs, one
+    // compiling its own plan at launch, one handed the plan compiled
+    // here — exactly the plan-reuse path `cgsim-serve` and `cgsim-pool`
+    // sweeps take.
+    let lint_cfg = cgsim_lint::LintConfig::default();
+    match compile(&case.graph, &lint_cfg) {
+        Ok(plan) => {
+            for (label, plan) in [("compiled", None), ("compiled-reuse", Some(plan))] {
+                if let Some(got) = run_compiled(case, &lib, plan, label, &mut failures) {
+                    legs += 1;
+                    compare_outputs(label, &got, &reference, case, &mut failures);
                 }
             }
         }
+        Err(err) => {
+            compiled_rejected = true;
+            // A reject is only legitimate when the compiler's stated
+            // reason matches the static verifier's independent verdict
+            // on the same graph (merge fan-in ⇒ CG043, imbalance ⇒
+            // CG030, cycle ⇒ CG020).
+            match err.reject_reason().and_then(|r| r.lint_code()) {
+                Some(code) => {
+                    let lint = cgsim_lint::lint_graph(&case.graph, &lint_cfg);
+                    if !lint.codes().contains(code) {
+                        failures.push(format!(
+                            "compiled: rejected claiming {code}, but lint does not \
+                             report that code: {err}"
+                        ));
+                    }
+                }
+                None => failures.push(format!("compiled: unexplained reject: {err}")),
+            }
+        }
     }
 
-    for i in 0..cfg.schedules {
+    for i in 0..schedules {
         let s = perm_seed(case.seed, i as u64);
         let label = format!("coop-seeded({s:#018x})");
         if let Some(got) = run_cooperative(
             case,
             &lib,
-            &coop_spec(cfg, label.clone(), Schedule::Seeded(s)),
+            &coop_spec(label.clone(), Schedule::Seeded(s)),
             None,
             bounds_ref,
             &mut failures,
@@ -275,7 +224,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         }
     }
 
-    for i in 0..cfg.fault_rounds {
+    for i in 0..FAULT_ROUNDS {
         let s = perm_seed(case.seed, 1_000 + i as u64);
         let label = format!("coop-faulty({s:#018x})");
         // No bounds check here: fault injection replays sends, so total
@@ -284,7 +233,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         if let Some(got) = run_cooperative(
             case,
             &lib,
-            &coop_spec(cfg, label.clone(), Schedule::Seeded(s)).faults(FaultPlan::new(s, 35)),
+            &coop_spec(label.clone(), Schedule::Seeded(s)).faults(FaultPlan::new(s, 35)),
             None,
             None,
             &mut failures,
@@ -294,37 +243,35 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         }
     }
 
-    if cfg.early_close {
-        // Close sink 0 after half its stream; the graph must still drain and
-        // every other output must be unaffected.
-        let limit = (case.outputs[0].len / 2).max(1) as usize;
-        let label = "coop-early-close";
-        // No bounds check here: when the bounded sink closes early, channel
-        // occupancy is measured relative to the remaining open consumers, a
-        // different quantity than the all-consumers-open one the static
-        // analysis bounds.
-        if let Some(got) = run_cooperative(
-            case,
-            &lib,
-            &coop_spec(cfg, label, Schedule::Fifo),
-            Some(limit),
-            None,
-            &mut failures,
-        ) {
-            legs += 1;
-            if got[0].len() != limit {
-                failures.push(format!(
-                    "{label}: bounded sink collected {} elements, limit was {limit}",
-                    got[0].len()
-                ));
-            } else if case.outputs[0].det && got[0] != reference[0][..limit] {
-                failures.push(format!(
-                    "{label}: bounded sink prefix diverged from reference"
-                ));
-            }
-            for oi in 1..case.outputs.len() {
-                compare_one(label, oi, &got[oi], &reference[oi], case, &mut failures);
-            }
+    // Close sink 0 after half its stream; the graph must still drain and
+    // every other output must be unaffected.
+    let limit = (case.outputs[0].len / 2).max(1) as usize;
+    let label = "coop-early-close";
+    // No bounds check here: when the bounded sink closes early, channel
+    // occupancy is measured relative to the remaining open consumers, a
+    // different quantity than the all-consumers-open one the static
+    // analysis bounds.
+    if let Some(got) = run_cooperative(
+        case,
+        &lib,
+        &coop_spec(label, Schedule::Fifo),
+        Some(limit),
+        None,
+        &mut failures,
+    ) {
+        legs += 1;
+        if got[0].len() != limit {
+            failures.push(format!(
+                "{label}: bounded sink collected {} elements, limit was {limit}",
+                got[0].len()
+            ));
+        } else if case.outputs[0].det && got[0] != reference[0][..limit] {
+            failures.push(format!(
+                "{label}: bounded sink prefix diverged from reference"
+            ));
+        }
+        for oi in 1..case.outputs.len() {
+            compare_one(label, oi, &got[oi], &reference[oi], case, &mut failures);
         }
     }
 
@@ -389,7 +336,7 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
             if let Some((got, report)) = run_cooperative_report(
                 case,
                 &lib,
-                &coop_spec(cfg, label, Schedule::Fifo),
+                &coop_spec(label, Schedule::Fifo),
                 None,
                 Some(bounds),
                 Some(Box::new(DemoteLast { demoted })),
@@ -419,17 +366,13 @@ pub fn check_case(case: &GeneratedCase, cfg: &OracleConfig) -> CaseVerdict {
         }
     }
 
-    if cfg.check_threaded {
-        if let Some(got) = run_threaded(case, &lib, "threaded", &mut failures) {
-            legs += 1;
-            compare_outputs("threaded", &got, &reference, case, &mut failures);
-        }
+    if let Some(got) = run_threaded(case, &lib, "threaded", &mut failures) {
+        legs += 1;
+        compare_outputs("threaded", &got, &reference, case, &mut failures);
     }
 
-    if cfg.check_aiesim {
-        legs += 1;
-        run_aiesim(case, "aie-sim", &mut failures);
-    }
+    legs += 1;
+    run_aiesim(case, "aie-sim", &mut failures);
 
     CaseVerdict {
         seed: case.seed,
@@ -526,9 +469,9 @@ fn check_conservation(
 /// under the given schedule, with the oracle's poll budget applied. Legs
 /// that vary the profiling mode chain the builder call onto the returned
 /// spec.
-fn coop_spec(cfg: &OracleConfig, label: impl Into<String>, schedule: Schedule) -> RunSpec {
+fn coop_spec(label: impl Into<String>, schedule: Schedule) -> RunSpec {
     RunSpec::for_graph(label)
-        .max_polls(cfg.max_polls)
+        .max_polls(MAX_POLLS)
         .schedule(schedule)
 }
 
@@ -642,11 +585,10 @@ fn run_compiled(
     case: &GeneratedCase,
     lib: &KernelLibrary,
     plan: Option<CompiledPlan>,
-    cfg: &OracleConfig,
     label: &str,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
-    let spec = coop_spec(cfg, label, Schedule::Fifo).backend(Backend::Compiled);
+    let spec = coop_spec(label, Schedule::Fifo).backend(Backend::Compiled);
     let (outputs, report) =
         run_cooperative_report(case, lib, &spec, None, None, None, plan, failures)?;
     for (name, stats) in &report.channels {
@@ -785,13 +727,13 @@ fn run_aiesim(case: &GeneratedCase, label: &str, failures: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, GenConfig};
+    use crate::gen::generate;
 
     #[test]
     fn default_oracle_passes_on_generated_cases() {
         for seed in 0..12 {
-            let case = generate(seed, &GenConfig::default());
-            let verdict = check_case(&case, &OracleConfig::default());
+            let case = generate(seed);
+            let verdict = check_case(&case, SCHEDULES);
             assert!(
                 verdict.ok(),
                 "seed {seed} ({}): {:#?}",
@@ -803,16 +745,15 @@ mod tests {
 
     #[test]
     fn verdict_counts_every_leg() {
-        let cfg = OracleConfig::default();
-        let case = generate(3, &GenConfig::default());
-        let verdict = check_case(&case, &cfg);
+        let case = generate(3);
+        let verdict = check_case(&case, SCHEDULES);
         assert!(verdict.ok(), "{:#?}", verdict.failures);
         let expected = 1 // fifo
             + 1 // lifo
             + 2 // backend legs: profiling off, profiling full
             + if verdict.compiled_rejected { 0 } else { 2 } // compiled + compiled-reuse
-            + cfg.schedules as usize
-            + cfg.fault_rounds as usize
+            + SCHEDULES as usize
+            + FAULT_ROUNDS as usize
             + 1 // early close
             // bounds flood leg: merge-free cases only — exactly the cases
             // the compiled backend accepts
@@ -831,13 +772,13 @@ mod tests {
         // mismatch lands in `failures`).
         let mut rejects = 0usize;
         for seed in 0..24u64 {
-            let case = generate(seed, &GenConfig::default());
+            let case = generate(seed);
             let has_merge = (0..case.graph.connectors.len()).any(|ci| {
                 let cid = ConnectorId::new(ci);
                 case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid))
                     > 1
             });
-            let verdict = check_case(&case, &OracleConfig::default());
+            let verdict = check_case(&case, SCHEDULES);
             assert!(verdict.ok(), "seed {seed}: {:#?}", verdict.failures);
             assert_eq!(
                 verdict.compiled_rejected, has_merge,

@@ -424,15 +424,6 @@ impl JobHandle {
         self.cancel.cancel();
     }
 
-    /// The outcome, if the job has already finished.
-    pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.state
-            .outcome
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
     /// Block until the job finishes and return its outcome.
     pub fn wait(&self) -> JobOutcome {
         let mut slot = self.state.outcome.lock().unwrap_or_else(|e| e.into_inner());

@@ -3,8 +3,8 @@
 //! The cooperative runtime (`cgsim-runtime`) simulates *one* graph instance
 //! on one thread, deterministically. Parameter sweeps, conformance legs and
 //! benchmark batches want *many* independent instances; this crate runs
-//! them on a work-stealing worker pool without giving up the single-instance
-//! determinism:
+//! them on a worker pool fed from one FIFO queue without giving up the
+//! single-instance determinism:
 //!
 //! * **Jobs** are self-contained: a [`RunSpec`](cgsim_runtime::RunSpec)
 //!   plus a closure that builds, feeds and runs its own graph instance.

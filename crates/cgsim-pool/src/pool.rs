@@ -1,5 +1,5 @@
-//! The worker pool: bounded admission, per-worker deques with stealing,
-//! and the job-execution protocol (deadline / cancellation / panic
+//! The worker pool: bounded admission into one FIFO queue, and the
+//! job-execution protocol (deadline / cancellation / panic
 //! containment) every worker follows.
 
 use crate::job::{
@@ -11,11 +11,10 @@ use cgsim_runtime::{CancelToken, ExecProbe};
 use cgsim_trace::{MetricsRegistry, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// A job that has passed admission and waits in a worker's deque.
+/// A job that has passed admission and waits in the pool's queue.
 struct QueuedJob {
     job: Job,
     index: u64,
@@ -25,12 +24,12 @@ struct QueuedJob {
     handle: Arc<HandleState>,
 }
 
-/// Admission bookkeeping under the central lock.
+/// The queue and its admission bookkeeping, under the central lock.
 struct State {
-    /// Jobs sitting in deques, not yet claimed by a worker.
-    queued: usize,
-    /// Admission slots in use (admitted, not yet dequeued).
-    slots: usize,
+    /// Admitted jobs not yet claimed by a worker, oldest first.
+    queue: VecDeque<QueuedJob>,
+    /// Jobs admitted so far; the next admitted job's index.
+    submitted: u64,
     /// No new submissions; workers drain and exit.
     shutdown: bool,
 }
@@ -39,10 +38,9 @@ pub(crate) struct Shared {
     state: Mutex<State>,
     /// Signalled when a job is queued or shutdown begins.
     work_cv: Condvar,
-    /// Signalled when an admission slot frees (or on shutdown), waking
+    /// Signalled when a worker claims a job (or on shutdown), waking
     /// blocked submitters.
     slot_cv: Condvar,
-    deques: Vec<Mutex<VecDeque<QueuedJob>>>,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) traces: Mutex<Vec<JobTrace>>,
     pub(crate) epoch: Instant,
@@ -66,11 +64,11 @@ impl Shared {
 
     /// Jobs admitted but not yet claimed by a worker (observer-side read).
     pub(crate) fn queued_count(&self) -> usize {
-        self.lock_state().queued
+        self.lock_state().queue.len()
     }
 }
 
-/// Work-stealing pool of graph-simulation workers. See the crate docs for
+/// FIFO pool of graph-simulation workers. See the crate docs for
 /// the execution model; construct with [`Pool::new`], submit [`Job`]s, and
 /// finish with [`Pool::shutdown`] (or use the one-shot
 /// [`Pool::run_batch`]).
@@ -78,9 +76,6 @@ pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
     observer: Option<PoolObserver>,
-    /// Round-robin injection cursor.
-    next: AtomicUsize,
-    submitted: AtomicU64,
 }
 
 impl Pool {
@@ -89,13 +84,12 @@ impl Pool {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queued: 0,
-                slots: 0,
+                queue: VecDeque::new(),
+                submitted: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             slot_cv: Condvar::new(),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             metrics: MetricsRegistry::new(),
             traces: Mutex::new(Vec::new()),
             epoch: Instant::now(),
@@ -122,14 +116,12 @@ impl Pool {
             shared,
             workers: handles,
             observer,
-            next: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.workers.len()
     }
 
     /// Live snapshot of the pool's metrics registry (counters, gauges,
@@ -172,14 +164,16 @@ impl Pool {
         }
         let submitted = Instant::now();
         let deadline = job.spec.deadline_budget().map(|budget| submitted + budget);
-        {
+        let label = job.spec.label().to_string();
+        let cancel = CancelToken::new();
+        let state = HandleState::new();
+        let index = {
             let mut st = self.shared.lock_state();
             loop {
                 if st.shutdown {
                     return Err(SubmitError::ShuttingDown);
                 }
-                if st.slots < self.shared.capacity {
-                    st.slots += 1;
+                if st.queue.len() < self.shared.capacity {
                     break;
                 }
                 match self.shared.admission {
@@ -193,48 +187,40 @@ impl Pool {
                     }
                 }
             }
-        }
-
-        let index = self.submitted.fetch_add(1, Ordering::Relaxed);
-        let cancel = CancelToken::new();
-        let handle = JobHandle {
-            index,
-            label: job.spec.label().to_string(),
-            cancel: cancel.clone(),
-            state: HandleState::new(),
+            // Indices are taken after admission and under the lock, so a
+            // rejected submission uses none and index order is queue order.
+            let index = st.submitted;
+            st.submitted += 1;
+            st.queue.push_back(QueuedJob {
+                job,
+                index,
+                submitted,
+                deadline,
+                cancel: cancel.clone(),
+                handle: Arc::clone(&state),
+            });
+            index
         };
-        let queued = QueuedJob {
-            job,
-            index,
-            submitted,
-            deadline,
-            cancel,
-            handle: Arc::clone(&handle.state),
-        };
-
-        // Publish the job before making it visible through `queued`, so any
-        // worker whose claim this submission satisfies finds it in a deque.
-        let target = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.deques.len();
-        self.shared.deques[target]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(queued);
-        self.shared.lock_state().queued += 1;
         self.shared.work_cv.notify_one();
         self.shared
             .metrics
             .counter("pool_jobs_submitted", &[])
             .inc();
-        Ok(handle)
+        Ok(JobHandle {
+            index,
+            label,
+            cancel,
+            state,
+        })
     }
 
     /// Signal shutdown, drain every queued job, join the workers (and the
     /// observer thread, when one is configured) and return the pool-level
     /// report.
     pub fn shutdown(mut self) -> PoolReport {
-        let observer = self.finish();
-        let jobs = self.submitted.load(Ordering::Relaxed);
         let workers = self.workers();
+        let observer = self.finish();
+        let jobs = self.shared.lock_state().submitted;
         let shared = &self.shared;
         PoolReport {
             workers,
@@ -290,15 +276,13 @@ const IDLE_SPIN: Duration = Duration::from_micros(500);
 
 fn worker_loop(shared: &Shared, me: usize) {
     loop {
-        // Claim one unit of queued work (or exit once drained + shutdown).
-        {
+        // Claim the oldest queued job (or exit once drained + shutdown).
+        let job = {
             let mut st = shared.lock_state();
             let mut idle_since = None;
             loop {
-                if st.queued > 0 {
-                    st.queued -= 1;
-                    st.slots -= 1;
-                    break;
+                if let Some(job) = st.queue.pop_front() {
+                    break job;
                 }
                 if st.shutdown {
                     return;
@@ -311,37 +295,10 @@ fn worker_loop(shared: &Shared, me: usize) {
                     st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             }
-        }
-        // The claim freed an admission slot: wake one blocked submitter.
+        };
+        // The claim freed a queue place: wake one blocked submitter.
         shared.slot_cv.notify_one();
-        let job = take_job(shared, me);
         run_job(shared, me, job);
-    }
-}
-
-/// Fetch the queued job backing a successful claim: own deque from the
-/// front (FIFO), then steal from the back of the others. A claim
-/// guarantees at least as many deque entries as outstanding claims, so
-/// the scan terminates.
-fn take_job(shared: &Shared, me: usize) -> QueuedJob {
-    loop {
-        if let Some(job) = shared.deques[me]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
-            return job;
-        }
-        for (other, deque) in shared.deques.iter().enumerate() {
-            if other == me {
-                continue;
-            }
-            if let Some(job) = deque.lock().unwrap_or_else(|e| e.into_inner()).pop_back() {
-                shared.metrics.counter("pool_steals", &[]).inc();
-                return job;
-            }
-        }
-        std::thread::yield_now();
     }
 }
 

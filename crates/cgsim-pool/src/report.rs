@@ -30,7 +30,7 @@ pub struct PoolReport {
     pub workers: usize,
     /// Total jobs submitted.
     pub jobs: u64,
-    /// Pool-level counters and histograms (`pool_jobs_*`, `pool_steals`,
+    /// Pool-level counters and histograms (`pool_jobs_*`,
     /// `pool_job_wall_ns`, `pool_queue_wait_ns`).
     pub metrics: MetricsSnapshot,
     /// Per-job traces of every *completed* job, in completion order.
@@ -51,13 +51,6 @@ impl PoolReport {
     /// what a `/metrics` endpoint would serve for this pool.
     pub fn prometheus(&self) -> String {
         prometheus::render(&self.metrics)
-    }
-
-    /// The observer timeline as JSON; `"null"` when no observer ran.
-    pub fn observer_json(&self) -> String {
-        self.observer
-            .as_ref()
-            .map_or_else(|| "null".to_string(), ObsTimeline::to_json)
     }
 
     /// Merge every job trace into one Chrome-trace JSON document: each

@@ -7,7 +7,8 @@ use cgsim_pool::{
 use cgsim_runtime::cgsim_core::{FlatGraph, GraphBuilder};
 use cgsim_runtime::{compute_kernel, Backend, KernelLibrary, RunSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -381,6 +382,51 @@ fn reject_admission_reports_queue_full_and_recovers() {
     let report = pool.shutdown();
     // blocker + queued + retry; the rejected job was never admitted.
     assert_eq!(report.counter("pool_jobs_completed"), 3);
+}
+
+#[test]
+fn one_free_worker_starts_jobs_in_submission_order() {
+    let pool = Pool::new(PoolConfig::default().with_workers(2));
+    // Two blockers meet the test thread on a barrier, so once it opens
+    // both workers are busy and every later job waits in the queue.
+    let barrier = Arc::new(Barrier::new(3));
+    let releases: Vec<mpsc::Sender<()>> = (0..2)
+        .map(|_| {
+            let (release, held) = mpsc::channel();
+            let barrier = Arc::clone(&barrier);
+            pool.submit(Job::new(RunSpec::for_graph("blocker"), move |_| {
+                barrier.wait();
+                held.recv().map_err(|e| e.to_string())?;
+                Ok(JobOutput::new(0))
+            }))
+            .unwrap();
+            release
+        })
+        .collect();
+    barrier.wait();
+
+    let entered = Arc::new(Mutex::new(Vec::new()));
+    let handles: Vec<_> = (0..8u64)
+        .map(|i| {
+            let entered = Arc::clone(&entered);
+            pool.submit(Job::new(
+                RunSpec::for_graph(format!("job#{i}")),
+                move |_| {
+                    entered.lock().unwrap().push(i);
+                    Ok(JobOutput::new(i))
+                },
+            ))
+            .unwrap()
+        })
+        .collect();
+    // One worker comes free and must take the queue oldest first.
+    releases[0].send(()).unwrap();
+    for handle in &handles {
+        assert!(handle.wait().is_completed());
+    }
+    releases[1].send(()).unwrap();
+    assert_eq!(*entered.lock().unwrap(), (0..8).collect::<Vec<u64>>());
+    assert_eq!(pool.shutdown().counter("pool_jobs_completed"), 10);
 }
 
 #[test]

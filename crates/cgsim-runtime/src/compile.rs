@@ -141,11 +141,6 @@ impl CompiledPlan {
     pub fn schedule(&self) -> &StaticSchedule {
         &self.schedule
     }
-
-    /// Name of the graph the plan was compiled from.
-    pub fn graph_name(&self) -> &str {
-        &self.schedule.graph
-    }
 }
 
 /// Compile `graph` into a [`CompiledPlan`], or report why it is outside the

@@ -218,11 +218,6 @@ impl RunReport {
         self.exec.interrupted
     }
 
-    /// Busy time of one task by label, if present.
-    pub fn busy_of(&self, label: &str) -> Option<std::time::Duration> {
-        self.tasks.iter().find(|t| t.label == label).map(|t| t.busy)
-    }
-
     /// Per-kernel summary table derived from the trace — the runtime twin
     /// of `aie-sim`'s `SimReport::render`. Empty-ish for untraced runs.
     pub fn summary(&self) -> String {
@@ -233,11 +228,6 @@ impl RunReport {
     /// `chrome://tracing` or `ui.perfetto.dev`).
     pub fn chrome_trace(&self) -> String {
         cgsim_trace::export::chrome::chrome_trace_json(&self.trace)
-    }
-
-    /// The captured trace and metrics as a machine-readable JSON snapshot.
-    pub fn trace_json(&self) -> String {
-        cgsim_trace::export::json::snapshot_json(&self.trace)
     }
 }
 

@@ -84,12 +84,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Set the bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
     /// Set the acceptor-thread count.
     pub fn with_http_workers(mut self, workers: usize) -> Self {
         self.http_workers = workers.max(1);
@@ -123,12 +117,6 @@ impl ServeConfig {
     /// Enable per-client rate limiting.
     pub fn with_rate(mut self, rate: RateLimit) -> Self {
         self.rate = Some(rate);
-        self
-    }
-
-    /// Set the fair-queue in-flight ceiling.
-    pub fn with_max_inflight(mut self, inflight: usize) -> Self {
-        self.max_inflight = inflight.max(1);
         self
     }
 

@@ -77,18 +77,13 @@ pub fn snapshot_value(snapshot: &TraceSnapshot) -> serde_json::Value {
     })
 }
 
-/// Render the snapshot document as pretty JSON.
-pub fn snapshot_json(snapshot: &TraceSnapshot) -> String {
-    serde_json::to_string_pretty(&snapshot_value(snapshot)).expect("snapshot serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{KernelRef, TraceEvent, TraceRecord};
 
     #[test]
-    fn snapshot_json_parses_back_with_kernel_rows() {
+    fn snapshot_value_has_kernel_rows() {
         let snapshot = TraceSnapshot {
             kernels: vec!["k0".into()],
             records: vec![TraceRecord {
@@ -101,8 +96,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let doc = snapshot_json(&snapshot);
-        let parsed: serde_json::Value = serde_json::from_str(&doc).unwrap();
+        let parsed = snapshot_value(&snapshot);
         assert_eq!(parsed["records"], 1);
         let kernels = parsed["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), 1);

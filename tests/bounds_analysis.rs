@@ -6,7 +6,7 @@
 use cgsim::graphs::all_apps;
 use cgsim::lint::{lint_graph, occupancy_bounds, LintConfig};
 use cgsim::runtime::{RunSpec, RuntimeConfig, RuntimeContext, Schedule};
-use cgsim_check::gen::{self, GenConfig, GeneratedCase};
+use cgsim_check::gen::{self, GeneratedCase};
 use proptest::prelude::*;
 
 /// Lint configuration whose default depth matches the default runtime
@@ -121,7 +121,7 @@ proptest! {
     /// permutation — never exceeds the static occupancy bound.
     #[test]
     fn occupancy_bound_dominates_observed_high_water(seed in 0u64..1u64 << 40) {
-        let case = gen::generate(seed, &GenConfig::default());
+        let case = gen::generate(seed);
         if has_merge(&case) {
             return Ok(());
         }
@@ -155,7 +155,7 @@ proptest! {
 /// the observed high-water mark attached.
 #[test]
 fn runtime_bounds_check_mode_records_violations() {
-    let case = gen::generate(7, &GenConfig::default());
+    let case = gen::generate(7);
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let lib = cgsim_check::kernels::library();
 

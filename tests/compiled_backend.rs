@@ -8,7 +8,7 @@ use cgsim::graphs::all_apps;
 use cgsim::lint::LintConfig;
 use cgsim::runtime::{compile, compile_for, Backend, CompiledPlan, Launch, RunSpec};
 use cgsim::{RuntimeConfig, RuntimeContext};
-use cgsim_check::gen::{self, GenConfig, GeneratedCase};
+use cgsim_check::gen::{self, GeneratedCase};
 use proptest::prelude::*;
 
 /// The compiled firing order and per-connector token bounds of every paper
@@ -104,7 +104,7 @@ proptest! {
     /// rejected with the lint code the static verifier assigns (CG043).
     #[test]
     fn compiled_matches_reference_on_generated_cases(seed in 0u64..1u64 << 40) {
-        let case = gen::generate(seed, &GenConfig::default());
+        let case = gen::generate(seed);
         match compile(&case.graph, &LintConfig::default()) {
             Ok(plan) => {
                 prop_assert!(

@@ -90,8 +90,8 @@ proptest::proptest! {
     /// error).
     #[test]
     fn generated_conformance_graphs_are_error_clean(seed in 0u64..1u64 << 48) {
-        use cgsim_check::{gen, GenConfig};
-        let case = gen::generate(seed, &GenConfig::default());
+        use cgsim_check::gen;
+        let case = gen::generate(seed);
         let report = lint_graph(&case.graph, &LintConfig::default());
         proptest::prop_assert!(
             !report.has_errors(),
