@@ -70,13 +70,9 @@ impl DeployManifest {
         m.graph
             .validate()
             .map_err(|e| format!("manifest graph invalid: {e}"))?;
-        let report = m.lint();
-        if report.has_errors() {
-            return Err(format!(
-                "manifest graph invalid: rejected by cgsim-lint\n{}",
-                report.render_human(&m.graph)
-            ));
-        }
+        VerifyPolicy::Deny
+            .gate(&m.lint(), &m.graph)
+            .map_err(|e| format!("manifest graph invalid: rejected by cgsim-lint: {e}"))?;
         Ok(m)
     }
 
@@ -136,27 +132,8 @@ pub fn deploy(
     manifest: &DeployManifest,
     options: &DeployOptions,
 ) -> Result<GraphTrace, GraphError> {
-    match options.verify {
-        VerifyPolicy::Deny => {
-            let report = manifest.lint();
-            if report.has_errors() {
-                return Err(GraphError::LintRejected {
-                    errors: report.error_count(),
-                    report: report.render_human(&manifest.graph),
-                });
-            }
-        }
-        VerifyPolicy::Warn => {
-            let report = manifest.lint();
-            if report.has_errors() {
-                eprintln!(
-                    "warning: deploying despite {} lint error(s):\n{}",
-                    report.error_count(),
-                    report.render_human(&manifest.graph)
-                );
-            }
-        }
-        VerifyPolicy::Off => {}
+    if options.verify != VerifyPolicy::Off {
+        options.verify.gate(&manifest.lint(), &manifest.graph)?;
     }
     simulate_graph(
         &manifest.graph,

@@ -1,14 +1,12 @@
-//! Lint configuration: channel-depth defaults, declared kernel rates, and
-//! per-realm hardware budgets.
-
-use std::collections::HashMap;
+//! Lint configuration: the channel-depth default and the bounds switch,
+//! plus the device's fixed per-realm hardware budgets.
 
 /// Hardware budgets for the AIE realm, checked by the `CG05x` pass.
 ///
-/// The numbers default to the VC1902 device the paper targets; they live
-/// here (rather than being imported from `aie-sim`) so the lint crate stays
-/// a leaf dependency of `cgsim-core` and every consumer — runtime, deploy,
-/// extractor — can gate on the same limits.
+/// The one set of numbers is [`RealmBudgets::VC1902`], the device the paper
+/// targets. It lives here (rather than being imported from `aie-sim`) so the
+/// lint crate stays a leaf dependency of `cgsim-core` and every consumer —
+/// runtime, deploy, extractor — gates on the same limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RealmBudgets {
     /// AIE tiles available on the device (VC1902: 50 columns × 8 rows).
@@ -25,15 +23,14 @@ pub struct RealmBudgets {
     pub stream_out: usize,
 }
 
-impl Default for RealmBudgets {
-    fn default() -> Self {
-        RealmBudgets {
-            aie_tiles: 400,
-            tile_data_bytes: 32 * 1024,
-            stream_in: 2,
-            stream_out: 2,
-        }
-    }
+impl RealmBudgets {
+    /// The VC1902 budgets.
+    pub const VC1902: RealmBudgets = RealmBudgets {
+        aie_tiles: 400,
+        tile_data_bytes: 32 * 1024,
+        stream_in: 2,
+        stream_out: 2,
+    };
 }
 
 /// Configuration for one lint run.
@@ -43,13 +40,6 @@ pub struct LintConfig {
     /// an explicit `depth`. `0` falls back to
     /// [`LintConfig::FALLBACK_DEPTH`], matching the runtime's default.
     pub default_depth: u32,
-    /// AIE realm budgets for the `CG05x` pass.
-    pub budgets: RealmBudgets,
-    /// Declared SDF rates per kernel *kind*, by port index — an external
-    /// override for kernels whose ports do not carry a `rate` themselves
-    /// (e.g. a library of fixed-function kernels). Port rates in the graph
-    /// win over entries here.
-    pub kernel_rates: HashMap<String, Vec<u32>>,
     /// Emit the informational `CG06x` bounds diagnostics (per-connector
     /// occupancy, critical path, throughput). The bounds *data* is always
     /// computed and attached to the report when derivable; this flag only
@@ -73,12 +63,6 @@ impl LintConfig {
         }
     }
 
-    /// Declare rates for all ports of kernel kind `kind`, in port order.
-    pub fn with_kernel_rates(mut self, kind: impl Into<String>, rates: Vec<u32>) -> Self {
-        self.kernel_rates.insert(kind.into(), rates);
-        self
-    }
-
     /// Enable the informational `CG06x` bounds diagnostics.
     pub fn with_bounds(mut self) -> Self {
         self.emit_bounds = true;
@@ -91,8 +75,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_vc1902() {
-        let b = RealmBudgets::default();
+    fn budgets_match_vc1902() {
+        let b = RealmBudgets::VC1902;
         assert_eq!(b.aie_tiles, 400);
         assert_eq!(b.tile_data_bytes, 32768);
         assert_eq!((b.stream_in, b.stream_out), (2, 2));
@@ -109,11 +93,5 @@ mod tests {
             ..LintConfig::default()
         };
         assert_eq!(cfg.effective_default_depth(), 8);
-    }
-
-    #[test]
-    fn kernel_rates_builder() {
-        let cfg = LintConfig::default().with_kernel_rates("fir", vec![1, 4]);
-        assert_eq!(cfg.kernel_rates["fir"], vec![1, 4]);
     }
 }

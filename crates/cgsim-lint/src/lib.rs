@@ -47,7 +47,7 @@ pub use passes::bounds::{cost_estimate, occupancy_bounds, workload_tokens};
 pub use passes::port_rate;
 pub use style::{bounds_labels, dot_style};
 
-use cgsim_core::FlatGraph;
+use cgsim_core::{FlatGraph, GraphError};
 
 /// What to do with Error-severity lint findings before running or deploying
 /// a graph.
@@ -69,6 +69,31 @@ pub enum VerifyPolicy {
     Off,
 }
 
+impl VerifyPolicy {
+    /// Apply this policy to `report`, the lint verdict on `graph` — the one
+    /// gate every caller shares. `Deny` rejects a report with Error-severity
+    /// findings as [`GraphError::LintRejected`] (`CG012`); `Warn` prints
+    /// such a report to stderr and returns `Ok`; `Off` always returns `Ok`,
+    /// so callers skip linting altogether under it.
+    pub fn gate(self, report: &LintReport, graph: &FlatGraph) -> Result<(), GraphError> {
+        match self {
+            _ if !report.has_errors() => Ok(()),
+            VerifyPolicy::Deny => Err(GraphError::LintRejected {
+                errors: report.error_count(),
+                report: report.render_human(graph),
+            }),
+            VerifyPolicy::Warn => {
+                eprintln!(
+                    "warning: proceeding despite lint errors:\n{}",
+                    report.render_human(graph)
+                );
+                Ok(())
+            }
+            VerifyPolicy::Off => Ok(()),
+        }
+    }
+}
+
 /// Run every lint pass over `graph` and collect the findings.
 ///
 /// Passes run in order: structural integrity (`CG00x`), reachability
@@ -84,9 +109,9 @@ pub fn lint_graph(graph: &FlatGraph, config: &LintConfig) -> LintReport {
     }
     let reach = passes::reachability(graph, &mut report);
     passes::deadlock::check(graph, config, &mut report);
-    passes::rates::check(graph, config, &mut report);
+    passes::rates::check(graph, &mut report);
     passes::shape(graph, &reach, &mut report);
-    passes::budget::check(graph, config, &mut report);
+    passes::budget::check(graph, &mut report);
     passes::bounds::check(graph, config, &mut report);
     report
 }
@@ -179,10 +204,10 @@ mod tests {
         assert!(r.codes().iter().all(|c| c <= &"CG011".to_owned()));
     }
 
-    #[test]
-    fn unprimed_feedback_cycle_is_cg020() {
-        // k_0 reads input c0 and feedback c2, writes output c1 and c2.
-        let g = FlatGraph {
+    /// k_0 reads input c0 and feedback c2, writes output c1 and c2: an
+    /// unprimed loop, so the graph deadlocks (CG020).
+    fn unprimed_feedback() -> FlatGraph {
+        FlatGraph {
             name: "dead".into(),
             kernels: vec![kernel(
                 "k_0",
@@ -196,7 +221,27 @@ mod tests {
             connectors: vec![connector(), connector(), connector()],
             inputs: vec![ConnectorId::new(0)],
             outputs: vec![ConnectorId::new(1)],
+        }
+    }
+
+    #[test]
+    fn every_policy_gates_clean_and_deadlocked_graphs() {
+        let gate = |policy: VerifyPolicy, g: &FlatGraph| {
+            policy.gate(&lint_graph(g, &LintConfig::default()), g)
         };
+        for policy in [VerifyPolicy::Deny, VerifyPolicy::Warn, VerifyPolicy::Off] {
+            assert!(gate(policy, &pipeline()).is_ok(), "{policy:?}");
+        }
+        let err = gate(VerifyPolicy::Deny, &unprimed_feedback()).unwrap_err();
+        assert_eq!(err.code(), "CG012");
+        assert!(err.to_string().contains("CG020"), "{err}");
+        assert!(gate(VerifyPolicy::Warn, &unprimed_feedback()).is_ok());
+        assert!(gate(VerifyPolicy::Off, &unprimed_feedback()).is_ok());
+    }
+
+    #[test]
+    fn unprimed_feedback_cycle_is_cg020() {
+        let g = unprimed_feedback();
         let r = lint_graph(&g, &LintConfig::default());
         assert!(r.has_errors());
         assert!(r.codes().contains("CG020"), "{}", r.render_human(&g));
@@ -323,19 +368,24 @@ mod tests {
     }
 
     #[test]
-    fn kernel_rates_config_feeds_the_rate_pass() {
+    fn declared_port_rates_feed_the_rate_pass() {
         let mut g = pipeline();
         g.kernels[0].ports.push(port("aux_out", PortDir::Out, 3));
         g.kernels[1].ports.push(port("aux_in", PortDir::In, 3));
         g.connectors.push(connector());
-        // Same imbalance, but declared via the kernel library instead of
-        // the graph ("k" kind, port order: in, out, aux).
-        let cfg = LintConfig::default()
-            .with_kernel_rates("k", vec![3, 2, 1])
-            .with_kernel_rates("unrelated", vec![9]);
-        let r = lint_graph(&g, &cfg);
-        assert!(r.codes().contains("CG030"), "{}", r.render_human(&g));
+        // Undeclared rates default to 1: the graph is balanced.
+        assert_eq!(port_rate(&g, 0, 1), 1);
         assert!(lint_graph(&g, &LintConfig::default()).is_clean());
+        // Every "k" port declares its rate (in 3, out 2, aux 1): c1 forces
+        // f0·2 = f1·3 while c3 forces f0 = f1.
+        for k in &mut g.kernels {
+            for (p, rate) in k.ports.iter_mut().zip([3, 2, 1]) {
+                p.rate = rate;
+            }
+        }
+        assert_eq!(port_rate(&g, 0, 1), 2);
+        let r = lint_graph(&g, &LintConfig::default());
+        assert!(r.codes().contains("CG030"), "{}", r.render_human(&g));
     }
 
     #[test]
@@ -402,16 +452,19 @@ mod tests {
 
     #[test]
     fn tile_count_overflow_is_cg050() {
-        let mut g = pipeline();
-        let cfg = LintConfig {
-            budgets: RealmBudgets {
-                aie_tiles: 1,
-                ..RealmBudgets::default()
-            },
-            ..LintConfig::default()
+        // A chain of one AIE kernel more than the VC1902 has tiles.
+        let n = RealmBudgets::VC1902.aie_tiles + 1;
+        let chain = |i: usize| vec![port("in", PortDir::In, i), port("out", PortDir::Out, i + 1)];
+        let g = FlatGraph {
+            name: "long".into(),
+            kernels: (0..n)
+                .map(|i| kernel(&format!("k_{i}"), chain(i)))
+                .collect(),
+            connectors: (0..=n).map(|_| connector()).collect(),
+            inputs: vec![ConnectorId::new(0)],
+            outputs: vec![ConnectorId::new(n)],
         };
-        g.kernels[1].realm = Realm::Aie;
-        let r = lint_graph(&g, &cfg);
+        let r = lint_graph(&g, &LintConfig::default());
         assert!(r.codes().contains("CG050"), "{}", r.render_human(&g));
     }
 
@@ -555,7 +608,7 @@ mod tests {
         let g = pipeline();
         let cfg = LintConfig::default();
         // 10 elements in → 10 across every connector of a 1:1 pipeline.
-        assert_eq!(workload_tokens(&g, &cfg, &[10]), Some(vec![10, 10, 10]));
+        assert_eq!(workload_tokens(&g, &[10]), Some(vec![10, 10, 10]));
         // Occupancy bound: a starved channel fills to the workload,
         // capacity permitting.
         assert_eq!(occupancy_bounds(&g, &cfg, &[10]), Some(vec![10, 10, 10]));
@@ -564,7 +617,7 @@ mod tests {
             Some(vec![64, 64, 64]),
             "capacity caps the bound"
         );
-        let cost = cost_estimate(&g, &cfg, &[10]).unwrap();
+        let cost = cost_estimate(&g, &[10]).unwrap();
         assert_eq!(cost.tokens, 30);
         assert_eq!(cost.firings, 20);
         assert!(cost.polls_hint >= cost.firings + 2 * cost.tokens);

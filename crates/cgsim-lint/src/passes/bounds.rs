@@ -74,7 +74,7 @@ pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport
         // Below one firing's demand is already an Error (`CG022`); the
         // window between that and the SDF minimum merely *may* wedge,
         // depending on the schedule — warn.
-        let demand = single_firing_demand(graph, cfg, ci);
+        let demand = single_firing_demand(graph, ci);
         if b.effective_capacity >= demand && b.effective_capacity < b.min_capacity {
             report.push(Diagnostic::new(
                 "CG061",
@@ -150,7 +150,7 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
             let produced: u64 = producers
                 .iter()
                 .map(|p| {
-                    let rate = port_rate(graph, cfg, p.kernel.index(), p.port);
+                    let rate = port_rate(graph, p.kernel.index(), p.port);
                     firing.count(p.kernel).saturating_mul(u64::from(rate))
                 })
                 .fold(0, u64::saturating_add);
@@ -159,7 +159,7 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
                     .consumers_of(c)
                     .iter()
                     .map(|q| {
-                        let rate = port_rate(graph, cfg, q.kernel.index(), q.port);
+                        let rate = port_rate(graph, q.kernel.index(), q.port);
                         firing.count(q.kernel).saturating_mul(u64::from(rate))
                     })
                     .max()
@@ -173,15 +173,14 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
             // feed pushes element-wise (p = 1).
             let p_rate: u64 = producers
                 .iter()
-                .map(|p| u64::from(port_rate(graph, cfg, p.kernel.index(), p.port)))
+                .map(|p| u64::from(port_rate(graph, p.kernel.index(), p.port)))
                 .max()
-                .unwrap_or(1)
-                .max(1);
+                .unwrap_or(1);
             let min_capacity = graph
                 .consumers_of(c)
                 .iter()
                 .map(|q| {
-                    let q_rate = u64::from(port_rate(graph, cfg, q.kernel.index(), q.port));
+                    let q_rate = u64::from(port_rate(graph, q.kernel.index(), q.port));
                     p_rate + q_rate - gcd(p_rate, q_rate)
                 })
                 .max()
@@ -236,20 +235,16 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
 /// capacity-independent upper bound on its occupancy, and the figure the
 /// compiled backend sizes its flat buffers from so that no write can ever
 /// block.
-pub fn workload_tokens(graph: &FlatGraph, cfg: &LintConfig, feed_lens: &[u64]) -> Option<Vec<u64>> {
-    propagate(graph, cfg, feed_lens).map(|p| p.tokens)
+pub fn workload_tokens(graph: &FlatGraph, feed_lens: &[u64]) -> Option<Vec<u64>> {
+    propagate(graph, feed_lens).map(|p| p.tokens)
 }
 
 /// Static cost estimate for running `graph` over the given feed lengths:
 /// total tokens moved, total kernel firings, and a heuristic poll-count
 /// prediction for the cooperative executor. `None` when the kernel
 /// dataflow is cyclic.
-pub fn cost_estimate(
-    graph: &FlatGraph,
-    cfg: &LintConfig,
-    feed_lens: &[u64],
-) -> Option<CostEstimate> {
-    let p = propagate(graph, cfg, feed_lens)?;
+pub fn cost_estimate(graph: &FlatGraph, feed_lens: &[u64]) -> Option<CostEstimate> {
+    let p = propagate(graph, feed_lens)?;
     let tokens = p.tokens.iter().fold(0u64, |a, &b| a.saturating_add(b));
     let firings = p.firings.iter().fold(0u64, |a, &b| a.saturating_add(b));
     // One poll per firing, roughly a push poll and a pop poll per token,
@@ -293,7 +288,7 @@ pub fn occupancy_bounds(
     }) {
         return None;
     }
-    let workload = workload_tokens(graph, cfg, feed_lens)?;
+    let workload = workload_tokens(graph, feed_lens)?;
     Some(
         workload
             .iter()
@@ -310,7 +305,7 @@ struct Propagated {
     firings: Vec<u64>,
 }
 
-fn propagate(graph: &FlatGraph, cfg: &LintConfig, feed_lens: &[u64]) -> Option<Propagated> {
+fn propagate(graph: &FlatGraph, feed_lens: &[u64]) -> Option<Propagated> {
     let order = Topology::of(graph).topo_order()?;
     let mut tokens = vec![0u64; graph.connectors.len()];
     for (i, c) in graph.inputs.iter().enumerate() {
@@ -329,15 +324,13 @@ fn propagate(graph: &FlatGraph, cfg: &LintConfig, feed_lens: &[u64]) -> Option<P
             .iter()
             .enumerate()
             .filter(|(_, p)| p.dir == PortDir::In && carries_tokens(graph, p.connector))
-            .map(|(pi, p)| {
-                tokens[p.connector.index()] / u64::from(port_rate(graph, cfg, ki, pi).max(1))
-            })
+            .map(|(pi, p)| tokens[p.connector.index()] / u64::from(port_rate(graph, ki, pi)))
             .min()
             .unwrap_or(0);
         firings[ki] = f;
         for (pi, p) in kernel.ports.iter().enumerate() {
             if p.dir == PortDir::Out {
-                let out = f.saturating_mul(u64::from(port_rate(graph, cfg, ki, pi)));
+                let out = f.saturating_mul(u64::from(port_rate(graph, ki, pi)));
                 let t = &mut tokens[p.connector.index()];
                 *t = t.saturating_add(out);
             }
@@ -364,13 +357,13 @@ fn effective_capacity(graph: &FlatGraph, cfg: &LintConfig, ci: usize) -> u64 {
 
 /// The largest single-firing token demand any endpoint places on `ci` —
 /// the threshold below which `CG022` already reports an Error.
-fn single_firing_demand(graph: &FlatGraph, cfg: &LintConfig, ci: usize) -> u64 {
+fn single_firing_demand(graph: &FlatGraph, ci: usize) -> u64 {
     let c = ConnectorId::new(ci);
     graph
         .producers_of(c)
         .into_iter()
         .chain(graph.consumers_of(c))
-        .map(|e| u64::from(port_rate(graph, cfg, e.kernel.index(), e.port)))
+        .map(|e| u64::from(port_rate(graph, e.kernel.index(), e.port)))
         .max()
         .unwrap_or(1)
 }

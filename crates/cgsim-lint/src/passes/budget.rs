@@ -6,13 +6,13 @@
 //! style issue — `aiecompiler` would reject the design — so all three are
 //! Error severity.
 
-use crate::config::LintConfig;
+use crate::config::RealmBudgets;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use cgsim_core::{FlatGraph, KernelId, PortDir, PortKind, Realm};
 
 /// Run the budget pass.
-pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
-    let budgets = &cfg.budgets;
+pub(crate) fn check(graph: &FlatGraph, report: &mut LintReport) {
+    let budgets = &RealmBudgets::VC1902;
 
     let aie_kernels = graph
         .kernels

@@ -183,7 +183,7 @@ fn capacity(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
             .into_iter()
             .chain(graph.consumers_of(c))
         {
-            let rate = port_rate(graph, cfg, e.kernel.index(), e.port);
+            let rate = port_rate(graph, e.kernel.index(), e.port);
             if u64::from(cap) < u64::from(rate) {
                 let k = &graph.kernels[e.kernel.index()];
                 report.push(Diagnostic::new(

@@ -10,29 +10,17 @@ pub mod budget;
 pub mod deadlock;
 pub mod rates;
 
-use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use cgsim_core::{ConnectorId, FlatGraph, GraphError, KernelId, PortDir, PortSettings};
 
-/// Resolve the SDF rate (elements per firing) of one port: the port's own
-/// declared rate wins, then a `kernel_rates` entry for the kernel kind, then
-/// the SDF default of 1.
+/// The SDF rate (elements per firing) of one port: its declared `rate`,
+/// or the SDF default of 1 when it declares none.
 ///
-/// Public because the `cgsim-compiled` schedule compiler must size its
-/// per-connector token bounds with exactly the rates the rate-balance pass
-/// used — one resolution rule, two consumers.
-pub fn port_rate(graph: &FlatGraph, cfg: &LintConfig, kernel: usize, port: usize) -> u32 {
-    let k = &graph.kernels[kernel];
-    let declared = k.ports[port].rate;
-    if declared != 0 {
-        return declared;
-    }
-    cfg.kernel_rates
-        .get(&k.kind)
-        .and_then(|rates| rates.get(port))
-        .copied()
-        .filter(|r| *r != 0)
-        .unwrap_or(1)
+/// Public because the schedule compiler must size its per-connector token
+/// bounds with exactly the rates the rate-balance pass used — one
+/// resolution rule, two consumers.
+pub fn port_rate(graph: &FlatGraph, kernel: usize, port: usize) -> u32 {
+    graph.kernels[kernel].ports[port].rate.max(1)
 }
 
 /// Structural integrity: the `CG001`–`CG007` family, mirroring

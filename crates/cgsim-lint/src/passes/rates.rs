@@ -1,7 +1,7 @@
 //! SDF rate-balance checking: `CG030`.
 //!
 //! Treating each kernel as an SDF actor with per-port rates (declared on
-//! the port, supplied by the kernel library, or defaulting to 1), every
+//! the port, or defaulting to 1), every
 //! point-to-point connector imposes the balance equation
 //! `f(producer) · rate(out port) = f(consumer) · rate(in port)` on the
 //! firing vector `f`. The pass propagates a rational firing vector across
@@ -18,14 +18,13 @@
 //! Merge connectors (several producers) and runtime parameters are excluded:
 //! their token flow is not a single-producer SDF edge.
 
-use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
 use cgsim_core::schedule::{FiringVector, Rational};
 use cgsim_core::{ConnectorId, FlatGraph, PortKind};
 
 /// Run the rate-balance pass.
-pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
+pub(crate) fn check(graph: &FlatGraph, report: &mut LintReport) {
     // Balance constraints: (producer kernel, producer rate, consumer kernel,
     // consumer rate, connector) for every single-producer token edge.
     let mut constraints = Vec::new();
@@ -39,9 +38,9 @@ pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport
             continue; // merge or externally fed: not a pure SDF edge
         }
         let p = producers[0];
-        let p_rate = port_rate(graph, cfg, p.kernel.index(), p.port);
+        let p_rate = port_rate(graph, p.kernel.index(), p.port);
         for q in graph.consumers_of(c) {
-            let q_rate = port_rate(graph, cfg, q.kernel.index(), q.port);
+            let q_rate = port_rate(graph, q.kernel.index(), q.port);
             constraints.push((p.kernel.index(), p_rate, q.kernel.index(), q_rate, c));
         }
     }

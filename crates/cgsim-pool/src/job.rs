@@ -40,8 +40,12 @@ pub struct PoolConfig {
     pub queue_capacity: usize,
     /// Behaviour when the queue is full; see [`Admission`].
     pub admission: Admission,
-    /// Give every job its own active [`Tracer`]. Snapshots feed the
-    /// pool-level Chrome trace; disable for instrumentation-free batches.
+    /// Give every job its own active [`Tracer`] and keep each completed
+    /// job's snapshot in [`PoolReport::traces`](crate::PoolReport::traces)
+    /// for the pool-level Chrome trace. With `false` the job tracer records
+    /// nothing and the pool keeps no per-job trace, so a long-lived pool
+    /// (the serve daemon's) does not grow with the jobs it runs; a job that
+    /// wants a trace brings its own tracer.
     pub trace: bool,
     /// Run a background observer thread sampling queue depth and per-job
     /// executor progress (see [`ObserverConfig`]). `None` (the default)
@@ -281,10 +285,12 @@ impl JobCtx {
     }
 
     /// Hand the pool a run's drained [`TraceSnapshot`] (usually
-    /// `report.trace` from a [`RuntimeContext::run`]) so it appears in the
+    /// `report.trace` from a [`RuntimeContext::run`]) so it becomes the
+    /// job's [`JobResult::trace`] and, on a traced pool, appears in the
     /// pool-level Chrome trace. `RuntimeContext::run` drains the tracer's
     /// ring into its report, so without this call the pool only sees
-    /// whatever was emitted *after* the run.
+    /// whatever was emitted *after* the run. An untraced pool keeps no
+    /// per-job trace, so there the snapshot reaches only the job's result.
     pub fn keep_trace(&self, snapshot: TraceSnapshot) {
         *self.trace_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(snapshot);
     }

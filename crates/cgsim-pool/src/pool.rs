@@ -409,16 +409,20 @@ fn run_job(shared: &Shared, me: usize, queued: QueuedJob) {
                     .histogram("pool_job_wall_ns", &[])
                     .observe(wall.as_nanos() as u64);
                 let trace = Arc::new(kept.unwrap_or_else(|| tracer.snapshot()));
-                shared
-                    .traces
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(JobTrace {
-                        label: label.clone(),
-                        worker: me,
-                        start_offset_ns: started.duration_since(shared.epoch).as_nanos() as u64,
-                        snapshot: Arc::clone(&trace),
-                    });
+                // An untraced pool keeps nothing per job, so a long-lived
+                // pool's memory does not grow with the jobs it has run.
+                if shared.trace_jobs {
+                    shared
+                        .traces
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(JobTrace {
+                            label: label.clone(),
+                            worker: me,
+                            start_offset_ns: started.duration_since(shared.epoch).as_nanos() as u64,
+                            snapshot: Arc::clone(&trace),
+                        });
+                }
                 JobOutcome::Completed(JobResult {
                     label,
                     worker: me,

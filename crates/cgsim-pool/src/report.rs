@@ -34,6 +34,8 @@ pub struct PoolReport {
     /// `pool_job_wall_ns`, `pool_queue_wait_ns`).
     pub metrics: MetricsSnapshot,
     /// Per-job traces of every *completed* job, in completion order.
+    /// Empty when the pool was built with
+    /// [`PoolConfig::trace`](crate::PoolConfig::trace) off.
     pub traces: Vec<JobTrace>,
     /// The observer thread's timeline and stall diagnostics; `None` when
     /// the pool ran without an observer.

@@ -551,6 +551,25 @@ fn chrome_trace_gives_each_worker_a_process_lane() {
 }
 
 #[test]
+fn untraced_pool_keeps_no_job_traces() {
+    let (outcomes, report) = Pool::run_batch(
+        PoolConfig::default().with_workers(2).with_trace(false),
+        (0..8).map(graph_job).collect(),
+    );
+    assert!(outcomes.iter().all(JobOutcome::is_completed));
+    assert_eq!(report.counter("pool_jobs_completed"), 8);
+    assert!(
+        report.traces.is_empty(),
+        "{} job traces kept",
+        report.traces.len()
+    );
+    // The job tracer was disabled, so each result's snapshot is empty too.
+    for outcome in &outcomes {
+        assert!(outcome.result().unwrap().trace.records.is_empty());
+    }
+}
+
+#[test]
 fn paper_apps_run_under_effective_spec_and_match_direct_runs() {
     use cgsim_graphs::all_apps;
     // The four evaluation graphs as one pool batch, each job launching

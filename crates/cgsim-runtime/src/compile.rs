@@ -159,14 +159,13 @@ impl CompiledPlan {
 /// report's rate pass, so the compiler and `CG030` can never disagree.
 pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, CompileError> {
     graph.validate()?;
-    compile_linted(graph, cfg, &lint_graph(graph, cfg))
+    compile_linted(graph, &lint_graph(graph, cfg))
 }
 
-/// [`compile`] of a validated `graph` whose lint `report` under `cfg` is
-/// already at hand, so a launch that falls back to the lint gate reuses it.
+/// [`compile`] of a validated `graph` whose lint `report` is already at
+/// hand, so a launch that falls back to the lint gate reuses it.
 pub(crate) fn compile_linted(
     graph: &FlatGraph,
-    cfg: &LintConfig,
     report: &LintReport,
 ) -> Result<CompiledPlan, CompileError> {
     if report.has_errors() {
@@ -222,14 +221,14 @@ pub(crate) fn compile_linted(
             let c = ConnectorId::new(ci);
             let producers = graph.producers_of(c);
             if let Some(p) = producers.first() {
-                let rate = port_rate(graph, cfg, p.kernel.index(), p.port);
+                let rate = port_rate(graph, p.kernel.index(), p.port);
                 firings.count(p.kernel).saturating_mul(u64::from(rate))
             } else {
                 graph
                     .consumers_of(c)
                     .iter()
                     .map(|q| {
-                        let rate = port_rate(graph, cfg, q.kernel.index(), q.port);
+                        let rate = port_rate(graph, q.kernel.index(), q.port);
                         firings.count(q.kernel).saturating_mul(u64::from(rate))
                     })
                     .max()
@@ -408,7 +407,7 @@ mod tests {
         // Both add2 inputs read the same wire, but at different rates (1
         // vs 2 per firing): the two balance equations for that wire force
         // contradictory firing ratios.
-        let g = GraphBuilder::build("imbalanced", |g| {
+        let mut g = GraphBuilder::build("imbalanced", |g| {
             let a = g.input::<i64>("a");
             let x = g.wire::<i64>();
             let sum = g.wire::<i64>();
@@ -418,8 +417,9 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let cfg = LintConfig::default().with_kernel_rates("add2", vec![1, 2, 1]);
-        let err = compile(&g, &cfg).unwrap_err();
+        let sum = g.kernels.iter_mut().find(|k| k.kind == "add2").unwrap();
+        sum.ports[1].rate = 2;
+        let err = compile(&g, &LintConfig::default()).unwrap_err();
         assert_eq!(err.reject_reason(), Some(RejectReason::RateImbalance));
         assert_eq!(err.reject_reason().unwrap().lint_code(), Some("CG030"));
     }

@@ -405,9 +405,8 @@ impl<'g> RuntimeContext<'g> {
         let mut lint = None;
         let plan = match spec.target() {
             Backend::Compiled if config.faults.is_none() => launch.plan.or_else(|| {
-                let cfg = config.lint_config();
-                let report = lint.insert(cgsim_lint::lint_graph(graph, &cfg));
-                compile_linted(graph, &cfg, report).ok()
+                let report = lint.insert(cgsim_lint::lint_graph(graph, &config.lint_config()));
+                compile_linted(graph, report).ok()
             }),
             _ => None,
         };
@@ -419,18 +418,7 @@ impl<'g> RuntimeContext<'g> {
         if plan_order.is_none() && config.verify != VerifyPolicy::Off {
             let report =
                 lint.unwrap_or_else(|| cgsim_lint::lint_graph(graph, &config.lint_config()));
-            if report.has_errors() {
-                match config.verify {
-                    VerifyPolicy::Deny => {
-                        return Err(GraphError::LintRejected {
-                            errors: report.error_count(),
-                            report: report.render_human(graph),
-                        })
-                    }
-                    VerifyPolicy::Warn => eprintln!("{}", report.render_human(graph)),
-                    VerifyPolicy::Off => unreachable!(),
-                }
-            }
+            config.verify.gate(&report, graph)?;
         }
 
         // Recreate all graph I/O channels from the serialized descriptors.
@@ -449,7 +437,7 @@ impl<'g> RuntimeContext<'g> {
                     .map(|pi| (ki, pi))
             });
             channels.push(match endpoint {
-                Some((ki, pi)) => library.get(&graph.kernels[ki].kind)?.make_channel_mode(
+                Some((ki, pi)) => library.get(&graph.kernels[ki].kind)?.make_channel(
                     pi,
                     graph.connectors[ci].depth_or(config.default_depth),
                     storage(threads),
@@ -678,8 +666,7 @@ impl<'g> RuntimeContext<'g> {
             // the channel was built with. Sized this way no write can ever
             // block; Kahn determinism makes capacity changes
             // output-invariant for this graph class.
-            let cfg = self.config.lint_config();
-            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &cfg, &self.feed_lens) {
+            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &self.feed_lens) {
                 for (ci, _, admin) in &admins {
                     admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
                 }

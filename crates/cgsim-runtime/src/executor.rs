@@ -196,10 +196,10 @@ impl CancelToken {
 /// exhaustion is a diagnostic safety valve, these are control-plane events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Interrupt {
-    /// The wall-clock deadline installed with [`Executor::with_deadline`]
+    /// The wall-clock deadline installed with [`Executor::set_deadline`]
     /// passed.
     Deadline,
-    /// The [`CancelToken`] installed with [`Executor::with_cancel`] fired.
+    /// The [`CancelToken`] installed with [`Executor::set_cancel`] fired.
     Cancelled,
 }
 
@@ -526,13 +526,6 @@ impl Executor {
     /// policies always go through the general pick path — use
     /// [`Executor::with_schedule`] with [`Schedule::Fifo`] to get the O(1)
     /// fast path.
-    pub fn with_policy(mut self, policy: Box<dyn SchedulePolicy>) -> Self {
-        self.set_policy(policy);
-        self
-    }
-
-    /// Non-consuming form of [`Executor::with_policy`], for contexts that
-    /// already own the executor.
     pub fn set_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         self.fifo = false;
         self.policy = policy;
@@ -555,25 +548,12 @@ impl Executor {
     /// interrupt checkpoint once `at` has passed, reporting
     /// [`Interrupt::Deadline`] and leaving unfinished tasks in the stalled
     /// list.
-    pub fn with_deadline(mut self, at: Instant) -> Self {
-        self.set_deadline(at);
-        self
-    }
-
-    /// Non-consuming form of [`Executor::with_deadline`], for contexts that
-    /// already own the executor.
     pub fn set_deadline(&mut self, at: Instant) {
         self.deadline = Some(at);
     }
 
     /// Install a cancellation token: when `token` fires, the run loop stops
     /// at its next interrupt checkpoint, reporting [`Interrupt::Cancelled`].
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.set_cancel(token);
-        self
-    }
-
-    /// Non-consuming form of [`Executor::with_cancel`].
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -584,12 +564,6 @@ impl Executor {
     /// unchanged (one hoisted boolean, zero added atomics).
     pub fn set_probe(&mut self, probe: Arc<ExecProbe>) {
         self.probe = Some(probe);
-    }
-
-    /// Builder form of [`Executor::set_probe`].
-    pub fn with_probe(mut self, probe: Arc<ExecProbe>) -> Self {
-        self.set_probe(probe);
-        self
     }
 
     /// Attach channel topology so [`Executor::debug_snapshot`] (and probe
@@ -1254,7 +1228,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_interrupts_a_spinning_run() {
-        let mut ex = Executor::new().with_deadline(Instant::now() + Duration::from_millis(5));
+        let mut ex = Executor::new();
+        ex.set_deadline(Instant::now() + Duration::from_millis(5));
         ex.spawn("spinner", Box::pin(Spinner2));
         let (stats, stalled) = ex.run();
         assert_eq!(stats.interrupted, Some(Interrupt::Deadline));
@@ -1265,7 +1240,8 @@ mod tests {
     fn cancel_token_interrupts_a_spinning_run() {
         let token = CancelToken::new();
         token.cancel();
-        let mut ex = Executor::new().with_cancel(token);
+        let mut ex = Executor::new();
+        ex.set_cancel(token);
         ex.spawn("spinner", Box::pin(Spinner2));
         let (stats, stalled) = ex.run();
         assert_eq!(stats.interrupted, Some(Interrupt::Cancelled));
@@ -1275,9 +1251,9 @@ mod tests {
     #[test]
     fn uninterrupted_run_reports_no_interrupt() {
         let token = CancelToken::new();
-        let mut ex = Executor::new()
-            .with_cancel(token.clone())
-            .with_deadline(Instant::now() + Duration::from_secs(3600));
+        let mut ex = Executor::new();
+        ex.set_cancel(token.clone());
+        ex.set_deadline(Instant::now() + Duration::from_secs(3600));
         ex.spawn(
             "t",
             Box::pin(async {
@@ -1295,7 +1271,8 @@ mod tests {
         // Installing a far-future deadline must not change the poll order.
         let without = interleaving_of(Schedule::Fifo);
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut ex = Executor::new().with_deadline(Instant::now() + Duration::from_secs(3600));
+        let mut ex = Executor::new();
+        ex.set_deadline(Instant::now() + Duration::from_secs(3600));
         for name in ["a", "b"] {
             let log = Rc::clone(&log);
             ex.spawn(
@@ -1475,7 +1452,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-range")]
     fn out_of_range_policy_pick_panics_in_debug() {
-        let mut ex = Executor::new().with_policy(Box::new(WildPolicy));
+        let mut ex = Executor::new();
+        ex.set_policy(Box::new(WildPolicy));
         ex.spawn("a", Box::pin(async {}));
         ex.spawn("b", Box::pin(async {}));
         ex.run();
@@ -1545,9 +1523,8 @@ mod tests {
     #[test]
     fn probe_publishes_progress_and_serves_snapshot_requests() {
         let probe = ExecProbe::new();
-        let mut ex = Executor::new()
-            .with_probe(Arc::clone(&probe))
-            .with_poll_budget(500);
+        let mut ex = Executor::new().with_poll_budget(500);
+        ex.set_probe(Arc::clone(&probe));
         ex.spawn("spinner", Box::pin(Spinner2));
         ex.spawn(
             "worker",
@@ -1581,7 +1558,8 @@ mod tests {
         let w1 = Channel::<i64>::new(1);
         let w2 = Channel::<i64>::new(1);
         let probe = ExecProbe::new();
-        let mut ex = Executor::new().with_probe(Arc::clone(&probe));
+        let mut ex = Executor::new();
+        ex.set_probe(Arc::clone(&probe));
 
         let mut rx1 = w1.add_consumer();
         let mut tx2 = w2.add_producer();
@@ -1648,7 +1626,8 @@ mod tests {
         // piggybacks on the existing checkpoint and never defers tasks.
         let without = interleaving_of(Schedule::Fifo);
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut ex = Executor::new().with_probe(ExecProbe::new());
+        let mut ex = Executor::new();
+        ex.set_probe(ExecProbe::new());
         for name in ["a", "b"] {
             let log = Rc::clone(&log);
             ex.spawn(
@@ -1670,9 +1649,8 @@ mod tests {
         // The overhead pin: observer plumbing must not re-introduce timing
         // syscalls or per-poll metrics under Profiling::Off.
         let probe = ExecProbe::new();
-        let mut ex = Executor::new()
-            .with_profiling(Profiling::Off)
-            .with_probe(Arc::clone(&probe));
+        let mut ex = Executor::new().with_profiling(Profiling::Off);
+        ex.set_probe(Arc::clone(&probe));
         for _ in 0..4 {
             ex.spawn(
                 "t",
@@ -1693,7 +1671,8 @@ mod tests {
         // must produce the same schedule.
         let fast = interleaving_of(Schedule::Fifo);
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut ex = Executor::new().with_policy(Box::new(FifoPolicy));
+        let mut ex = Executor::new();
+        ex.set_policy(Box::new(FifoPolicy));
         for name in ["a", "b"] {
             let log = Rc::clone(&log);
             ex.spawn(

@@ -128,17 +128,6 @@ macro_rules! compute_kernel {
             fn make_channel(
                 port_idx: usize,
                 capacity: usize,
-            ) -> ::std::result::Result<$crate::AnyChannel, $crate::cgsim_core::GraphError> {
-                <Self as $crate::KernelImpl>::make_channel_mode(
-                    port_idx,
-                    capacity,
-                    $crate::ChannelMode::Shared,
-                )
-            }
-
-            fn make_channel_mode(
-                port_idx: usize,
-                capacity: usize,
                 mode: $crate::ChannelMode,
             ) -> ::std::result::Result<$crate::AnyChannel, $crate::cgsim_core::GraphError> {
                 let constructors: &[fn(usize, $crate::ChannelMode) -> $crate::AnyChannel] = &[
@@ -356,23 +345,21 @@ mod tests {
 
     #[test]
     fn make_channel_is_positional_and_typed() {
-        use crate::KernelImpl;
-        let c0 = settings_kernel::make_channel(0, 4).unwrap();
+        use crate::{ChannelMode, KernelImpl};
+        let c0 = settings_kernel::make_channel(0, 4, ChannelMode::Shared).unwrap();
         assert!(c0.downcast::<crate::Channel<i16>>().is_ok());
-        let c1 = settings_kernel::make_channel(1, 4).unwrap();
+        let c1 = settings_kernel::make_channel(1, 4, ChannelMode::Shared).unwrap();
         assert!(c1.downcast::<crate::Channel<f32>>().is_ok());
-        assert!(settings_kernel::make_channel(3, 4).is_err());
+        assert!(settings_kernel::make_channel(3, 4, ChannelMode::Shared).is_err());
     }
 
     #[test]
-    fn make_channel_mode_selects_storage_policy() {
+    fn make_channel_selects_storage_policy() {
         use crate::{ChannelMode, KernelImpl};
-        let fast = settings_kernel::make_channel_mode(0, 4, ChannelMode::SingleThread).unwrap();
-        let chan = fast.downcast::<crate::Channel<i16>>().unwrap();
-        assert_eq!(chan.mode(), ChannelMode::SingleThread);
-        // The mode-less entry point stays on the thread-safe path.
-        let shared = settings_kernel::make_channel(0, 4).unwrap();
-        let chan = shared.downcast::<crate::Channel<i16>>().unwrap();
-        assert_eq!(chan.mode(), ChannelMode::Shared);
+        for mode in [ChannelMode::SingleThread, ChannelMode::Shared] {
+            let chan = settings_kernel::make_channel(0, 4, mode).unwrap();
+            let chan = chan.downcast::<crate::Channel<i16>>().unwrap();
+            assert_eq!(chan.mode(), mode);
+        }
     }
 }

@@ -12,7 +12,11 @@
 //! * `GET  /metrics` — Prometheus text exposition for the serve layer and
 //!   the underlying `cgsim-pool` (cache hits, admission, stalls …).
 //! * `GET  /healthz` — liveness; flips to 503 while draining.
-//! * `GET  /v1/trace/{id}` — Chrome-trace JSON kept from a traced run.
+//! * `GET  /v1/trace/{id}` — Chrome-trace JSON kept from a run whose
+//!   request set `"trace": true` (the last 16 are kept). Only such a run
+//!   records a trace: app runs carry the runtime's wall-clock events,
+//!   manifest runs the cycle simulator's events in simulated time. The
+//!   daemon's pool runs untraced and keeps nothing per job.
 //! * `POST /v1/cache/flush` — drop the compiled-graph cache (cold-path
 //!   benchmarking).
 //!

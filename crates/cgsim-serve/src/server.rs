@@ -10,8 +10,10 @@
 //!    in the JSON error body (`422`);
 //! 5. round-robin fair in-flight slot, then submission to the bounded
 //!    `cgsim-pool` (`429 COST_EXCEEDED` / `503 QUEUE_FULL`);
-//! 6. the job executes on a pool worker; the response is the unified
-//!    [`ServeReport`].
+//! 6. the job executes on a pool worker under the request's own tracer
+//!    (enabled only for `"trace": true`) and leaves its engine's
+//!    [`ServeReport`] section and trace snapshot in one slot; the response
+//!    is that report plus label, counters, lint findings and bounds.
 //!
 //! Shutdown is graceful: `/healthz` flips to 503, acceptors finish their
 //! in-flight requests and exit, the pool drains, and the final
@@ -22,15 +24,16 @@ use crate::http::{read_request, write_response, HttpError, Request};
 use crate::limit::{FairQueue, RateLimit, RateLimiter};
 use crate::report::ServeReport;
 use crate::wire::{ErrorBody, GraphSource, RunRequest, WIRE_VERSION};
-use aie_sim::{DeployOptions, SimReport, VerifyPolicy};
-use cgsim_graphs::{all_apps, AppRun, Launch};
+use aie_sim::{SimReport, VerifyPolicy};
+use cgsim_graphs::{all_apps, Launch};
 use cgsim_lint::{lint_graph, LintConfig, Severity};
 use cgsim_pool::{
     Admission, Job, JobOutcome, JobOutput, ObserverConfig, Pool, PoolConfig, SubmitError,
 };
-use cgsim_runtime::{Backend, RunReport};
+use cgsim_runtime::Backend;
+use cgsim_trace::export::chrome::chrome_trace_json;
 use cgsim_trace::export::prometheus;
-use cgsim_trace::{Counter, Histogram, MetricsRegistry};
+use cgsim_trace::{Counter, Histogram, MetricsRegistry, TraceSnapshot, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,7 +49,8 @@ const TRACE_STORE_CAPACITY: usize = 16;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Acceptor threads (each handles one connection at a time).
+    /// Acceptor threads (each handles one connection at a time). Clamped
+    /// to at least 1.
     pub http_workers: usize,
     /// Simulation pool worker threads.
     pub pool_workers: usize,
@@ -80,50 +84,6 @@ impl Default for ServeConfig {
             observer: false,
             max_body_bytes: 4 * 1024 * 1024,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Set the acceptor-thread count.
-    pub fn with_http_workers(mut self, workers: usize) -> Self {
-        self.http_workers = workers.max(1);
-        self
-    }
-
-    /// Set the pool worker count.
-    pub fn with_pool_workers(mut self, workers: usize) -> Self {
-        self.pool_workers = workers.max(1);
-        self
-    }
-
-    /// Set the pool admission queue capacity.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Set the predicted-cost admission ceiling.
-    pub fn with_cost_limit(mut self, polls: u64) -> Self {
-        self.cost_limit = Some(polls);
-        self
-    }
-
-    /// Set the compiled-graph cache capacity.
-    pub fn with_cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_capacity = entries.max(1);
-        self
-    }
-
-    /// Enable per-client rate limiting.
-    pub fn with_rate(mut self, rate: RateLimit) -> Self {
-        self.rate = Some(rate);
-        self
-    }
-
-    /// Enable the pool observer / stall watchdog.
-    pub fn with_observer(mut self, observer: bool) -> Self {
-        self.observer = observer;
-        self
     }
 }
 
@@ -221,6 +181,7 @@ impl Server {
         let fair = FairQueue::new(config.max_inflight);
 
         let mut pool_config = PoolConfig::default()
+            .with_trace(false)
             .with_workers(config.pool_workers)
             .with_queue_capacity(config.queue_capacity)
             .with_admission(Admission::Reject);
@@ -255,7 +216,7 @@ impl Server {
         });
 
         let mut acceptors = Vec::new();
-        for i in 0..inner.config.http_workers {
+        for i in 0..inner.config.http_workers.max(1) {
             let listener = listener.try_clone()?;
             let inner = Arc::clone(&inner);
             acceptors.push(
@@ -614,43 +575,56 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
     let _slot = inner.fair.acquire(&client);
 
     let spec = run_request.spec.clone();
-    let app_slot = Arc::new(Mutex::new(None::<(AppRun, Arc<RunReport>)>));
-    let sim_slot: Arc<Mutex<Option<SimReport>>> = Arc::new(Mutex::new(None));
+    // The request owns its tracer: only a run that asks for a trace
+    // records one. Both engines leave their report section and the drained
+    // trace in the one slot.
+    let tracer = if run_request.trace {
+        Tracer::enabled()
+    } else {
+        Tracer::disabled()
+    };
+    let report_slot = Arc::new(Mutex::new(None::<(ServeReport, TraceSnapshot)>));
+    let job_slot = Arc::clone(&report_slot);
     let job = match &entry.payload {
         CachePayload::App { name, plan, .. } => {
             let name = name.clone();
             let plan = plan.clone().map(|plan| *plan);
             let blocks = run_request.blocks.max(1);
-            let slot = Arc::clone(&app_slot);
+            let engine = engine_of(spec.target());
             Job::new(spec.clone(), move |ctx| {
                 let app = all_apps()
                     .into_iter()
                     .find(|a| a.name() == name.as_str())
                     .ok_or_else(|| format!("app `{name}` vanished"))?;
-                let launch = Launch {
-                    plan,
-                    tracer: ctx.tracer().clone(),
-                };
-                let run = app.run_launched(&ctx.effective_spec(), blocks, launch)?;
-                let report = run
+                let run =
+                    app.run_launched(&ctx.effective_spec(), blocks, Launch { plan, tracer })?;
+                let run_report = run
                     .report
-                    .clone()
                     .ok_or_else(|| format!("app `{name}` returned no run report"))?;
-                ctx.keep_trace(report.trace.clone());
-                let output = JobOutput::new(run.checksum).elements(run.out_elems as u64);
-                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((run, report));
-                Ok(output)
+                let mut report = ServeReport::from(&*run_report);
+                report.engine = engine.into();
+                report.summary.checksum = Some(run.checksum);
+                report.summary.elements = run.out_elems as u64;
+                if report.summary.wall_ns == 0 {
+                    report.summary.wall_ns = run.wall_time.as_nanos() as u64;
+                }
+                *job_slot.lock().unwrap_or_else(|e| e.into_inner()) =
+                    Some((report, run_report.trace.clone()));
+                Ok(JobOutput::new(run.checksum).elements(run.out_elems as u64))
             })
         }
         CachePayload::Manifest(manifest) => {
             let manifest = (**manifest).clone();
-            let slot = Arc::clone(&sim_slot);
             Job::new(spec.clone(), move |_ctx| {
-                // The admission gate already linted; a second Deny here
-                // would double-report, so deploy unchecked.
-                let trace = aie_sim::deploy_manifest(
-                    &manifest,
-                    &DeployOptions::new().verify(VerifyPolicy::Off),
+                // Admission already linted the manifest, so it simulates
+                // here without a second gate.
+                let profiles = manifest.profile_map();
+                let trace = aie_sim::simulate_graph_traced(
+                    &manifest.graph,
+                    &profiles,
+                    &manifest.config,
+                    &manifest.workload,
+                    &tracer,
                 )
                 .map_err(|e| format!("[{}] {}", e.code(), e.message()))?;
                 let kinds: HashMap<String, String> = manifest
@@ -659,10 +633,10 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                     .iter()
                     .map(|k| (k.instance.clone(), k.kind.clone()))
                     .collect();
-                let report =
-                    SimReport::build(&trace, &manifest.profile_map(), &kinds, &manifest.config);
-                let blocks = report.blocks as u64;
-                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(report);
+                let sim = SimReport::build(&trace, &profiles, &kinds, &manifest.config);
+                let blocks = sim.blocks as u64;
+                *job_slot.lock().unwrap_or_else(|e| e.into_inner()) =
+                    Some((ServeReport::from(&sim), tracer.snapshot()));
                 Ok(JobOutput::new(0).elements(blocks))
             })
         }
@@ -705,43 +679,17 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
 
     match handle.wait() {
         JobOutcome::Completed(result) => {
-            inner.runs_ok.inc();
-            let mut report = if let Some((run, run_report)) =
-                app_slot.lock().unwrap_or_else(|e| e.into_inner()).take()
-            {
-                let mut report = ServeReport::from(&*run_report);
-                report.engine = engine_of(spec.target()).into();
-                report.summary.checksum = Some(run.checksum);
-                report.summary.elements = run.out_elems as u64;
-                if report.summary.wall_ns == 0 {
-                    report.summary.wall_ns = run.wall_time.as_nanos() as u64;
-                }
-                if run_request.trace {
-                    let chrome = run_report.chrome_trace();
-                    let id = inner
-                        .traces
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .keep(chrome);
-                    report.trace_ref = Some(format!("/v1/trace/{id}"));
-                }
-                report
-            } else if let Some(sim) = sim_slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                let mut report = ServeReport::from(&sim);
-                if run_request.trace {
-                    let chrome = cgsim_trace::export::chrome::chrome_trace_json(&result.trace);
-                    let id = inner
-                        .traces
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .keep(chrome);
-                    report.trace_ref = Some(format!("/v1/trace/{id}"));
-                }
-                report
-            } else {
-                ServeReport::default()
+            let Some((mut report, trace)) =
+                report_slot.lock().unwrap_or_else(|e| e.into_inner()).take()
+            else {
+                inner.runs_failed.inc();
+                return Response::error(
+                    500,
+                    "Internal Server Error",
+                    ErrorBody::new("RUN_FAILED", "job completed without a report"),
+                );
             };
-            report.version = crate::report::REPORT_VERSION;
+            inner.runs_ok.inc();
             report.label = spec.label().to_string();
             report
                 .counters
@@ -756,6 +704,14 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                 report.lint = entry.lint.diagnostics.clone();
             }
             report.bounds = entry.lint.bounds().cloned();
+            if run_request.trace {
+                let id = inner
+                    .traces
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .keep(chrome_trace_json(&trace));
+                report.trace_ref = Some(format!("/v1/trace/{id}"));
+            }
             Response::json(200, "OK", report.to_json())
         }
         JobOutcome::TimedOut => {

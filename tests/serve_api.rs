@@ -67,14 +67,30 @@ fn metric_value(exposition: &str, name: &str) -> Option<f64> {
     })
 }
 
+fn one_pool_worker() -> ServeConfig {
+    ServeConfig {
+        pool_workers: 1,
+        ..ServeConfig::default()
+    }
+}
+
+/// The `traceEvents` array of a Chrome-trace document.
+fn trace_events(trace: &str) -> Vec<serde_json::Value> {
+    let doc: serde_json::Value = serde_json::from_str(trace).expect("trace is JSON");
+    doc["traceEvents"]
+        .as_array()
+        .expect("trace has a traceEvents array")
+        .clone()
+}
+
 #[test]
 fn served_run_matches_direct_pool_run_and_caches() {
-    let handle = Server::start(
-        ServeConfig::default()
-            .with_http_workers(2)
-            .with_pool_workers(1)
-            .with_cache_capacity(4),
-    )
+    let handle = Server::start(ServeConfig {
+        http_workers: 2,
+        pool_workers: 1,
+        cache_capacity: 4,
+        ..ServeConfig::default()
+    })
     .expect("server starts");
     let addr = handle.addr().to_string();
 
@@ -135,7 +151,7 @@ fn served_run_matches_direct_pool_run_and_caches() {
 
 #[test]
 fn unknown_app_and_bad_json_are_structured_errors() {
-    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
 
     let (status, _, body) = http(&addr, "POST", "/v1/run", &[], r#"{"graph":{"app":"nope"}}"#);
@@ -159,7 +175,7 @@ fn unknown_app_and_bad_json_are_structured_errors() {
 /// stack overflow that takes the daemon down with it.
 #[test]
 fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
-    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
 
     let deep = format!(r#"{{"graph":{}"#, "[".repeat(100_000));
@@ -191,21 +207,24 @@ impl KernelDecl for Copy {
     }
 }
 
-/// A manifest whose graph passes `validate()` but deadlocks: a sealed
-/// self-loop beside the working pipeline (lint code CG020).
-fn deadlocked_manifest() -> DeployManifest {
-    let graph = GraphBuilder::build("dead", |g| {
+/// A `copy` pipeline from input to output. With `deadlocked`, a sealed
+/// self-loop sits beside it: the graph passes `validate()` but deadlocks
+/// (lint code CG020).
+fn copy_manifest(deadlocked: bool) -> DeployManifest {
+    let graph = GraphBuilder::build("copy", |g| {
         let a = g.input::<f32>("a");
         let b = g.wire::<f32>();
-        let w = g.wire::<f32>();
         g.invoke::<Copy>(&[a.id(), b.id()])?;
-        g.invoke::<Copy>(&[w.id(), w.id()])?;
+        if deadlocked {
+            let w = g.wire::<f32>();
+            g.invoke::<Copy>(&[w.id(), w.id()])?;
+        }
         g.output(&b);
         Ok(())
     })
     .expect("graph builds");
-    // The verify=off leg really deploys, so every kernel kind needs a cost
-    // profile; zero measured ops is fine for a stall demonstration.
+    // Manifests really deploy, so every kernel kind needs a cost profile;
+    // zero measured ops is enough to move tokens.
     let stream = |elems| PortTraffic {
         elems_per_iter: elems,
         elem_bytes: 4,
@@ -231,10 +250,10 @@ fn deadlocked_manifest() -> DeployManifest {
 
 #[test]
 fn lint_rejected_manifest_returns_cg_code_in_error_body() {
-    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
 
-    let manifest = deadlocked_manifest();
+    let manifest = copy_manifest(true);
     let request = format!(
         r#"{{"graph":{{"manifest":{}}}}}"#,
         serde_json::to_string(&manifest).unwrap()
@@ -271,11 +290,11 @@ fn lint_rejected_manifest_returns_cg_code_in_error_body() {
 
 #[test]
 fn rate_limit_returns_429_with_retry_after() {
-    let handle = Server::start(
-        ServeConfig::default()
-            .with_pool_workers(1)
-            .with_rate(RateLimit::new(1.0, 0.001)),
-    )
+    let handle = Server::start(ServeConfig {
+        pool_workers: 1,
+        rate: Some(RateLimit::new(1.0, 0.001)),
+        ..ServeConfig::default()
+    })
     .expect("starts");
     let addr = handle.addr().to_string();
 
@@ -304,7 +323,7 @@ fn rate_limit_returns_429_with_retry_after() {
 
 #[test]
 fn trace_ref_round_trips_to_chrome_trace() {
-    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
 
     let request = r#"{"graph":{"app":"IIR"},"blocks":2,"trace":true}"#;
@@ -315,10 +334,17 @@ fn trace_ref_round_trips_to_chrome_trace() {
     let (status, _, trace) = http(&addr, "GET", &trace_ref, &[], "");
     assert_eq!(status, 200, "trace_ref must resolve: {trace_ref}");
     assert!(
-        trace.contains("traceEvents"),
-        "Chrome trace JSON expected, got: {}",
+        !trace_events(&trace).is_empty(),
+        "a traced run records events, got: {}",
         &trace[..trace.len().min(120)]
     );
+
+    // Untraced runs keep no trace.
+    let request = r#"{"graph":{"app":"IIR"},"blocks":2}"#;
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], request);
+    assert_eq!(status, 200, "{body}");
+    let report = ServeReport::from_json(&body).expect("ServeReport");
+    assert_eq!(report.trace_ref, None);
 
     let (status, _, _) = http(&addr, "GET", "/v1/trace/9999", &[], "");
     assert_eq!(status, 404);
@@ -326,8 +352,47 @@ fn trace_ref_round_trips_to_chrome_trace() {
 }
 
 #[test]
+fn traced_manifest_run_keeps_simulated_events() {
+    let handle = Server::start(one_pool_worker()).expect("starts");
+    let addr = handle.addr().to_string();
+
+    let request = format!(
+        r#"{{"graph":{{"manifest":{}}},"trace":true}}"#,
+        serde_json::to_string(&copy_manifest(false)).unwrap()
+    );
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
+    assert_eq!(status, 200, "{body}");
+    let report = ServeReport::from_json(&body).expect("ServeReport");
+    assert_eq!(report.engine, "aie-sim");
+    let trace_ref = report.trace_ref.expect("trace=true yields a trace_ref");
+    let (status, _, trace) = http(&addr, "GET", &trace_ref, &[], "");
+    assert_eq!(status, 200, "trace_ref must resolve: {trace_ref}");
+    assert!(
+        !trace_events(&trace).is_empty(),
+        "a traced manifest run records the simulator's events: {trace}"
+    );
+    handle.shutdown();
+}
+
+/// `http_workers: 0` still starts one acceptor rather than a server that
+/// refuses every connection.
+#[test]
+fn zero_http_workers_still_serves() {
+    let handle = Server::start(ServeConfig {
+        http_workers: 0,
+        ..one_pool_worker()
+    })
+    .expect("starts");
+    let addr = handle.addr().to_string();
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200);
+    assert_eq!(body, "ok\n");
+    handle.shutdown();
+}
+
+#[test]
 fn cache_flush_forces_recompile() {
-    let handle = Server::start(ServeConfig::default().with_pool_workers(1)).expect("starts");
+    let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
 
     let request = r#"{"graph":{"app":"bilinear"},"blocks":2}"#;
