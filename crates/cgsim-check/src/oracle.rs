@@ -28,8 +28,8 @@ use aie_intrinsics::OpCounts;
 use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
 use cgsim_core::{ConnectorId, PortKind};
 use cgsim_runtime::{
-    compile, Backend, ChannelStats, CompiledPlan, FaultPlan, KernelLibrary, Launch, Profiling,
-    RunReport, RunSpec, RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
+    compile_linted, Backend, ChannelStats, CompiledPlan, FaultPlan, KernelLibrary, Launch,
+    Profiling, RunReport, RunSpec, RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
 };
 use cgsim_trace::{invariants, Tracer};
 use std::collections::HashMap;
@@ -177,8 +177,8 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     // compiling its own plan at launch, one handed the plan compiled
     // here — exactly the plan-reuse path `cgsim-serve` and `cgsim-pool`
     // sweeps take.
-    let lint_cfg = cgsim_lint::LintConfig::default();
-    match compile(&case.graph, &lint_cfg) {
+    let lint = cgsim_lint::lint_graph(&case.graph, &cgsim_lint::LintConfig::default());
+    match compile_linted(&case.graph, &lint) {
         Ok(plan) => {
             for (label, plan) in [("compiled", None), ("compiled-reuse", Some(plan))] {
                 if let Some(got) = run_compiled(case, &lib, plan, label, &mut failures) {
@@ -195,7 +195,6 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
             // CG030, cycle ⇒ CG020).
             match err.reject_reason().and_then(|r| r.lint_code()) {
                 Some(code) => {
-                    let lint = cgsim_lint::lint_graph(&case.graph, &lint_cfg);
                     if !lint.codes().contains(code) {
                         failures.push(format!(
                             "compiled: rejected claiming {code}, but lint does not \

@@ -269,9 +269,11 @@ impl GraphBounds {
 }
 
 /// Workload-level static cost estimate for one run, derived from the exact
-/// token propagation of the bounds pass: the admission-control input a pool
-/// or service front end uses to refuse jobs that would exceed its budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// token propagation of the bounds pass. The party that admits a run
+/// computes it from the graph and workload it holds — `cgsim-serve`'s cost
+/// gate does, and refuses runs whose `polls_hint` exceeds its limit — so it
+/// never crosses the wire.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostEstimate {
     /// Total tokens crossing all connectors over the whole workload.
     pub tokens: u64,

@@ -25,6 +25,11 @@ pub enum Admission {
 
 /// Pool construction parameters.
 ///
+/// Every setting is about queueing and execution. The pool does not judge
+/// what a job will cost: a submitter that has a budget refuses work before
+/// submitting it (the serve daemon computes each run's static cost from
+/// the graph it admits).
+///
 /// Marked `#[non_exhaustive]` like
 /// [`RuntimeConfig`](cgsim_runtime::RuntimeConfig): build it with
 /// [`PoolConfig::default`] and adjust through the `with_*` setters.
@@ -51,15 +56,6 @@ pub struct PoolConfig {
     /// executor progress (see [`ObserverConfig`]). `None` (the default)
     /// spawns no thread and arms no probes — jobs run exactly as before.
     pub observer: Option<ObserverConfig>,
-    /// Admission-control ceiling on a job's *predicted* scheduler polls:
-    /// a submission whose [`RunSpec`] carries a static cost estimate (see
-    /// `RunSpec::cost_estimate`, fed by `cgsim-lint`'s `cost_estimate`)
-    /// with `polls_hint` above this limit is rejected up front with
-    /// [`SubmitError::CostExceeded`] — the batch engine's cheap stand-in
-    /// for running the job and watching it blow a poll budget. Jobs
-    /// without an estimate are admitted unconditionally. `None` (the
-    /// default) disables the check.
-    pub cost_limit: Option<u64>,
 }
 
 impl Default for PoolConfig {
@@ -74,7 +70,6 @@ impl Default for PoolConfig {
             admission: Admission::Block,
             trace: true,
             observer: None,
-            cost_limit: None,
         }
     }
 }
@@ -109,16 +104,10 @@ impl PoolConfig {
         self.observer = Some(observer);
         self
     }
-
-    /// Set the predicted-poll admission ceiling; see
-    /// [`PoolConfig::cost_limit`].
-    pub fn with_cost_limit(mut self, polls: u64) -> Self {
-        self.cost_limit = Some(polls);
-        self
-    }
 }
 
-/// Why a submission was not accepted.
+/// Why a submission was not accepted: the queue had no room or the pool
+/// was closing. Nothing about the job itself is judged here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The admission queue is at capacity and the pool uses
@@ -126,15 +115,6 @@ pub enum SubmitError {
     QueueFull,
     /// The pool is shutting down and accepts no new work.
     ShuttingDown,
-    /// The spec's static cost estimate predicts more scheduler polls than
-    /// the pool's [`PoolConfig::cost_limit`] admits.
-    CostExceeded {
-        /// Predicted polls (`CostEstimate::polls_hint`) of the rejected
-        /// spec.
-        predicted: u64,
-        /// The configured admission ceiling.
-        limit: u64,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -142,10 +122,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::QueueFull => write!(f, "pool admission queue is full"),
             SubmitError::ShuttingDown => write!(f, "pool is shutting down"),
-            SubmitError::CostExceeded { predicted, limit } => write!(
-                f,
-                "predicted cost {predicted} polls exceeds the pool's admission limit of {limit}"
-            ),
         }
     }
 }

@@ -14,7 +14,9 @@
 //! * **Admission** is bounded: [`PoolConfig::with_queue_capacity`] limits
 //!   the jobs waiting to start; [`Admission::Block`] applies backpressure
 //!   to the submitter, [`Admission::Reject`] fails fast with
-//!   [`SubmitError::QueueFull`].
+//!   [`SubmitError::QueueFull`]. Queue room is the pool's only admission
+//!   test; a cost budget is the submitter's to apply before submitting
+//!   (`cgsim-serve` applies one from the graph it admits).
 //! * **Deadlines & cancellation**: every job carries a
 //!   [`CancelToken`](cgsim_runtime::CancelToken) and an absolute deadline
 //!   armed at *submission* (queue wait counts against the budget). A job

@@ -74,7 +74,7 @@ impl ObserverConfig {
 }
 
 /// One active job's executor progress inside an [`ObsSample`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct JobProgress {
     /// Pool-wide submission index of the job.
     pub index: u64,
@@ -89,7 +89,7 @@ pub struct JobProgress {
 }
 
 /// One observer tick: pool queue state plus every active job's progress.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct ObsSample {
     /// Sample time relative to pool creation (nanoseconds).
     pub offset_ns: u64,
@@ -204,71 +204,34 @@ impl ObsTimeline {
 
     /// The timeline as a JSON document: `{"dropped": n, "samples": [...],
     /// "stalls": [...]}` with each sample carrying its offset, queue depth
-    /// and per-job progress. Hand-rolled (labels escaped) so the exporter
-    /// works without a serialization dependency.
+    /// and per-job progress, and each stall its waits-for cycle (or
+    /// `null`).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::new();
-        let _ = write!(out, "{{\"dropped\":{},\"samples\":[", self.dropped);
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"offset_ns\":{},\"queued\":{},\"active\":{},\"jobs\":[",
-                s.offset_ns, s.queued, s.active
-            );
-            for (j, p) in s.jobs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"index\":{},\"label\":\"{}\",\"worker\":{},\"polls\":{},\"progress\":{}}}",
-                    p.index,
-                    esc(&p.label),
-                    p.worker,
-                    p.polls,
-                    p.progress
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"stalls\":[");
-        for (i, d) in self.stalls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let cycle = d
-                .snapshot
-                .waits_for_cycle()
-                .map(|c| {
-                    format!(
-                        "[{}]",
-                        c.iter()
-                            .map(|t| format!("\"{}\"", esc(t)))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    )
+        use serde_json::{json, Value};
+        let samples: Vec<Value> = self
+            .samples
+            .iter()
+            .map(|s| serde_json::to_value(s).expect("sample serializes"))
+            .collect();
+        let stalls: Vec<Value> = self
+            .stalls
+            .iter()
+            .map(|d| {
+                let cycle = d.snapshot.waits_for_cycle().map_or(Value::Null, |tasks| {
+                    Value::Array(tasks.into_iter().map(Value::from).collect())
+                });
+                json!({
+                    "index": d.index,
+                    "label": &d.label,
+                    "worker": d.worker,
+                    "intervals_stalled": d.intervals_stalled,
+                    "progress": d.progress,
+                    "cycle": cycle,
                 })
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"label\":\"{}\",\"worker\":{},\"intervals_stalled\":{},\
-                 \"progress\":{},\"cycle\":{}}}",
-                d.index,
-                esc(&d.label),
-                d.worker,
-                d.intervals_stalled,
-                d.progress,
-                cycle
-            );
-        }
-        out.push_str("]}");
-        out
+            })
+            .collect();
+        let timeline = json!({ "dropped": self.dropped, "samples": samples, "stalls": stalls });
+        serde_json::to_string(&timeline).expect("timeline serializes")
     }
 }
 
@@ -502,8 +465,8 @@ mod tests {
         assert_eq!(offsets, vec![2, 3, 4], "drop-oldest keeps the tail");
     }
 
-    #[test]
-    fn timeline_json_escapes_labels_and_lists_stalls() {
+    /// A timeline holding one sample of one active job labelled `label`.
+    fn one_job(label: &str) -> ObsTimeline {
         let mut tl = ObsTimeline::new(4);
         tl.push(ObsSample {
             offset_ns: 7,
@@ -511,12 +474,18 @@ mod tests {
             active: 1,
             jobs: vec![JobProgress {
                 index: 3,
-                label: "job \"x\"".into(),
+                label: label.into(),
                 worker: 1,
                 polls: 64,
                 progress: 9,
             }],
         });
+        tl
+    }
+
+    #[test]
+    fn timeline_json_escapes_labels_and_lists_stalls() {
+        let mut tl = one_job("job \"x\"");
         tl.stalls.push(StallDiagnostic {
             label: "wedged".into(),
             index: 3,
@@ -533,6 +502,18 @@ mod tests {
         assert!(json.contains("\"cycle\":null"));
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(parsed["samples"][0]["jobs"][0]["progress"], 9);
+    }
+
+    /// RFC 8259 §7: a control character inside a string must be escaped.
+    #[test]
+    fn timeline_json_escapes_control_characters_in_labels() {
+        let json = one_job("a\nb\t").to_json();
+        assert!(
+            json.bytes().all(|b| b >= 0x20),
+            "raw control byte: {json:?}"
+        );
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(parsed["samples"][0]["jobs"][0]["label"], "a\nb\t");
     }
 
     #[test]

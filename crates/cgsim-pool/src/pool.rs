@@ -46,8 +46,6 @@ pub(crate) struct Shared {
     pub(crate) epoch: Instant,
     capacity: usize,
     admission: Admission,
-    /// Predicted-poll admission ceiling; see [`PoolConfig::cost_limit`].
-    cost_limit: Option<u64>,
     trace_jobs: bool,
     /// Whether workers arm an [`ExecProbe`] on each job and register it in
     /// `active` for the observer thread to sample.
@@ -95,7 +93,6 @@ impl Pool {
             epoch: Instant::now(),
             capacity: config.queue_capacity.max(1),
             admission: config.admission,
-            cost_limit: config.cost_limit,
             trace_jobs: config.trace,
             observe_jobs: config.observer.is_some(),
             active: Mutex::new(HashMap::new()),
@@ -148,20 +145,6 @@ impl Pool {
     /// starts counting *now*, so time blocked here and queued is spent
     /// from it.
     pub fn submit(&self, job: Job) -> Result<JobHandle, SubmitError> {
-        // Static admission control: reject work whose lint-derived cost
-        // estimate already predicts more polls than the pool will spend.
-        if let (Some(limit), Some(cost)) = (self.shared.cost_limit, job.spec.cost()) {
-            if cost.polls_hint > limit {
-                self.shared
-                    .metrics
-                    .counter("pool_jobs_cost_rejected", &[])
-                    .inc();
-                return Err(SubmitError::CostExceeded {
-                    predicted: cost.polls_hint,
-                    limit,
-                });
-            }
-        }
         let submitted = Instant::now();
         let deadline = job.spec.deadline_budget().map(|budget| submitted + budget);
         let label = job.spec.label().to_string();

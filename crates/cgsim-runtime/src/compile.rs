@@ -162,9 +162,13 @@ pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, Comp
     compile_linted(graph, &lint_graph(graph, cfg))
 }
 
-/// [`compile`] of a validated `graph` whose lint `report` is already at
-/// hand, so a launch that falls back to the lint gate reuses it.
-pub(crate) fn compile_linted(
+/// [`compile`] of a validated `graph` (one from
+/// [`GraphBuilder`](cgsim_core::GraphBuilder), or one that passed
+/// [`FlatGraph::validate`]) whose lint `report` under the wanted
+/// [`LintConfig`] is already at hand. A caller that lints anyway — a
+/// launch behind the lint gate, a cache that keeps the report — compiles
+/// without linting a second time.
+pub fn compile_linted(
     graph: &FlatGraph,
     report: &LintReport,
 ) -> Result<CompiledPlan, CompileError> {

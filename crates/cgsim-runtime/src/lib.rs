@@ -66,7 +66,7 @@ pub use cgsim_core;
 
 pub use cgsim_trace;
 pub use channel::{Channel, ChannelAdmin, ChannelMode, ChannelStats, Consumer, Producer};
-pub use compile::{compile, compile_for, CompileError, CompiledPlan, RejectReason};
+pub use compile::{compile, compile_for, compile_linted, CompileError, CompiledPlan, RejectReason};
 pub use context::{RunReport, RuntimeConfig, RuntimeContext, SinkHandle, VerifyPolicy};
 pub use executor::{
     block_on, BoundsCheck, BoundsViolation, CancelToken, ExecStats, Executor, FaultPlan,

@@ -3,8 +3,11 @@
 //! A [`RunSpec`] says everything about a run: one chainable builder naming
 //! it, choosing the backend, and carrying the full [`RuntimeConfig`] (plain
 //! data, set only through this builder) plus an optional wall-clock
-//! deadline budget and cost estimate. What cannot cross the wire — a tracer
-//! and a cached [`CompiledPlan`] — travels beside it as a [`Launch`].
+//! deadline budget. What cannot cross the wire — a tracer and a cached
+//! [`CompiledPlan`] — travels beside it as a [`Launch`]. What a run will
+//! cost is not part of it: the party that admits a run computes that from
+//! the graph it holds (`cgsim-serve` does, with `cgsim-lint`'s static
+//! estimate).
 //!
 //! ```
 //! use cgsim_runtime::{Profiling, RunSpec, Schedule, VerifyPolicy};
@@ -27,7 +30,6 @@
 use crate::compile::CompiledPlan;
 use crate::context::{RuntimeConfig, VerifyPolicy};
 use crate::executor::{FaultPlan, Profiling, Schedule};
-use cgsim_core::CostEstimate;
 use cgsim_trace::Tracer;
 use std::time::Duration;
 
@@ -73,7 +75,6 @@ pub struct RunSpec {
     backend: Backend,
     config: RuntimeConfig,
     deadline: Option<Duration>,
-    cost: Option<CostEstimate>,
 }
 
 impl Default for RunSpec {
@@ -93,7 +94,6 @@ impl RunSpec {
             backend: Backend::Cooperative,
             config: RuntimeConfig::default(),
             deadline: None,
-            cost: None,
         }
     }
 
@@ -156,21 +156,6 @@ impl RunSpec {
         self
     }
 
-    /// Attach a static cost estimate (tokens, firings, predicted polls) for
-    /// this run, as computed by `cgsim-lint`'s `cost_estimate` over the
-    /// graph and concrete feed lengths. Purely advisory for direct runs;
-    /// `cgsim-pool` uses it as an admission-control signal when a
-    /// per-job cost limit is configured.
-    pub fn cost_estimate(mut self, cost: CostEstimate) -> Self {
-        self.cost = Some(cost);
-        self
-    }
-
-    /// The attached static cost estimate, if any.
-    pub fn cost(&self) -> Option<CostEstimate> {
-        self.cost
-    }
-
     /// The run's display label.
     pub fn label(&self) -> &str {
         &self.label
@@ -227,7 +212,8 @@ impl Launch {
 // Versioned wire format for `RunSpec` (the `cgsim-serve` request schema).
 // Hand-written so absent fields fall back to builder defaults and the
 // deadline crosses the wire as integer nanoseconds rather than an opaque
-// `Duration` encoding.
+// `Duration` encoding. Unknown keys are ignored, among them the retired
+// `cost` (admission cost is the server's own estimate).
 mod wire {
     use super::RunSpec;
     use serde::{get_field, DeError, Deserialize, Serialize, Value};
@@ -243,7 +229,6 @@ mod wire {
                     "deadline_ns".to_string(),
                     self.deadline.map(|d| d.as_nanos() as u64).to_value(),
                 ),
-                ("cost".to_string(), self.cost.to_value()),
             ])
         }
     }
@@ -266,9 +251,6 @@ mod wire {
             if let Some(v) = get_field(obj, "deadline_ns") {
                 let ns: Option<u64> = Deserialize::from_value(v)?;
                 spec.deadline = ns.map(Duration::from_nanos);
-            }
-            if let Some(v) = get_field(obj, "cost") {
-                spec.cost = Deserialize::from_value(v)?;
             }
             Ok(spec)
         }

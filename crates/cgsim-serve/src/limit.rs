@@ -2,11 +2,11 @@
 //! round-robin fair queue.
 //!
 //! The pool below already bounds *total* concurrency (queue capacity,
-//! worker count, cost-limit admission); this module bounds *who* gets the
-//! slots. A token bucket per client id caps sustained request rate, and
-//! the fair queue grants in-flight slots round-robin across clients so one
-//! chatty client cannot starve the rest even when its requests are all
-//! under its rate budget.
+//! worker count), and the server's cost gate bounds what one run may cost;
+//! this module bounds *who* gets the slots. A token bucket per client id
+//! caps sustained request rate, and the fair queue grants in-flight slots
+//! round-robin across clients so one chatty client cannot starve the rest
+//! even when its requests are all under its rate budget.
 
 use cgsim_trace::{Counter, MetricsRegistry};
 use std::collections::{HashMap, HashSet, VecDeque};

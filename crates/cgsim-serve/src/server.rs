@@ -8,9 +8,13 @@
 //!    flatten / compile once, then insert);
 //! 4. deny-by-default lint gate — `CG0xx` findings go back to the client
 //!    in the JSON error body (`422`);
-//! 5. round-robin fair in-flight slot, then submission to the bounded
-//!    `cgsim-pool` (`429 COST_EXCEEDED` / `503 QUEUE_FULL`);
-//! 6. the job executes on a pool worker under the request's own tracer
+//! 5. cost gate, when a limit is set: the server's own `cgsim-lint`
+//!    estimate for this graph and workload (`429 COST_EXCEEDED` above the
+//!    limit, or when the dataflow is cyclic and has no estimate). Whatever
+//!    the request says about cost is ignored;
+//! 6. round-robin fair in-flight slot, then submission to the bounded
+//!    `cgsim-pool` (`503 QUEUE_FULL`);
+//! 7. the job executes on a pool worker under the request's own tracer
 //!    (enabled only for `"trace": true`) and leaves its engine's
 //!    [`ServeReport`] section and trace snapshot in one slot; the response
 //!    is that report plus label, counters, lint findings and bounds.
@@ -26,11 +30,9 @@ use crate::report::ServeReport;
 use crate::wire::{ErrorBody, GraphSource, RunRequest, WIRE_VERSION};
 use aie_sim::{SimReport, VerifyPolicy};
 use cgsim_graphs::{all_apps, Launch};
-use cgsim_lint::{lint_graph, LintConfig, Severity};
-use cgsim_pool::{
-    Admission, Job, JobOutcome, JobOutput, ObserverConfig, Pool, PoolConfig, SubmitError,
-};
-use cgsim_runtime::Backend;
+use cgsim_lint::{cost_estimate, lint_graph, LintConfig, Severity};
+use cgsim_pool::{Admission, Job, JobOutcome, JobOutput, Pool, PoolConfig, SubmitError};
+use cgsim_runtime::{compile_linted, Backend};
 use cgsim_trace::export::chrome::chrome_trace_json;
 use cgsim_trace::export::prometheus;
 use cgsim_trace::{Counter, Histogram, MetricsRegistry, TraceSnapshot, Tracer};
@@ -56,7 +58,9 @@ pub struct ServeConfig {
     pub pool_workers: usize,
     /// Pool admission queue capacity.
     pub queue_capacity: usize,
-    /// Predicted-poll admission ceiling (`429 COST_EXCEEDED` above it).
+    /// Ceiling on a run's predicted scheduler polls, as the server
+    /// estimates them from the graph and workload it admits (`429
+    /// COST_EXCEEDED` above it). `None` computes no estimate.
     pub cost_limit: Option<u64>,
     /// Compiled-graph cache capacity (entries).
     pub cache_capacity: usize,
@@ -64,8 +68,6 @@ pub struct ServeConfig {
     pub rate: Option<RateLimit>,
     /// Concurrent runs admitted past the fair queue.
     pub max_inflight: usize,
-    /// Run the pool observer/stall-watchdog thread.
-    pub observer: bool,
     /// Request body cap in bytes.
     pub max_body_bytes: usize,
 }
@@ -81,7 +83,6 @@ impl Default for ServeConfig {
             cache_capacity: 8,
             rate: None,
             max_inflight: 4,
-            observer: false,
             max_body_bytes: 4 * 1024 * 1024,
         }
     }
@@ -129,40 +130,54 @@ struct Inner {
     runs_ok: Counter,
     runs_failed: Counter,
     lint_rejected: Counter,
+    cost_rejected: Counter,
     request_ns: Histogram,
 }
 
 /// One HTTP response, routed back through [`write_response`].
 struct Response {
     status: u16,
-    reason: &'static str,
     content_type: &'static str,
     body: Vec<u8>,
     extra: Vec<(&'static str, String)>,
 }
 
 impl Response {
-    fn json(status: u16, reason: &'static str, body: String) -> Self {
+    fn json(status: u16, body: String) -> Self {
         Response {
             status,
-            reason,
             content_type: "application/json",
             body: body.into_bytes(),
             extra: Vec::new(),
         }
     }
 
-    fn error(status: u16, reason: &'static str, body: ErrorBody) -> Self {
-        Response::json(status, reason, body.to_json())
+    /// A non-2xx answer whose body is an [`ErrorBody`] without findings.
+    fn error(status: u16, code: impl Into<String>, error: impl Into<String>) -> Self {
+        Response::json(status, ErrorBody::new(code, error).to_json())
     }
 
-    fn text(status: u16, reason: &'static str, body: impl Into<String>) -> Self {
+    fn text(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
-            reason,
             content_type: "text/plain; version=0.0.4",
             body: body.into().into_bytes(),
             extra: Vec::new(),
+        }
+    }
+
+    /// The reason phrase of every status the daemon answers with.
+    fn reason(&self) -> &'static str {
+        match self.status {
+            200 => "OK",
+            400 => "Bad Request",
+            404 => "Not Found",
+            413 => "Payload Too Large",
+            422 => "Unprocessable Entity",
+            429 => "Too Many Requests",
+            503 => "Service Unavailable",
+            504 => "Gateway Timeout",
+            _ => "Internal Server Error",
         }
     }
 }
@@ -180,18 +195,13 @@ impl Server {
         let limiter = config.rate.map(|rate| RateLimiter::new(rate, &metrics));
         let fair = FairQueue::new(config.max_inflight);
 
-        let mut pool_config = PoolConfig::default()
-            .with_trace(false)
-            .with_workers(config.pool_workers)
-            .with_queue_capacity(config.queue_capacity)
-            .with_admission(Admission::Reject);
-        if let Some(limit) = config.cost_limit {
-            pool_config = pool_config.with_cost_limit(limit);
-        }
-        if config.observer {
-            pool_config = pool_config.with_observer(ObserverConfig::default());
-        }
-        let pool = Pool::new(pool_config);
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_trace(false)
+                .with_workers(config.pool_workers)
+                .with_queue_capacity(config.queue_capacity)
+                .with_admission(Admission::Reject),
+        );
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -201,6 +211,7 @@ impl Server {
             runs_ok: metrics.counter("serve_runs_ok", &[]),
             runs_failed: metrics.counter("serve_runs_failed", &[]),
             lint_rejected: metrics.counter("serve_lint_rejected", &[]),
+            cost_rejected: metrics.counter("serve_cost_rejected", &[]),
             request_ns: metrics.histogram("serve_request_ns", &[]),
             pool: Mutex::new(Some(pool)),
             cache,
@@ -300,50 +311,30 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
 fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream, peer: SocketAddr) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let started = Instant::now();
-    let request = match read_request(&mut stream, inner.config.max_body_bytes) {
-        Ok(request) => request,
-        Err(HttpError::TooLarge) => {
-            let body = ErrorBody::new("TOO_LARGE", "request exceeds the configured size limit");
-            let _ = write_response(
-                &mut stream,
-                413,
-                "Payload Too Large",
-                "application/json",
-                body.to_json().as_bytes(),
-                &[],
-            );
-            return;
+    let response = match read_request(&mut stream, inner.config.max_body_bytes) {
+        Ok(request) => {
+            inner.requests.inc();
+            let response = route(inner, &request, peer);
+            inner
+                .request_ns
+                .observe(started.elapsed().as_nanos() as u64);
+            response
         }
-        Err(HttpError::BadRequest(what)) => {
-            let body = ErrorBody::new("BAD_REQUEST", what);
-            let _ = write_response(
-                &mut stream,
-                400,
-                "Bad Request",
-                "application/json",
-                body.to_json().as_bytes(),
-                &[],
-            );
-            return;
-        }
+        Err(HttpError::TooLarge) => Response::error(
+            413,
+            "TOO_LARGE",
+            "request exceeds the configured size limit",
+        ),
+        Err(HttpError::BadRequest(what)) => Response::error(400, "BAD_REQUEST", what),
         Err(HttpError::Io(_)) => return,
     };
-    inner.requests.inc();
-    let response = route(inner, &request, peer);
-    inner
-        .request_ns
-        .observe(started.elapsed().as_nanos() as u64);
     let _ = write_response(
         &mut stream,
         response.status,
-        response.reason,
+        response.reason(),
         response.content_type,
         &response.body,
-        &response
-            .extra
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect::<Vec<_>>(),
+        &response.extra,
     );
 }
 
@@ -351,65 +342,51 @@ fn route(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             if inner.draining.load(Ordering::SeqCst) {
-                Response::text(503, "Service Unavailable", "draining\n")
+                Response::text(503, "draining\n")
             } else {
-                Response::text(200, "OK", "ok\n")
+                Response::text(200, "ok\n")
             }
         }
         ("GET", "/metrics") => metrics_page(inner),
         ("POST", "/v1/run") => handle_run(inner, request, peer),
         ("POST", "/v1/cache/flush") => {
             let flushed = inner.cache.flush();
-            Response::json(200, "OK", format!("{{\"flushed\":{flushed}}}"))
+            Response::json(200, format!("{{\"flushed\":{flushed}}}"))
         }
         ("GET", path) if path.starts_with("/v1/trace/") => {
             let id = path["/v1/trace/".len()..].parse::<u64>().ok();
             let traces = inner.traces.lock().unwrap_or_else(|e| e.into_inner());
             match id.and_then(|id| traces.get(id)) {
-                Some(trace) => Response::json(200, "OK", trace.to_string()),
-                None => Response::error(
-                    404,
-                    "Not Found",
-                    ErrorBody::new("UNKNOWN_TRACE", "no kept trace under that id"),
-                ),
+                Some(trace) => Response::json(200, trace.to_string()),
+                None => Response::error(404, "UNKNOWN_TRACE", "no kept trace under that id"),
             }
         }
-        (method, path) => Response::error(
-            404,
-            "Not Found",
-            ErrorBody::new("NOT_FOUND", format!("no route for {method} {path}")),
-        ),
+        (method, path) => {
+            Response::error(404, "NOT_FOUND", format!("no route for {method} {path}"))
+        }
     }
 }
 
 /// `/metrics`: serve-layer registry plus the live pool registry, one
-/// Prometheus exposition. Gauges are refreshed from the pool observer at
-/// scrape time, so the stall watchdog's view is visible to scrapers.
+/// Prometheus exposition. Gauges are refreshed at scrape time.
 fn metrics_page(inner: &Arc<Inner>) -> Response {
-    let queue_gauge = inner.metrics.gauge("serve_pool_queue_depth", &[]);
-    let inflight_gauge = inner.metrics.gauge("serve_inflight", &[]);
-    let cache_gauge = inner.metrics.gauge("serve_cache_entries", &[]);
-    let obs_samples = inner.metrics.gauge("serve_observer_samples", &[]);
-    let obs_stalls = inner.metrics.gauge("serve_observer_stalls", &[]);
-    inflight_gauge.set(inner.fair.inflight() as i64);
-    cache_gauge.set(inner.cache.len() as i64);
-    let pool_text = {
-        let guard = inner.pool.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(pool) => {
-                queue_gauge.set(pool.queued_jobs() as i64);
-                if let Some(timeline) = pool.observer_timeline() {
-                    obs_samples.set(timeline.len() as i64);
-                    obs_stalls.set(timeline.stalls().len() as i64);
-                }
-                prometheus::render(&pool.metrics())
-            }
-            None => String::new(),
-        }
-    };
+    let gauge = |name| inner.metrics.gauge(name, &[]);
+    gauge("serve_inflight").set(inner.fair.inflight() as i64);
+    gauge("serve_cache_entries").set(inner.cache.len() as i64);
+    let queue_gauge = gauge("serve_pool_queue_depth");
+    let mut pool_text = String::new();
+    if let Some(pool) = inner
+        .pool
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .as_ref()
+    {
+        queue_gauge.set(pool.queued_jobs() as i64);
+        pool_text = prometheus::render(&pool.metrics());
+    }
     let mut text = prometheus::render(&inner.metrics.snapshot());
     text.push_str(&pool_text);
-    Response::text(200, "OK", text)
+    Response::text(200, text)
 }
 
 /// Resolve the client identity for rate limiting / fair queueing: the
@@ -437,17 +414,13 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
                 let known: Vec<&str> = all_apps().iter().map(|a| a.name()).collect();
                 return Err(Response::error(
                     404,
-                    "Not Found",
-                    ErrorBody::new(
-                        "UNKNOWN_APP",
-                        format!("no app `{name}` (known: {})", known.join(", ")),
-                    ),
+                    "UNKNOWN_APP",
+                    format!("no app `{name}` (known: {})", known.join(", ")),
                 ));
             };
             let graph = app.graph();
-            let lint_config = LintConfig::default();
-            let lint = lint_graph(&graph, &lint_config);
-            let plan = cgsim_runtime::compile(&graph, &lint_config).ok();
+            let lint = lint_graph(&graph, &LintConfig::default());
+            let plan = compile_linted(&graph, &lint).ok();
             Ok(CacheEntry {
                 digest,
                 label: name.clone(),
@@ -461,11 +434,7 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
         }
         GraphSource::Manifest(manifest) => {
             if let Err(e) = manifest.graph.validate() {
-                return Err(Response::error(
-                    422,
-                    "Unprocessable Entity",
-                    ErrorBody::new(e.code(), e.message()),
-                ));
+                return Err(Response::error(422, e.code(), e.message()));
             }
             let lint = manifest.lint();
             Ok(CacheEntry {
@@ -478,55 +447,47 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
     }
 }
 
+/// Predicted scheduler polls for running `entry` over `blocks` input
+/// blocks: the `cgsim-lint` estimate over the feed lengths the run will see
+/// (an app's `workload(blocks)`, a manifest's embedded workload). `None`
+/// when the dataflow is cyclic.
+fn predicted_polls(entry: &CacheEntry, blocks: u64) -> Option<u64> {
+    let (graph, workload) = match &entry.payload {
+        CachePayload::App { name, graph, .. } => {
+            let app = all_apps().into_iter().find(|a| a.name() == name.as_str())?;
+            (&**graph, app.workload(blocks))
+        }
+        CachePayload::Manifest(manifest) => (&manifest.graph, manifest.workload.clone()),
+    };
+    let feed_lens: Vec<u64> = workload
+        .elems_per_block_in
+        .iter()
+        .map(|elems| workload.blocks.saturating_mul(*elems))
+        .collect();
+    cost_estimate(graph, &feed_lens).map(|cost| cost.polls_hint)
+}
+
 fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Response {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => {
-            return Response::error(
-                400,
-                "Bad Request",
-                ErrorBody::new("BAD_REQUEST", "body is not UTF-8"),
-            )
-        }
-    };
-    let run_request: RunRequest = match serde_json::from_str(body) {
+    let parsed = std::str::from_utf8(&request.body)
+        .map_err(|_| "body is not UTF-8".to_string())
+        .and_then(|body| serde_json::from_str::<RunRequest>(body).map_err(|e| e.to_string()));
+    let run_request = match parsed {
         Ok(parsed) => parsed,
-        Err(e) => {
-            return Response::error(
-                400,
-                "Bad Request",
-                ErrorBody::new("BAD_REQUEST", e.to_string()),
-            )
-        }
+        Err(what) => return Response::error(400, "BAD_REQUEST", what),
     };
-    if run_request.version != WIRE_VERSION {
-        return Response::error(
-            400,
-            "Bad Request",
-            ErrorBody::new(
-                "BAD_VERSION",
-                format!(
-                    "wire version {} unsupported (expected {WIRE_VERSION})",
-                    run_request.version
-                ),
-            ),
-        );
+    let version = run_request.version;
+    if version != WIRE_VERSION {
+        let message = format!("wire version {version} unsupported (expected {WIRE_VERSION})");
+        return Response::error(400, "BAD_VERSION", message);
     }
 
     let client = client_of(request, peer);
     if let Some(limiter) = &inner.limiter {
         if let Err(retry) = limiter.try_acquire(&client) {
-            let mut response = Response::error(
-                429,
-                "Too Many Requests",
-                ErrorBody::new(
-                    "RATE_LIMITED",
-                    format!("client `{client}` over rate budget"),
-                ),
-            );
-            response
-                .extra
-                .push(("Retry-After", retry.as_secs().max(1).to_string()));
+            let message = format!("client `{client}` over rate budget");
+            let mut response = Response::error(429, "RATE_LIMITED", message);
+            let retry_secs = retry.as_secs().max(1).to_string();
+            response.extra.push(("Retry-After", retry_secs));
             return response;
         }
     }
@@ -555,19 +516,34 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
             .next()
             .map(|d| d.code.clone())
             .unwrap_or_else(|| "CG012".to_string());
-        return Response::error(
-            422,
-            "Unprocessable Entity",
-            ErrorBody::new(
-                code,
-                format!(
-                    "graph `{}` rejected by static verification ({} error finding(s))",
-                    entry.label,
-                    entry.lint.error_count()
-                ),
-            )
-            .with_findings(findings),
+        let message = format!(
+            "graph `{}` rejected by static verification ({} error finding(s))",
+            entry.label,
+            entry.lint.error_count()
         );
+        let body = ErrorBody::new(code, message).with_findings(findings);
+        return Response::json(422, body.to_json());
+    }
+
+    // Cost gate: the server's own estimate, so a request that understates
+    // its cost cannot get under the limit. Refused before the fair queue,
+    // so a refusal never waits for a slot.
+    let blocks = run_request.blocks.max(1);
+    if let Some(limit) = inner.config.cost_limit {
+        let message = match predicted_polls(&entry, blocks) {
+            Some(polls) if polls <= limit => None,
+            Some(polls) => Some(format!(
+                "predicted cost {polls} polls exceeds admission limit {limit}"
+            )),
+            None => Some(format!(
+                "graph `{}` has cyclic dataflow, so no cost estimate",
+                entry.label
+            )),
+        };
+        if let Some(message) = message {
+            inner.cost_rejected.inc();
+            return Response::error(429, "COST_EXCEEDED", message);
+        }
     }
 
     // Fair in-flight slot (round-robin across clients), held for the whole
@@ -589,7 +565,6 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
         CachePayload::App { name, plan, .. } => {
             let name = name.clone();
             let plan = plan.clone().map(|plan| *plan);
-            let blocks = run_request.blocks.max(1);
             let engine = engine_of(spec.target());
             Job::new(spec.clone(), move |ctx| {
                 let app = all_apps()
@@ -651,29 +626,11 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
     };
     let handle = match submitted {
         Ok(handle) => handle,
-        Err(SubmitError::CostExceeded { predicted, limit }) => {
-            return Response::error(
-                429,
-                "Too Many Requests",
-                ErrorBody::new(
-                    "COST_EXCEEDED",
-                    format!("predicted cost {predicted} polls exceeds admission limit {limit}"),
-                ),
-            )
-        }
         Err(SubmitError::QueueFull) => {
-            return Response::error(
-                503,
-                "Service Unavailable",
-                ErrorBody::new("QUEUE_FULL", "admission queue is full; retry later"),
-            )
+            return Response::error(503, "QUEUE_FULL", "admission queue is full; retry later")
         }
         Err(SubmitError::ShuttingDown) => {
-            return Response::error(
-                503,
-                "Service Unavailable",
-                ErrorBody::new("DRAINING", "server is draining"),
-            )
+            return Response::error(503, "DRAINING", "server is draining")
         }
     };
 
@@ -683,11 +640,7 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                 report_slot.lock().unwrap_or_else(|e| e.into_inner()).take()
             else {
                 inner.runs_failed.inc();
-                return Response::error(
-                    500,
-                    "Internal Server Error",
-                    ErrorBody::new("RUN_FAILED", "job completed without a report"),
-                );
+                return Response::error(500, "RUN_FAILED", "job completed without a report");
             };
             inner.runs_ok.inc();
             report.label = spec.label().to_string();
@@ -712,31 +665,19 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
                     .keep(chrome_trace_json(&trace));
                 report.trace_ref = Some(format!("/v1/trace/{id}"));
             }
-            Response::json(200, "OK", report.to_json())
+            Response::json(200, report.to_json())
         }
         JobOutcome::TimedOut => {
             inner.runs_failed.inc();
-            Response::error(
-                504,
-                "Gateway Timeout",
-                ErrorBody::new("DEADLINE", "run exceeded its deadline budget"),
-            )
+            Response::error(504, "DEADLINE", "run exceeded its deadline budget")
         }
         JobOutcome::Cancelled => {
             inner.runs_failed.inc();
-            Response::error(
-                503,
-                "Service Unavailable",
-                ErrorBody::new("CANCELLED", "run was cancelled"),
-            )
+            Response::error(503, "CANCELLED", "run was cancelled")
         }
         JobOutcome::Failed(error) => {
             inner.runs_failed.inc();
-            Response::error(
-                500,
-                "Internal Server Error",
-                ErrorBody::new("RUN_FAILED", error),
-            )
+            Response::error(500, "RUN_FAILED", error)
         }
     }
 }

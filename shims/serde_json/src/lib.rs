@@ -302,14 +302,19 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                // RFC 8259 §7: control characters must be escaped.
+                Some(0x00..=0x1f) => {
+                    return Err(self
+                        .err("control character (\\u0000-\\u001F) found while parsing a string"))
+                }
                 Some(_) => {
-                    // Copy the run up to the next quote or escape in one
-                    // go. Both are ASCII, so the run ends on a char
-                    // boundary of the source text.
+                    // Copy the run up to the next quote, escape or control
+                    // character in one go. All three are ASCII, so the run
+                    // ends on a char boundary of the source text.
                     let rest = &self.bytes()[self.pos..];
                     let len = rest
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(rest.len());
                     out.push_str(&self.src[self.pos..self.pos + len]);
                     self.pos += len;
@@ -437,6 +442,21 @@ mod tests {
         let text = r#"{"a":[1,2,{"b":null}],"c":"x\ny"}"#;
         let v = parse(text).unwrap();
         assert_eq!(to_string(&v).unwrap(), text);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        for raw in [
+            "\"a\nb\"",
+            "\"a\tb\"",
+            "\"\u{0}\"",
+            "{\"label\":\"x\u{1f}\"}",
+        ] {
+            let err = parse(raw).expect_err("raw control character is refused");
+            assert!(err.0.contains("control character"), "{raw:?}: {err}");
+        }
+        // Escaped, the same characters parse.
+        assert_eq!(parse(r#""a\nb\t""#).unwrap(), "a\nb\t");
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! ```text
 //! cgsim-serve [--addr HOST:PORT] [--http-workers N] [--pool-workers N]
 //!             [--queue N] [--cache N] [--inflight N]
-//!             [--rate BURST:PER_SEC] [--cost-limit POLLS] [--observer]
+//!             [--rate BURST:PER_SEC] [--cost-limit POLLS]
 //! ```
+//!
+//! `--cost-limit` refuses (`429 COST_EXCEEDED`) any run whose predicted
+//! scheduler polls — the server's own static estimate for the graph and
+//! workload it admits — exceed `POLLS`.
 //!
 //! Quickstart:
 //!
@@ -27,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cgsim-serve [--addr HOST:PORT] [--http-workers N] [--pool-workers N] \
          [--queue N] [--cache N] [--inflight N] [--rate BURST:PER_SEC] \
-         [--cost-limit POLLS] [--observer]"
+         [--cost-limit POLLS]"
     );
     std::process::exit(2);
 }
@@ -52,7 +56,6 @@ fn main() -> ExitCode {
             "--cache" => config.cache_capacity = parse("--cache", args.next()),
             "--inflight" => config.max_inflight = parse("--inflight", args.next()),
             "--cost-limit" => config.cost_limit = Some(parse("--cost-limit", args.next())),
-            "--observer" => config.observer = true,
             "--rate" => {
                 let spec: String = parse("--rate", args.next());
                 let Some((burst, per_sec)) = spec.split_once(':') else {

@@ -10,6 +10,7 @@
 use cgsim::core::{GraphBuilder, KernelDecl, KernelMeta, PortKind, PortSettings, PortSig, Realm};
 use cgsim::graphs::{all_apps, RunSpec};
 use cgsim::intrinsics::OpCounts;
+use cgsim::lint::cost_estimate;
 use cgsim::pool::{Job, JobOutcome, JobOutput, Pool, PoolConfig};
 use cgsim::serve::{RateLimit, ServeConfig, ServeReport, Server};
 use cgsim::sim::{DeployManifest, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
@@ -190,6 +191,81 @@ fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
     handle.shutdown();
 }
 
+/// RFC 8259 §7 forbids raw control characters inside a JSON string: a
+/// label holding a raw newline and tab is a structured 400. Escaped, the
+/// same label runs, so the daemon keeps serving.
+#[test]
+fn raw_control_characters_in_a_body_are_a_400() {
+    let handle = Server::start(one_pool_worker()).expect("starts");
+    let addr = handle.addr().to_string();
+    let raw = "{\"graph\":{\"app\":\"IIR\"},\"blocks\":1,\"spec\":{\"label\":\"a\nb\t\"}}";
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], raw);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("BAD_REQUEST"), "{body}");
+    assert!(body.contains("control character"), "{body}");
+
+    let escaped = raw.replace('\n', "\\n").replace('\t', "\\t");
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &escaped);
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+/// The cost limit is checked against the daemon's own estimate for the
+/// graph and workload it admits; whatever cost a request declares changes
+/// nothing.
+#[test]
+fn cost_limit_is_the_servers_estimate() {
+    let app = all_apps().into_iter().find(|a| a.name() == "IIR").unwrap();
+    let polls = |blocks: u64| {
+        let feeds: Vec<u64> = app
+            .workload(blocks)
+            .elems_per_block_in
+            .iter()
+            .map(|e| blocks * e)
+            .collect();
+        cost_estimate(&app.graph(), &feeds)
+            .expect("IIR is acyclic")
+            .polls_hint
+    };
+    let (small, large) = (polls(1), polls(64));
+    let run = |addr: &str, request: &str| http(addr, "POST", "/v1/run", &[], request);
+    let one_block = r#"{"graph":{"app":"IIR"},"blocks":1}"#;
+
+    let unlimited = Server::start(one_pool_worker()).expect("starts");
+    let (status, _, body) = run(&unlimited.addr().to_string(), one_block);
+    assert_eq!(status, 200, "{body}");
+    let free_checksum = ServeReport::from_json(&body).unwrap().summary.checksum;
+    assert!(free_checksum.is_some());
+    unlimited.shutdown();
+
+    let handle = Server::start(ServeConfig {
+        cost_limit: Some(small + (large - small) / 2),
+        ..one_pool_worker()
+    })
+    .expect("starts");
+    let addr = handle.addr().to_string();
+    let declared = r#""spec":{"cost":{"tokens":0,"firings":0,"polls_hint":0}}"#;
+    for request in [
+        r#"{"graph":{"app":"IIR"},"blocks":64}"#.to_string(),
+        format!(r#"{{"graph":{{"app":"IIR"}},"blocks":64,{declared}}}"#),
+    ] {
+        let (status, _, body) = run(&addr, &request);
+        assert_eq!(status, 429, "{request}: {body}");
+        assert!(
+            body.contains("COST_EXCEEDED") && body.contains(&large.to_string()),
+            "{body}"
+        );
+    }
+    let (status, _, body) = run(&addr, one_block);
+    assert_eq!(status, 200, "under the limit runs: {body}");
+    let report = ServeReport::from_json(&body).unwrap();
+    assert_eq!(report.summary.checksum, free_checksum);
+
+    let (_, _, metrics) = http(&addr, "GET", "/metrics", &[], "");
+    assert_eq!(metric_value(&metrics, "serve_cost_rejected"), Some(2.0));
+    handle.shutdown();
+}
+
 // A minimal kernel kind for hand-built manifests.
 struct Copy;
 impl KernelDecl for Copy {
@@ -285,6 +361,28 @@ fn lint_rejected_manifest_returns_cg_code_in_error_body() {
 
     let (_, _, metrics) = http(&addr, "GET", "/metrics", &[], "");
     assert_eq!(metric_value(&metrics, "serve_lint_rejected"), Some(1.0));
+    handle.shutdown();
+}
+
+/// A graph whose dataflow is cyclic has no static cost estimate, so a
+/// daemon with a cost limit refuses it even when the lint gate stands aside.
+#[test]
+fn cyclic_graph_is_refused_under_a_cost_limit() {
+    let config = ServeConfig {
+        cost_limit: Some(u64::MAX),
+        ..one_pool_worker()
+    };
+    let handle = Server::start(config).expect("starts");
+    let addr = handle.addr().to_string();
+    for (deadlocked, want) in [(true, 429), (false, 200)] {
+        let request = format!(
+            r#"{{"graph":{{"manifest":{}}},"spec":{{"config":{{"verify":"off"}}}}}}"#,
+            serde_json::to_string(&copy_manifest(deadlocked)).unwrap()
+        );
+        let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
+        assert_eq!(status, want, "{body}");
+        assert_eq!(body.contains("no cost estimate"), deadlocked, "{body}");
+    }
     handle.shutdown();
 }
 

@@ -37,7 +37,6 @@ fn golden_fixture_deserializes_to_every_axis() {
     assert_eq!(cfg.verify, VerifyPolicy::Warn);
     assert_eq!(cfg.max_polls, None);
     assert!(cfg.faults.is_none());
-    assert!(spec.cost().is_none());
 }
 
 #[test]
@@ -52,10 +51,12 @@ fn serializer_still_emits_the_golden_shape() {
     );
 }
 
-/// The fixture as pinned before `config.channels` was retired (channel
-/// storage now follows the backend's scheduler). Clients that still send
-/// the key must keep being served.
-const GOLDEN_WITH_CHANNELS: &str = r#"{
+/// The golden spec with every retired key a client may still send:
+/// `config.channels` (channel storage now follows the backend's scheduler)
+/// and a declared `cost` (the daemon now estimates admission cost from the
+/// graph it admits). Such clients must keep being served, and the keys
+/// change nothing.
+const GOLDEN_WITH_RETIRED_KEYS: &str = r#"{
   "label": "golden",
   "backend": "compiled",
   "config": {
@@ -70,12 +71,12 @@ const GOLDEN_WITH_CHANNELS: &str = r#"{
     "profiling": "full"
   },
   "deadline_ns": 250000000,
-  "cost": null
+  "cost": { "tokens": 0, "firings": 0, "polls_hint": 0 }
 }"#;
 
 #[test]
 fn retired_channels_key_still_parses() {
-    let old: RunSpec = serde_json::from_str(GOLDEN_WITH_CHANNELS).expect("old fixture parses");
+    let old: RunSpec = serde_json::from_str(GOLDEN_WITH_RETIRED_KEYS).expect("old payload parses");
     let emitted = serde_json::to_value(old).expect("spec serializes");
     let pinned: serde_json::Value = serde_json::from_str(GOLDEN).expect("golden fixture parses");
     assert_eq!(
