@@ -308,13 +308,7 @@ fn fifo_capacity(conn: &cgsim_core::FlatConnector, config: &SimConfig) -> u64 {
             window_elems * factor
         }
         PortKind::RuntimeParam => 4,
-        PortKind::Stream => {
-            if conn.settings.depth != 0 {
-                conn.settings.depth as u64
-            } else {
-                config.fifo_depth as u64
-            }
-        }
+        PortKind::Stream => conn.depth_or(config.fifo_depth) as u64,
     }
 }
 

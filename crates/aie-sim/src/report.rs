@@ -9,10 +9,12 @@ use crate::config::SimConfig;
 use crate::cost::KernelCostProfile;
 use crate::graphsim::GraphTrace;
 use cgsim_trace::export::summary::{KernelRow, SummaryTable};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Per-kernel summary extracted from a trace.
-#[derive(Clone, Debug, PartialEq)]
+/// Per-kernel summary extracted from a trace; also the per-kernel row of
+/// a served report.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct KernelReport {
     /// Kernel instance name.
     pub instance: String,
@@ -23,6 +25,7 @@ pub struct KernelReport {
     /// Busy fraction of the total simulated span (0..=1).
     pub utilization: f64,
     /// Mean interval between iteration completions, in ns.
+    #[serde(default)]
     pub interval_ns: Option<f64>,
     /// Blocked iteration attempts (input empty / output full) — the
     /// per-kernel stall statistic hardware profilers report.

@@ -106,10 +106,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     // for. When present they are armed as runtime bounds checks on every
     // cooperative leg below (any observed occupancy above its bound is a
     // soundness failure), and the flood leg validates tightness.
-    let has_merge = (0..case.graph.connectors.len()).any(|ci| {
-        let cid = ConnectorId::new(ci);
-        case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid)) > 1
-    });
+    let has_merge = case.graph.stats().merges > 0;
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let bounds = (!has_merge)
         .then(|| {
@@ -305,10 +302,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         };
         let candidates: Vec<usize> = (0..graph.connectors.len())
             .filter(|&ci| graph.connectors[ci].kind == PortKind::Stream)
-            .filter(|&ci| {
-                !graph.consumers_of(ConnectorId::new(ci)).is_empty()
-                    || graph.is_global_output(ConnectorId::new(ci))
-            })
+            .filter(|&ci| graph.readers(ConnectorId::new(ci)) > 0)
             .collect();
         let tight_target = candidates
             .iter()
@@ -447,8 +441,7 @@ fn check_conservation(
             failures.push(format!("{label}: report names unknown channel {name}"));
             continue;
         };
-        let cid = ConnectorId::new(ci);
-        let readers = graph.consumers_of(cid).len() as u64 + u64::from(graph.is_global_output(cid));
+        let readers = graph.readers(ConnectorId::new(ci)) as u64;
         let expected = stats.pushes * readers;
         if strict && stats.pops != expected {
             failures.push(format!(
@@ -772,11 +765,7 @@ mod tests {
         let mut rejects = 0usize;
         for seed in 0..24u64 {
             let case = generate(seed);
-            let has_merge = (0..case.graph.connectors.len()).any(|ci| {
-                let cid = ConnectorId::new(ci);
-                case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid))
-                    > 1
-            });
+            let has_merge = case.graph.stats().merges > 0;
             let verdict = check_case(&case, SCHEDULES);
             assert!(verdict.ok(), "seed {seed}: {:#?}", verdict.failures);
             assert_eq!(

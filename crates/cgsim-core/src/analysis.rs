@@ -1,14 +1,15 @@
 //! Structural graph analysis.
 //!
-//! Utilities shared by the extractor's code generators, the placer and the
-//! report tooling: kernel-level dataflow topology, topological ordering,
-//! feedback (cycle) detection and pipeline-depth computation. AIE graphs
-//! are usually feed-forward pipelines; feedback edges are legal in the
+//! The kernel-level dataflow topology, its one topological order and
+//! feedback (cycle) detection, shared by the schedule compiler, the lint
+//! bounds pass and the extractor's HLS code generator. AIE graphs are
+//! usually feed-forward pipelines; feedback edges are legal in the
 //! dataflow model but require explicit FIFO depth to avoid deadlock, so
 //! tools want to know about them.
 
 use crate::flat::FlatGraph;
 use crate::id::{ConnectorId, KernelId};
+use std::collections::BTreeSet;
 
 /// Kernel-level dataflow topology of a graph: `succ[k]` lists the kernels
 /// fed by kernel `k` (deduplicated, in id order).
@@ -75,19 +76,22 @@ impl Topology {
         }
     }
 
-    /// Kahn topological order over kernels, or `None` if the graph
-    /// contains a feedback cycle.
+    /// Kahn topological order over kernels, always releasing the
+    /// smallest-index ready kernel first — so among the valid orders it is
+    /// the one closest to declaration order, the same on every call (the
+    /// schedule golden files pin it). `None` if the graph contains a
+    /// feedback cycle.
     pub fn topo_order(&self) -> Option<Vec<KernelId>> {
         let n = self.succ.len();
         let mut indegree: Vec<usize> = self.pred.iter().map(Vec::len).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(k) = ready.pop() {
+        while let Some(k) = ready.pop_first() {
             order.push(KernelId::new(k));
             for s in &self.succ[k] {
                 indegree[s.index()] -= 1;
                 if indegree[s.index()] == 0 {
-                    ready.push(s.index());
+                    ready.insert(s.index());
                 }
             }
         }
@@ -97,26 +101,6 @@ impl Topology {
     /// Whether the kernel dataflow contains a feedback cycle.
     pub fn has_feedback(&self) -> bool {
         self.topo_order().is_none()
-    }
-
-    /// Longest path length (in kernels) from any entry kernel to any exit
-    /// kernel — the pipeline depth. `None` for cyclic graphs.
-    pub fn pipeline_depth(&self) -> Option<usize> {
-        let order = self.topo_order()?;
-        let mut depth = vec![1usize; self.succ.len()];
-        // Process in topological order.
-        for k in &order {
-            for s in &self.succ[k.index()] {
-                depth[s.index()] = depth[s.index()].max(depth[k.index()] + 1);
-            }
-        }
-        Some(depth.into_iter().max().unwrap_or(0))
-    }
-
-    /// Maximum fan-out of any kernel (number of distinct successor
-    /// kernels).
-    pub fn max_fanout(&self) -> usize {
-        self.succ.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -184,8 +168,6 @@ mod tests {
         assert_eq!(t.succ[0], vec![KernelId::new(1)]);
         assert_eq!(t.pred[3], vec![KernelId::new(2)]);
         assert!(!t.has_feedback());
-        assert_eq!(t.pipeline_depth(), Some(4));
-        assert_eq!(t.max_fanout(), 1);
         let order = t.topo_order().unwrap();
         assert_eq!(order.len(), 4);
         // Order respects edges.
@@ -215,9 +197,10 @@ mod tests {
         })
         .unwrap();
         let t = Topology::of(&g);
-        assert_eq!(t.max_fanout(), 2);
-        assert_eq!(t.pipeline_depth(), Some(3));
+        assert_eq!(t.succ[0], vec![KernelId::new(1), KernelId::new(2)]);
         assert!(!t.has_feedback());
+        let order: Vec<usize> = t.topo_order().unwrap().iter().map(|k| k.index()).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -240,14 +223,39 @@ mod tests {
         let t = Topology::of(&g);
         assert!(t.has_feedback());
         assert!(t.topo_order().is_none());
-        assert!(t.pipeline_depth().is_none());
     }
 
     #[test]
-    fn single_kernel_depth_one() {
+    fn topo_order_releases_the_smallest_ready_kernel_first() {
+        // Declared out of dataflow order: k0 consumes what k2 produces, and
+        // k1 and k3 are both ready from the start.
+        let g = GraphBuilder::build("shuffled", |g| {
+            let a = g.input::<i32>("a");
+            let b = g.input::<i32>("b");
+            let (x, y, z, w) = (
+                g.wire::<i32>(),
+                g.wire::<i32>(),
+                g.wire::<i32>(),
+                g.wire::<i32>(),
+            );
+            g.invoke::<P>(&[x.id(), y.id()])?;
+            g.invoke::<P>(&[b.id(), z.id()])?;
+            g.invoke::<P>(&[a.id(), x.id()])?;
+            g.invoke::<Join>(&[y.id(), z.id(), w.id()])?;
+            g.output(&w);
+            Ok(())
+        })
+        .unwrap();
+        let t = Topology::of(&g);
+        let order: Vec<usize> = t.topo_order().unwrap().iter().map(|k| k.index()).collect();
+        assert_eq!(order, [1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn single_kernel_is_its_own_entry_and_exit() {
         let g = chain(1);
         let t = Topology::of(&g);
-        assert_eq!(t.pipeline_depth(), Some(1));
+        assert_eq!(t.topo_order(), Some(vec![KernelId::new(0)]));
         assert_eq!(t.entry, t.exit);
     }
 }

@@ -265,41 +265,36 @@ impl GraphBuilder {
     /// Flatten (§3.5): merge endpoint settings per connector, derive
     /// transport kinds, validate, and emit the [`FlatGraph`].
     pub fn finish(self) -> Result<FlatGraph> {
-        let mut connectors = Vec::with_capacity(self.connectors.len());
-        for (ci, state) in self.connectors.iter().enumerate() {
-            let cid = ConnectorId::new(ci);
-            let endpoint_settings = self.kernels.iter().flat_map(|k| {
-                k.ports
-                    .iter()
-                    .filter(|p| p.connector == cid)
-                    .map(|p| p.settings)
-            });
-            let merged = PortSettings::merge_all(endpoint_settings)
-                .and_then(|m| m.merge(state.settings))
-                .map_err(|conflict| GraphError::IncompatibleSettings {
-                    connector: cid,
-                    conflict,
-                })?;
-            let mut attrs = state.attrs.clone();
-            if let Some(name) = &state.name {
-                if attrs.get("name").is_none() {
-                    attrs.set("name", name.clone());
+        let connectors = self
+            .connectors
+            .into_iter()
+            .map(|state| {
+                let mut attrs = state.attrs;
+                if let Some(name) = state.name {
+                    if attrs.get("name").is_none() {
+                        attrs.set("name", name);
+                    }
                 }
-            }
-            connectors.push(FlatConnector {
-                dtype: state.dtype.clone(),
-                settings: merged,
-                kind: PortKind::from_settings(&merged),
-                attrs,
-            });
-        }
-        let graph = FlatGraph {
+                FlatConnector {
+                    dtype: state.dtype,
+                    settings: state.settings,
+                    kind: PortKind::from_settings(&state.settings),
+                    attrs,
+                }
+            })
+            .collect();
+        let mut graph = FlatGraph {
             name: self.name,
             kernels: self.kernels,
             connectors,
             inputs: self.inputs,
             outputs: self.outputs,
         };
+        for ci in 0..graph.connectors.len() {
+            let merged = graph.merged_settings(ConnectorId::new(ci))?;
+            graph.connectors[ci].settings = merged;
+            graph.connectors[ci].kind = PortKind::from_settings(&merged);
+        }
         graph.validate()?;
         Ok(graph)
     }

@@ -105,6 +105,22 @@ pub enum GraphError {
         /// The rendered diagnostic report.
         report: String,
     },
+    /// A connector's stored settings disagree with its endpoints: merging
+    /// the settings its ports declare into the stored ones changes a field
+    /// (§3.4). Every engine sizes channels from the stored settings, so a
+    /// hand-edited or stale descriptor would silently ignore a declared
+    /// port setting.
+    SettingsMismatch {
+        /// The connector whose stored settings are stale.
+        connector: ConnectorId,
+        /// The first field that differs (`beat_bytes`, `window_bytes`,
+        /// `depth`, `runtime_param` or `ping_pong`).
+        field: &'static str,
+        /// The stored value (a flag reads 0 or 1).
+        stored: u32,
+        /// The value the endpoints' merge yields (a flag reads 0 or 1).
+        declared: u32,
+    },
 }
 
 impl GraphError {
@@ -127,6 +143,7 @@ impl GraphError {
             GraphError::IoTypeMismatch { .. } => "CG010",
             GraphError::UnsupportedRealm { .. } => "CG011",
             GraphError::LintRejected { .. } => "CG012",
+            GraphError::SettingsMismatch { .. } => "CG013",
         }
     }
 
@@ -184,6 +201,15 @@ impl GraphError {
             GraphError::LintRejected { errors, report } => format!(
                 "graph rejected by static analysis ({errors} error-level diagnostic{}):\n{report}",
                 if *errors == 1 { "" } else { "s" }
+            ),
+            GraphError::SettingsMismatch {
+                connector,
+                field,
+                stored,
+                declared,
+            } => format!(
+                "stored settings of connector {connector} disagree with its endpoints: \
+                 `{field}` is {stored}, the endpoints declare {declared}"
             ),
         }
     }

@@ -121,6 +121,41 @@ pub struct GraphStats {
     pub outputs: usize,
 }
 
+/// Every structural finding on a graph, what
+/// [`FlatGraph::structural_findings`] returns.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StructuralFindings {
+    /// Each finding in check order, with the kernel port it was found on
+    /// when it sits on one (a type mismatch does).
+    pub findings: Vec<(GraphError, Option<Endpoint>)>,
+    /// Some id pointed outside its array: the descriptor is corrupt, so
+    /// the per-connector checks did not run and no later analysis may
+    /// index into it.
+    pub out_of_range: bool,
+}
+
+/// The first field in which `stored` and `merged` differ, with both
+/// values (a flag reads 0 or 1).
+fn first_difference(
+    stored: PortSettings,
+    merged: PortSettings,
+) -> Option<(&'static str, u32, u32)> {
+    let flag = |set: bool| u32::from(set);
+    [
+        ("beat_bytes", stored.beat_bytes, merged.beat_bytes),
+        ("window_bytes", stored.window_bytes, merged.window_bytes),
+        ("depth", stored.depth, merged.depth),
+        (
+            "runtime_param",
+            flag(stored.runtime_param),
+            flag(merged.runtime_param),
+        ),
+        ("ping_pong", flag(stored.ping_pong), flag(merged.ping_pong)),
+    ]
+    .into_iter()
+    .find(|(_, stored, merged)| stored != merged)
+}
+
 impl FlatGraph {
     /// Kernel by id (checked).
     pub fn kernel(&self, id: KernelId) -> Result<&FlatKernel> {
@@ -179,6 +214,20 @@ impl FlatGraph {
             .map_or_else(|| format!("c{ci}"), str::to_owned)
     }
 
+    /// How many endpoints read `c`: its kernel consumers, plus the graph
+    /// itself when `c` is a global output. More than one is a broadcast,
+    /// none an unconsumed connector.
+    pub fn readers(&self, c: ConnectorId) -> usize {
+        self.consumers_of(c).len() + usize::from(self.is_global_output(c))
+    }
+
+    /// How many endpoints write `c`: its kernel producers, plus the graph
+    /// itself when `c` is a global input. More than one is a merge, none a
+    /// dangling connector.
+    pub fn writers(&self, c: ConnectorId) -> usize {
+        self.producers_of(c).len() + usize::from(self.is_global_input(c))
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats {
@@ -190,93 +239,124 @@ impl FlatGraph {
         };
         for ci in 0..self.connectors.len() {
             let c = ConnectorId::new(ci);
-            let readers = self.consumers_of(c).len() + usize::from(self.is_global_output(c));
-            let writers = self.producers_of(c).len() + usize::from(self.is_global_input(c));
-            if readers > 1 {
-                stats.broadcasts += 1;
-            }
-            if writers > 1 {
-                stats.merges += 1;
-            }
+            stats.broadcasts += usize::from(self.readers(c) > 1);
+            stats.merges += usize::from(self.writers(c) > 1);
         }
         stats
     }
 
-    /// Validate structural invariants of a flattened graph.
+    /// Every structural finding on the graph, in check order — the one
+    /// implementation of the invariants [`FlatGraph::validate`] enforces
+    /// and `cgsim-lint` reports.
     ///
-    /// Builder-produced graphs always pass; this exists because flattened
-    /// graphs also arrive from the extractor's interpreter and from disk,
-    /// where every invariant the C++ type system enforced statically must be
-    /// re-checked dynamically:
+    /// Builder-produced graphs have none; the check exists because
+    /// flattened graphs also arrive from the extractor's interpreter and
+    /// from disk, where every invariant the C++ type system enforced
+    /// statically must be re-checked dynamically:
     ///
-    /// 1. every port's connector id is in range,
-    /// 2. port and connector element types agree,
-    /// 3. every connector has a producer (kernel output or global input),
-    /// 4. every connector has a consumer (kernel input or global output),
-    /// 5. global port lists contain no duplicates and no out-of-range ids,
-    /// 6. endpoint settings merge cleanly and match the stored merged
-    ///    settings (§3.4).
-    pub fn validate(&self) -> Result<()> {
+    /// 1. global input/output ids are in range (`CG006`),
+    /// 2. the global port lists hold no duplicates (`CG007`),
+    /// 3. every port's connector id is in range (`CG006`), and port and
+    ///    connector element types agree (`CG001`, found on that port),
+    /// 4. every connector has a producer, kernel output or global input
+    ///    (`CG004`), and a consumer, kernel input or global output
+    ///    (`CG005`); its endpoint settings merge cleanly (`CG003`), and the
+    ///    merge equals its stored settings (`CG013`) (§3.4).
+    ///
+    /// Step 4 runs only when every id is in range.
+    pub fn structural_findings(&self) -> StructuralFindings {
+        let ncon = self.connectors.len();
+        let mut findings = Vec::new();
         for id in self.inputs.iter().chain(&self.outputs) {
-            check_index("connector", id.index(), self.connectors.len())?;
-        }
-        for (i, id) in self.inputs.iter().enumerate() {
-            if self.inputs[..i].contains(id) {
-                return Err(GraphError::DuplicateGlobal { connector: *id });
+            if let Err(e) = check_index("connector", id.index(), ncon) {
+                findings.push((e, None));
             }
         }
-        for (i, id) in self.outputs.iter().enumerate() {
-            if self.outputs[..i].contains(id) {
-                return Err(GraphError::DuplicateGlobal { connector: *id });
+        for list in [&self.inputs, &self.outputs] {
+            for (i, id) in list.iter().enumerate() {
+                if list[..i].contains(id) {
+                    findings.push((GraphError::DuplicateGlobal { connector: *id }, None));
+                }
             }
         }
-
-        for k in &self.kernels {
-            for p in &k.ports {
-                check_index("connector", p.connector.index(), self.connectors.len())?;
+        for (ki, k) in self.kernels.iter().enumerate() {
+            for (pi, p) in k.ports.iter().enumerate() {
+                if let Err(e) = check_index("connector", p.connector.index(), ncon) {
+                    findings.push((e, None));
+                    continue;
+                }
                 let c = &self.connectors[p.connector.index()];
                 if !p.dtype.compatible(&c.dtype) {
-                    return Err(GraphError::TypeMismatch {
+                    let error = GraphError::TypeMismatch {
                         kernel: k.instance.clone(),
                         port: p.name.clone(),
                         port_type: Box::new(p.dtype.clone()),
                         connector_type: Box::new(c.dtype.clone()),
-                    });
+                    };
+                    let port = Endpoint {
+                        kernel: KernelId::new(ki),
+                        port: pi,
+                    };
+                    findings.push((error, Some(port)));
                 }
             }
         }
-
-        for ci in 0..self.connectors.len() {
+        // An id out of range marks a corrupt descriptor: stop before the
+        // per-connector checks, as the deeper lint passes do.
+        let out_of_range = findings
+            .iter()
+            .any(|(e, _)| matches!(e, GraphError::IdOutOfRange { .. }));
+        let checked = if out_of_range { 0 } else { ncon };
+        for (ci, connector) in self.connectors.iter().enumerate().take(checked) {
             let c = ConnectorId::new(ci);
-            let produced = !self.producers_of(c).is_empty() || self.is_global_input(c);
-            let consumed = !self.consumers_of(c).is_empty() || self.is_global_output(c);
-            if !produced {
-                return Err(GraphError::DanglingConnector { connector: c });
+            if self.writers(c) == 0 {
+                findings.push((GraphError::DanglingConnector { connector: c }, None));
             }
-            if !consumed {
-                return Err(GraphError::UnconsumedConnector { connector: c });
+            if self.readers(c) == 0 {
+                findings.push((GraphError::UnconsumedConnector { connector: c }, None));
             }
-
-            // Re-merge endpoint settings and compare with the stored merge.
-            let endpoint_settings = self.kernels.iter().flat_map(|k| {
-                k.ports
-                    .iter()
-                    .filter(|p| p.connector == c)
-                    .map(|p| p.settings)
-            });
-            let merged = PortSettings::merge_all(endpoint_settings)
-                .map_err(|conflict| GraphError::IncompatibleSettings {
-                    connector: c,
-                    conflict,
-                })?
-                .merge(self.connectors[ci].settings)
-                .map_err(|conflict| GraphError::IncompatibleSettings {
-                    connector: c,
-                    conflict,
-                })?;
-            debug_assert_eq!(merged, self.connectors[ci].settings);
+            let error = match self.merged_settings(c) {
+                Err(conflict) => conflict,
+                Ok(merged) => match first_difference(connector.settings, merged) {
+                    Some((field, stored, declared)) => GraphError::SettingsMismatch {
+                        connector: c,
+                        field,
+                        stored,
+                        declared,
+                    },
+                    None => continue,
+                },
+            };
+            findings.push((error, None));
         }
-        Ok(())
+        StructuralFindings {
+            findings,
+            out_of_range,
+        }
+    }
+
+    /// The settings every endpoint of `c` shares: the merge of what its
+    /// ports declare with what the connector stores (§3.4), or the first
+    /// conflict (`CG003`).
+    pub(crate) fn merged_settings(&self, c: ConnectorId) -> Result<PortSettings> {
+        let declared = self
+            .kernels
+            .iter()
+            .flat_map(|k| &k.ports)
+            .filter(|p| p.connector == c)
+            .map(|p| p.settings);
+        PortSettings::merge_all(declared)
+            .and_then(|merged| merged.merge(self.connectors[c.index()].settings))
+            .map_err(|conflict| (c, conflict).into())
+    }
+
+    /// Validate the structural invariants of a flattened graph: the first
+    /// of its [`FlatGraph::structural_findings`], or `Ok`.
+    pub fn validate(&self) -> Result<()> {
+        match self.structural_findings().findings.into_iter().next() {
+            Some((e, _)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// Set of realms present in the graph, in [`Realm::ALL`] order.
@@ -349,58 +429,84 @@ mod tests {
     }
 
     #[test]
-    fn dangling_connector_detected() {
-        let mut g = fig4_graph();
-        g.inputs.clear(); // c0 now has no producer
-        assert!(matches!(
-            g.validate(),
-            Err(GraphError::DanglingConnector { .. })
-        ));
+    fn each_broken_invariant_is_its_code() {
+        type Break = fn(&mut FlatGraph);
+        let cases: [(Break, &str); 6] = [
+            (|g| g.inputs.clear(), "CG004"),  // c0 has no producer
+            (|g| g.outputs.clear(), "CG005"), // c2 has no consumer
+            (|g| g.connectors[1].dtype = DTypeDesc::of::<f64>(), "CG001"),
+            (
+                |g| g.kernels[0].ports[1].connector = ConnectorId::new(99),
+                "CG006",
+            ),
+            (|g| g.outputs.push(ConnectorId::new(2)), "CG007"),
+            (
+                |g| {
+                    g.kernels[0].ports[1].settings = PortSettings::new().beat_bytes(4);
+                    g.kernels[1].ports[0].settings = PortSettings::new().beat_bytes(16);
+                },
+                "CG003",
+            ),
+        ];
+        for (break_it, code) in cases {
+            let mut g = fig4_graph();
+            break_it(&mut g);
+            assert_eq!(g.validate().unwrap_err().code(), code);
+        }
     }
 
     #[test]
-    fn unconsumed_connector_detected() {
+    fn stored_settings_that_ignore_a_declared_port_setting_are_cg013() {
+        // The port declares depth 8; its connector still stores the
+        // default, so every engine would size the channel from the default.
         let mut g = fig4_graph();
-        g.outputs.clear(); // c2 now has no consumer
-        assert!(matches!(
-            g.validate(),
-            Err(GraphError::UnconsumedConnector { .. })
-        ));
+        g.kernels[0].ports[1].settings = PortSettings::new().depth(8);
+        let err = g.validate().unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::SettingsMismatch {
+                connector: ConnectorId::new(1),
+                field: "depth",
+                stored: 0,
+                declared: 8,
+            }
+        );
+        assert_eq!(err.code(), "CG013");
+        assert!(err.message().contains("`depth`"), "{err}");
+
+        // Stored settings the endpoints leave unset are no mismatch.
+        let mut g = fig4_graph();
+        g.connectors[1].settings = PortSettings::new().depth(8).ping_pong();
+        g.validate().unwrap();
     }
 
     #[test]
-    fn type_mismatch_detected() {
+    fn structural_findings_collect_every_error_in_check_order() {
         let mut g = fig4_graph();
-        g.connectors[1].dtype = DTypeDesc::of::<f64>();
-        assert!(matches!(g.validate(), Err(GraphError::TypeMismatch { .. })));
-    }
+        g.outputs.push(ConnectorId::new(2)); // CG007
+        g.connectors[1].dtype = DTypeDesc::of::<f64>(); // CG001 on both ports
+        g.kernels[1].ports[1].settings = PortSettings::new().beat_bytes(4); // CG013
+        let found = g.structural_findings();
+        assert!(!found.out_of_range);
+        let codes: Vec<_> = found.findings.iter().map(|(e, _)| e.code()).collect();
+        assert_eq!(codes, ["CG007", "CG001", "CG001", "CG013"]);
+        let ports: Vec<_> = found.findings.iter().map(|(_, p)| *p).collect();
+        let port = |k: usize, port| {
+            Some(Endpoint {
+                kernel: KernelId::new(k),
+                port,
+            })
+        };
+        assert_eq!(ports, [None, port(0, 1), port(1, 0), None]);
+        assert_eq!(g.validate().unwrap_err().code(), "CG007");
 
-    #[test]
-    fn out_of_range_port_connector_detected() {
-        let mut g = fig4_graph();
-        g.kernels[0].ports[1].connector = ConnectorId::new(99);
-        assert!(matches!(g.validate(), Err(GraphError::IdOutOfRange { .. })));
-    }
-
-    #[test]
-    fn duplicate_global_detected() {
-        let mut g = fig4_graph();
-        g.outputs.push(ConnectorId::new(2));
-        assert!(matches!(
-            g.validate(),
-            Err(GraphError::DuplicateGlobal { .. })
-        ));
-    }
-
-    #[test]
-    fn settings_conflict_detected() {
-        let mut g = fig4_graph();
-        g.kernels[0].ports[1].settings = PortSettings::new().beat_bytes(4);
-        g.kernels[1].ports[0].settings = PortSettings::new().beat_bytes(16);
-        assert!(matches!(
-            g.validate(),
-            Err(GraphError::IncompatibleSettings { .. })
-        ));
+        // An out-of-range id stops before the per-connector checks.
+        g.inputs.clear(); // c0 would now be dangling
+        g.kernels[0].ports[0].connector = ConnectorId::new(99);
+        let found = g.structural_findings();
+        assert!(found.out_of_range);
+        let codes: Vec<_> = found.findings.iter().map(|(e, _)| e.code()).collect();
+        assert_eq!(codes, ["CG007", "CG006", "CG001", "CG001"]);
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub use builder::{Connector, GraphBuilder};
 pub use dot::{to_dot, to_dot_styled, DotStyle};
 pub use dtype::{DTypeDesc, StreamData};
 pub use error::GraphError;
-pub use flat::{Endpoint, FlatConnector, FlatGraph, FlatKernel, FlatPort, GraphStats};
+pub use flat::{
+    Endpoint, FlatConnector, FlatGraph, FlatKernel, FlatPort, GraphStats, StructuralFindings,
+};
 pub use id::{ConnectorId, KernelId, PortId};
 pub use kernel::{KernelDecl, KernelMeta, PortDir, PortKind, PortSig};
 pub use partition::{BoundaryPort, ConnectorClass, RealmPartition, RealmSubgraph};

@@ -11,12 +11,14 @@
 //!   (so the two never drift apart on rounding).
 //! * [`FiringVector`] — the normalized integer repetition counts.
 //! * [`StaticSchedule`] — one compiled period: a topological firing order
-//!   plus per-connector token bounds, the serializable artifact committed
-//!   as golden files and instantiated by the `cgsim-compiled` backend.
+//!   with per-kernel repetition counts, the serializable artifact committed
+//!   as golden files and followed by the executor of a `Compiled` run.
+//! * [`GraphBounds`] — per-connector period traffic and capacities plus
+//!   latency and throughput bounds, computed once by the lint bounds pass.
 //!
 //! The types are plain data with `serde` derives; all policy (what is
 //! statically schedulable, how buffers are sized at instantiation) lives in
-//! `cgsim-lint` and `cgsim-compiled`.
+//! `cgsim-lint` and the schedule compiler of `cgsim-runtime`.
 
 use crate::flat::FlatGraph;
 use crate::id::KernelId;
@@ -39,7 +41,7 @@ impl Rational {
     /// Reduce `num/den` to lowest terms. `den` must be non-zero.
     pub fn new(num: u64, den: u64) -> Rational {
         debug_assert!(den != 0);
-        let g = gcd(num.max(1), den);
+        let g = gcd(u128::from(num.max(1)), u128::from(den)) as u64;
         Rational {
             num: num / g,
             den: den / g,
@@ -62,25 +64,12 @@ impl fmt::Display for Rational {
     }
 }
 
-/// Greatest common divisor, never returning 0.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a.max(1)
-}
-
 /// Least common multiple in u128 (callers clamp on conversion back).
 fn lcm128(a: u128, b: u128) -> u128 {
     if a == 0 || b == 0 {
         return a.max(b).max(1);
     }
-    let mut x = a;
-    let mut y = b;
-    while y != 0 {
-        (x, y) = (y, x % y);
-    }
-    a / x * b
+    a / gcd(a, b) * b
 }
 
 /// Minimal integer firing counts per kernel, aligned with
@@ -117,7 +106,7 @@ impl FiringVector {
             .zip(component)
             .map(|(r, &c)| {
                 let n = r.num as u128 * (den_lcm[c] / r.den as u128);
-                num_gcd[c] = gcd128(num_gcd[c], n);
+                num_gcd[c] = gcd(num_gcd[c], n);
                 n
             })
             .collect();
@@ -148,7 +137,10 @@ impl FiringVector {
     }
 }
 
-fn gcd128(mut a: u128, mut b: u128) -> u128 {
+/// Greatest common divisor (`gcd(0, 0) = 0`) — the one the rate
+/// arithmetic, the firing-vector normalisation and the lint bounds pass
+/// share; `u64` callers widen.
+pub fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -157,9 +149,12 @@ fn gcd128(mut a: u128, mut b: u128) -> u128 {
 
 /// One compiled schedule period for a statically schedulable graph.
 ///
-/// Produced by the `cgsim-compiled` schedule compiler, consumed by its
-/// executor, and committed under `tests/golden/` (via [`render`]) so
-/// schedule regressions show up as reviewable diffs.
+/// Produced by the schedule compiler in `cgsim-runtime` (`compile`),
+/// followed by the executor of a `Compiled` run, and committed under
+/// `tests/golden/` (via [`render`]) so schedule regressions show up as
+/// reviewable diffs. It carries no buffer figures: a run sizes its
+/// channels from the workload (`cgsim_lint::workload_tokens`), and
+/// [`GraphBounds`] reports the per-connector traffic of one period.
 ///
 /// [`render`]: StaticSchedule::render
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -171,16 +166,11 @@ pub struct StaticSchedule {
     pub order: Vec<KernelId>,
     /// Minimal integer firings per kernel per period.
     pub firings: FiringVector,
-    /// Tokens crossing each connector during one period, indexed by
-    /// connector position — the basis the executor scales by the workload
-    /// length to preallocate its flat channel buffers.
-    pub period_tokens: Vec<u64>,
 }
 
 impl StaticSchedule {
     /// Render the schedule as stable, diffable text (the golden-file
-    /// format): firing order with repetition counts, then per-connector
-    /// token bounds under the connector's graph name.
+    /// format): the firing order with repetition counts.
     pub fn render(&self, graph: &FlatGraph) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -193,11 +183,6 @@ impl StaticSchedule {
                 .map(|kk| kk.instance.as_str())
                 .unwrap_or("?");
             let _ = writeln!(out, "  {name} x{}", self.firings.count(k));
-        }
-        let _ = writeln!(out, "bounds ({} connectors):", self.period_tokens.len());
-        for (ci, &tokens) in self.period_tokens.iter().enumerate() {
-            let name = graph.connector_name(ci);
-            let _ = writeln!(out, "  {name}: {tokens}/period");
         }
         out
     }

@@ -127,6 +127,7 @@ impl Diagnostic {
     pub fn from_graph_error(e: &GraphError) -> Self {
         let anchor = match e {
             GraphError::IncompatibleSettings { connector, .. }
+            | GraphError::SettingsMismatch { connector, .. }
             | GraphError::DanglingConnector { connector }
             | GraphError::UnconsumedConnector { connector }
             | GraphError::DuplicateGlobal { connector }

@@ -12,6 +12,7 @@
 //! |------|----------|---------|
 //! | `CG001`–`CG011` | Error | Structural invariants shared with [`cgsim_core::GraphError`] (type/arity mismatches, dangling or unconsumed connectors, out-of-range ids, …) |
 //! | `CG012` | Error | Graph rejected by a deny-by-default lint gate (carried by `GraphError::LintRejected`) |
+//! | `CG013` | Error | A connector's stored settings disagree with what its endpoints declare |
 //! | `CG020` | Error | Feedback cycle with no external token source: guaranteed deadlock |
 //! | `CG021` | Warn | Feedback cycle primed from outside: correct only with priming tokens |
 //! | `CG022` | Error | Stream channel capacity below one firing's token demand |

@@ -43,7 +43,7 @@
 use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
-use cgsim_core::schedule::{ConnectorBounds, CostEstimate, GraphBounds, Rational};
+use cgsim_core::schedule::{gcd, ConnectorBounds, CostEstimate, GraphBounds, Rational};
 use cgsim_core::{ConnectorId, FlatGraph, PortDir, PortKind, Topology};
 
 /// Firings per period beyond which `CG064` flags the schedule as too large
@@ -181,7 +181,7 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
                 .iter()
                 .map(|q| {
                     let q_rate = u64::from(port_rate(graph, q.kernel.index(), q.port));
-                    p_rate + q_rate - gcd(p_rate, q_rate)
+                    p_rate + q_rate - gcd(u128::from(p_rate), u128::from(q_rate)) as u64
                 })
                 .max()
                 .unwrap_or(p_rate);
@@ -347,12 +347,7 @@ fn carries_tokens(graph: &FlatGraph, c: ConnectorId) -> bool {
 /// The channel capacity the cooperative runtime will allocate for
 /// connector `ci`: its declared `depth`, else the configured default.
 fn effective_capacity(graph: &FlatGraph, cfg: &LintConfig, ci: usize) -> u64 {
-    let depth = graph.connectors[ci].settings.depth;
-    u64::from(if depth != 0 {
-        depth
-    } else {
-        cfg.effective_default_depth()
-    })
+    graph.connectors[ci].depth_or(cfg.effective_default_depth() as usize) as u64
 }
 
 /// The largest single-firing token demand any endpoint places on `ci` —
@@ -366,11 +361,4 @@ fn single_firing_demand(graph: &FlatGraph, ci: usize) -> u64 {
         .map(|e| u64::from(port_rate(graph, e.kernel.index(), e.port)))
         .max()
         .unwrap_or(1)
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a.max(1)
 }

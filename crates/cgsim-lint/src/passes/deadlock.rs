@@ -173,18 +173,14 @@ fn capacity(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
         if conn.kind != PortKind::Stream {
             continue;
         }
-        let cap = if conn.settings.depth != 0 {
-            conn.settings.depth
-        } else {
-            cfg.effective_default_depth()
-        };
+        let cap = conn.depth_or(cfg.effective_default_depth() as usize);
         for e in graph
             .producers_of(c)
             .into_iter()
             .chain(graph.consumers_of(c))
         {
             let rate = port_rate(graph, e.kernel.index(), e.port);
-            if u64::from(cap) < u64::from(rate) {
+            if cap < rate as usize {
                 let k = &graph.kernels[e.kernel.index()];
                 report.push(Diagnostic::new(
                     "CG022",

@@ -1,7 +1,7 @@
 //! The lint passes.
 //!
-//! Pass order matters: [`structural`] re-checks the invariants of
-//! [`FlatGraph::validate`] first and reports whether the descriptor is too
+//! Pass order matters: [`structural`] reports the invariants of
+//! [`FlatGraph::validate`] first and whether the descriptor is too
 //! corrupted (out-of-range indices) for the deeper passes to run safely.
 //! The remaining passes assume indices are in range but nothing else.
 
@@ -11,7 +11,7 @@ pub mod deadlock;
 pub mod rates;
 
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, KernelId, PortDir, PortSettings};
+use cgsim_core::{ConnectorId, FlatGraph, KernelId, PortDir};
 
 /// The SDF rate (elements per firing) of one port: its declared `rate`,
 /// or the SDF default of 1 when it declares none.
@@ -23,98 +23,23 @@ pub fn port_rate(graph: &FlatGraph, kernel: usize, port: usize) -> u32 {
     graph.kernels[kernel].ports[port].rate.max(1)
 }
 
-/// Structural integrity: the `CG001`–`CG007` family, mirroring
-/// [`FlatGraph::validate`] but collecting *all* findings instead of stopping
-/// at the first. Returns `true` if an out-of-range index was found — the
+/// Structural integrity: every [`FlatGraph::structural_findings`]
+/// (`CG001`–`CG007`, `CG013`) as an Error, a type mismatch anchored on its
+/// port. Returns `true` if an out-of-range index was found — the
 /// descriptor is corrupt and later passes must not index into it.
 pub(crate) fn structural(graph: &FlatGraph, report: &mut LintReport) -> bool {
-    let ncon = graph.connectors.len();
-    let mut fatal = false;
-    let oob = |index: usize, report: &mut LintReport| {
-        if index >= ncon {
-            report.push(Diagnostic::from_graph_error(&GraphError::IdOutOfRange {
-                what: "connector",
-                index,
-                len: ncon,
-            }));
-            true
-        } else {
-            false
+    let found = graph.structural_findings();
+    for (error, port) in &found.findings {
+        let mut diagnostic = Diagnostic::from_graph_error(error);
+        if let Some(e) = port {
+            diagnostic.anchor = Anchor::Port {
+                kernel: e.kernel,
+                port: e.port,
+            };
         }
-    };
-
-    for id in graph.inputs.iter().chain(&graph.outputs) {
-        fatal |= oob(id.index(), report);
+        report.push(diagnostic);
     }
-    for list in [&graph.inputs, &graph.outputs] {
-        for (i, id) in list.iter().enumerate() {
-            if list[..i].contains(id) {
-                report.push(Diagnostic::from_graph_error(&GraphError::DuplicateGlobal {
-                    connector: *id,
-                }));
-            }
-        }
-    }
-
-    for (ki, k) in graph.kernels.iter().enumerate() {
-        for (pi, p) in k.ports.iter().enumerate() {
-            if oob(p.connector.index(), report) {
-                fatal = true;
-                continue;
-            }
-            let c = &graph.connectors[p.connector.index()];
-            if !p.dtype.compatible(&c.dtype) {
-                report.push(Diagnostic {
-                    anchor: Anchor::Port {
-                        kernel: KernelId::new(ki),
-                        port: pi,
-                    },
-                    ..Diagnostic::from_graph_error(&GraphError::TypeMismatch {
-                        kernel: k.instance.clone(),
-                        port: p.name.clone(),
-                        port_type: Box::new(p.dtype.clone()),
-                        connector_type: Box::new(c.dtype.clone()),
-                    })
-                });
-            }
-        }
-    }
-    if fatal {
-        return true;
-    }
-
-    for ci in 0..ncon {
-        let c = ConnectorId::new(ci);
-        let produced = !graph.producers_of(c).is_empty() || graph.is_global_input(c);
-        let consumed = !graph.consumers_of(c).is_empty() || graph.is_global_output(c);
-        if !produced {
-            report.push(Diagnostic::from_graph_error(
-                &GraphError::DanglingConnector { connector: c },
-            ));
-        }
-        if !consumed {
-            report.push(Diagnostic::from_graph_error(
-                &GraphError::UnconsumedConnector { connector: c },
-            ));
-        }
-        let endpoint_settings = graph.kernels.iter().flat_map(|k| {
-            k.ports
-                .iter()
-                .filter(|p| p.connector == c)
-                .map(|p| p.settings)
-        });
-        let merged = PortSettings::merge_all(endpoint_settings)
-            .and_then(|m| m.merge(graph.connectors[ci].settings));
-        if let Err(conflict) = merged {
-            report.push(Diagnostic::from_graph_error(
-                &GraphError::IncompatibleSettings {
-                    connector: c,
-                    conflict,
-                },
-            ));
-        }
-    }
-    false
+    found.out_of_range
 }
 
 /// Per-kernel liveness computed by [`reachability`], shared with the shape
@@ -221,10 +146,8 @@ pub(crate) fn shape(graph: &FlatGraph, reach: &Reach, report: &mut LintReport) {
         if graph.connectors[ci].kind == cgsim_core::PortKind::RuntimeParam {
             continue;
         }
-        let consumers = graph.consumers_of(c);
-        let readers = consumers.len() + usize::from(graph.is_global_output(c));
-        if readers > 1 {
-            for e in &consumers {
+        if graph.readers(c) > 1 {
+            for e in &graph.consumers_of(c) {
                 if !reach.bwd[e.kernel.index()] {
                     report.push(Diagnostic::new(
                         "CG042",
@@ -241,7 +164,7 @@ pub(crate) fn shape(graph: &FlatGraph, reach: &Reach, report: &mut LintReport) {
                 }
             }
         }
-        let writers = graph.producers_of(c).len() + usize::from(graph.is_global_input(c));
+        let writers = graph.writers(c);
         if writers > 1 {
             report.push(Diagnostic::new(
                 "CG043",

@@ -762,12 +762,6 @@ impl<T: Clone> Producer<T> {
         }
     }
 
-    /// Send an owned window of elements: [`Producer::push_iter`] over the
-    /// buffer (§5.2 window-port fast path).
-    pub fn push_slice(&mut self, values: Vec<T>) -> PushIterFuture<'_, T, std::vec::IntoIter<T>> {
-        self.push_iter(values.into_iter())
-    }
-
     /// The channel this endpoint writes to.
     pub fn channel(&self) -> &Arc<Channel<T>> {
         &self.chan
@@ -811,13 +805,6 @@ impl<T: Clone> Consumer<T> {
         assert!(max >= 1, "pop_vec needs a batch size of at least 1");
         let (chan, idx) = (&self.chan, self.idx);
         std::future::poll_fn(move |cx| chan.poll_recv_vec(idx, max, out, cx))
-    }
-
-    /// [`Consumer::pop_vec`] into a fresh chunk: `None` at end-of-stream,
-    /// otherwise `1..=max` elements in stream order.
-    pub async fn pop_chunk(&mut self, max: usize) -> Option<Vec<T>> {
-        let mut chunk = Vec::new();
-        self.pop_vec(&mut chunk, max).await.map(|_| chunk)
     }
 
     /// Receive up to `max` elements (at least one) straight onto the end of
@@ -880,7 +867,7 @@ impl<T: Clone> std::future::Future for SendFuture<'_, T> {
 
 impl<T: Clone> Unpin for SendFuture<'_, T> {}
 
-/// Future returned by [`Producer::push_iter`] and [`Producer::push_slice`].
+/// Future returned by [`Producer::push_iter`].
 pub struct PushIterFuture<'a, T: Clone, I> {
     chan: &'a Channel<T>,
     iter: I,
@@ -1365,7 +1352,7 @@ mod tests {
         use super::*;
 
         #[test]
-        fn push_slice_roundtrips_through_pop_chunk() {
+        fn push_iter_roundtrips_through_pop_vec() {
             for mode in [ChannelMode::Shared, ChannelMode::SingleThread] {
                 let chan = Channel::with_mode(4, mode);
                 let mut tx = chan.add_producer();
@@ -1380,7 +1367,7 @@ mod tests {
                     ex.spawn(
                         "tx",
                         Box::pin(async move {
-                            tx.push_slice(data).await;
+                            tx.push_iter(data.into_iter()).await;
                         }),
                     );
                     let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -1388,8 +1375,9 @@ mod tests {
                     ex.spawn(
                         "rx",
                         Box::pin(async move {
-                            while let Some(chunk) = rx.pop_chunk(8).await {
-                                sink.borrow_mut().extend(chunk);
+                            let mut chunk = Vec::new();
+                            while rx.pop_vec(&mut chunk, 8).await.is_some() {
+                                sink.borrow_mut().append(&mut chunk);
                             }
                         }),
                     );
@@ -1401,40 +1389,43 @@ mod tests {
         }
 
         #[test]
-        fn empty_slice_completes_without_stats() {
+        fn empty_source_completes_without_stats() {
             let chan = Channel::<i64>::new(1);
             let mut tx = chan.add_producer();
             let _rx = chan.add_consumer();
             block_on(async {
-                tx.push_slice(Vec::new()).await;
+                tx.push_iter(Vec::new().into_iter()).await;
             });
             assert_eq!(chan.stats().pushes, 0);
         }
 
         #[test]
-        fn push_slice_without_consumers_discards_everything() {
+        fn push_iter_without_consumers_discards_everything() {
             let chan = Channel::new(2);
             let mut tx = chan.add_producer();
             block_on(async {
-                tx.push_slice((0..100).collect()).await;
+                tx.push_iter((0..100).collect::<Vec<_>>().into_iter()).await;
             });
             assert_eq!(chan.len(), 0);
             assert_eq!(chan.stats().pushes, 100);
         }
 
         #[test]
-        fn pop_chunk_returns_at_most_max_and_none_at_eos() {
+        fn pop_vec_returns_at_most_max_and_none_at_eos() {
             let chan = Channel::new(16);
             let mut tx = chan.add_producer();
             let mut rx = chan.add_consumer();
             block_on(async {
-                tx.push_slice((0..10i32).collect()).await;
+                tx.push_iter((0..10i32).collect::<Vec<_>>().into_iter())
+                    .await;
                 drop(tx);
-                let first = rx.pop_chunk(4).await.unwrap();
+                let mut first = Vec::new();
+                assert_eq!(rx.pop_vec(&mut first, 4).await, Some(4));
                 assert_eq!(first, vec![0, 1, 2, 3]);
-                let rest = rx.pop_chunk(64).await.unwrap();
+                let mut rest = Vec::new();
+                assert_eq!(rx.pop_vec(&mut rest, 64).await, Some(6));
                 assert_eq!(rest, (4..10).collect::<Vec<_>>());
-                assert_eq!(rx.pop_chunk(4).await, None);
+                assert_eq!(rx.pop_vec(&mut rest, 4).await, None);
             });
         }
 
@@ -1487,10 +1478,10 @@ mod tests {
             let mut rx2 = chan.add_consumer();
             let (out1, out2) = (Mutex::new(vec![-1]), Mutex::new(Vec::new()));
             block_on(async {
-                tx.push_slice(vec![0, 1, 2]).await;
+                tx.push_iter(vec![0, 1, 2].into_iter()).await;
                 assert_eq!(rx1.pop_into(&out1, 2).await, Some(2));
                 assert_eq!(rx2.pop_into(&out2, 8).await, Some(3));
-                tx.push_slice(vec![3, 4, 5]).await; // wraps: 2 | 3 4 5
+                tx.push_iter(vec![3, 4, 5].into_iter()).await; // wraps: 2 | 3 4 5
                 assert_eq!(rx1.pop_into(&out1, 8).await, Some(4));
                 drop(rx1);
                 assert_eq!(rx2.pop_into(&out2, 8).await, Some(3));
@@ -1708,8 +1699,8 @@ mod props {
 
     /// Drive `data` through a channel of `capacity` with `n_consumers`,
     /// closing consumer `close_at.0` after it has read `close_at.1`
-    /// elements. `batched = Some(chunk)` uses `push_slice`/`pop_chunk` with
-    /// the given batch size; `None` uses the element-wise loop. Round-robin
+    /// elements. `batched = Some(chunk)` uses the polls under `push_iter`
+    /// and `pop_vec` with the given batch size; `None` uses the element-wise loop. Round-robin
     /// polling (producer, then each consumer) keeps the interleaving
     /// identical across both paths so the observable outcome must match.
     fn drain_channel(
@@ -1896,14 +1887,14 @@ mod props {
             prop_assert_eq!(gb, sb);
         }
 
-        /// `push_slice`/`pop_chunk` must be observably equivalent to the
+        /// `push_iter`/`pop_vec` must be observably equivalent to the
         /// element-wise loop: identical per-consumer data and push/pop
         /// counters under random capacities, consumer counts, chunk sizes,
         /// storage modes, and early-close points. Blocked counters cannot
         /// match exactly (batching is the point: fewer suspensions), but the
         /// batched path must never block *more* than element-wise.
         #[test]
-        fn slice_and_chunk_paths_match_element_wise(
+        fn batched_paths_match_element_wise(
             data in vec(any::<i64>(), 0..48),
             capacity in 1usize..8,
             consumers in 1usize..4,

@@ -7,10 +7,12 @@
 //! (lint `CG030` clean), acyclic, fault-free — none of that is necessary:
 //! the SDF firing vector fixes a periodic schedule ahead of any execution,
 //! and buffer bounds follow from it. [`compile`] reuses the firing vector
-//! the `cgsim-lint` rate pass already computed, derives a topological firing
-//! order and per-connector period token counts, and packages them as a
+//! the `cgsim-lint` rate pass already computed and the graph's one
+//! topological order ([`Topology::topo_order`]), and packages them as a
 //! reusable [`CompiledPlan`]; graphs outside the class are rejected with a
-//! [`RejectReason`] naming the matching lint verdict.
+//! [`RejectReason`] naming the matching lint verdict. The lint bounds pass
+//! reports per-connector period traffic (`GraphBounds`), and a run sizes
+//! its buffers from its workload (`cgsim_lint::workload_tokens`).
 //!
 //! The *execute* phase is the one executor every single-threaded run uses:
 //! [`RuntimeContext::launch`](crate::RuntimeContext::launch) follows a plan
@@ -23,9 +25,8 @@
 
 use crate::context::RuntimeConfig;
 use cgsim_core::schedule::StaticSchedule;
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, KernelId, Topology};
-use cgsim_lint::{lint_graph, port_rate, LintConfig, LintReport};
-use std::collections::BTreeSet;
+use cgsim_core::{ConnectorId, FlatGraph, GraphError, Topology};
+use cgsim_lint::{lint_graph, LintConfig, LintReport};
 use std::fmt;
 
 /// Why a graph fell outside the statically schedulable class.
@@ -136,8 +137,8 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// The schedule IR the executor consumes: firing order, firing counts,
-    /// per-connector period token bounds.
+    /// The schedule IR the executor consumes: firing order and firing
+    /// counts.
     pub fn schedule(&self) -> &StaticSchedule {
         &self.schedule
     }
@@ -156,7 +157,9 @@ impl CompiledPlan {
 /// 4. the kernel dataflow must be acyclic ([`RejectReason::Cycle`]).
 ///
 /// The firing vector is *not* recomputed: it is taken from the lint
-/// report's rate pass, so the compiler and `CG030` can never disagree.
+/// report's rate pass, so the compiler and `CG030` can never disagree. The
+/// firing order is [`Topology::topo_order`], smallest-index-first among the
+/// valid orders.
 pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, CompileError> {
     graph.validate()?;
     compile_linted(graph, &lint_graph(graph, cfg))
@@ -167,7 +170,9 @@ pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, Comp
 /// [`FlatGraph::validate`]) whose lint `report` under the wanted
 /// [`LintConfig`] is already at hand. A caller that lints anyway — a
 /// launch behind the lint gate, a cache that keeps the report — compiles
-/// without linting a second time.
+/// without linting a second time. The compiler reads the report's verdict
+/// and firing vector; its own merge and cycle checks stay, so a reject
+/// reason can be cross-checked against the lint codes.
 pub fn compile_linted(
     graph: &FlatGraph,
     report: &LintReport,
@@ -192,7 +197,7 @@ pub fn compile_linted(
     // fixed firing order cannot reproduce in general.
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
-        let producers = graph.producers_of(c).len() + usize::from(graph.is_global_input(c));
+        let producers = graph.writers(c);
         if producers > 1 {
             return Err(CompileError::NotStaticallySchedulable {
                 reason: RejectReason::Merge,
@@ -201,10 +206,13 @@ pub fn compile_linted(
         }
     }
 
-    let order = topo_order_min(graph).ok_or_else(|| CompileError::NotStaticallySchedulable {
-        reason: RejectReason::Cycle,
-        details: "kernel dataflow contains a feedback cycle".into(),
-    })?;
+    let order =
+        Topology::of(graph)
+            .topo_order()
+            .ok_or_else(|| CompileError::NotStaticallySchedulable {
+                reason: RejectReason::Cycle,
+                details: "kernel dataflow contains a feedback cycle".into(),
+            })?;
 
     let firings =
         report
@@ -215,39 +223,11 @@ pub fn compile_linted(
                 details: "rate pass produced no firing vector".into(),
             })?;
 
-    // Tokens crossing each connector in one schedule period. For a
-    // kernel-produced connector that is firings(producer) · rate(out); a
-    // globally fed connector admits the demand of its hungriest consumer;
-    // a pure passthrough (global in → global out) moves whatever is fed,
-    // bounded at instantiation by the feed length (period basis 1 here).
-    let period_tokens: Vec<u64> = (0..graph.connectors.len())
-        .map(|ci| {
-            let c = ConnectorId::new(ci);
-            let producers = graph.producers_of(c);
-            if let Some(p) = producers.first() {
-                let rate = port_rate(graph, p.kernel.index(), p.port);
-                firings.count(p.kernel).saturating_mul(u64::from(rate))
-            } else {
-                graph
-                    .consumers_of(c)
-                    .iter()
-                    .map(|q| {
-                        let rate = port_rate(graph, q.kernel.index(), q.port);
-                        firings.count(q.kernel).saturating_mul(u64::from(rate))
-                    })
-                    .max()
-                    .unwrap_or(1)
-                    .max(1)
-            }
-        })
-        .collect();
-
     Ok(CompiledPlan {
         schedule: StaticSchedule {
             graph: graph.name.clone(),
             order,
             firings,
-            period_tokens,
         },
     })
 }
@@ -268,28 +248,6 @@ pub fn compile_for(
         });
     }
     compile(graph, &config.lint_config())
-}
-
-/// Kahn topological order over kernels, always releasing the
-/// smallest-index ready kernel first — deterministic and stable, so the
-/// rendered schedule makes a reviewable golden file. `None` on a cycle.
-fn topo_order_min(graph: &FlatGraph) -> Option<Vec<KernelId>> {
-    let topo = Topology::of(graph);
-    let n = topo.succ.len();
-    let mut indegree: Vec<usize> = topo.pred.iter().map(Vec::len).collect();
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(&k) = ready.iter().next() {
-        ready.remove(&k);
-        order.push(KernelId::new(k));
-        for s in &topo.succ[k] {
-            indegree[s.index()] -= 1;
-            if indegree[s.index()] == 0 {
-                ready.insert(s.index());
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 #[cfg(test)]
@@ -385,7 +343,6 @@ mod tests {
         assert_eq!(s.order[0].index(), 0);
         assert_eq!(s.order[1].index(), 1);
         assert_eq!(s.firings.counts, vec![1, 1]);
-        assert_eq!(s.period_tokens, vec![1, 1, 1]);
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub mod wire;
 
 pub use cache::{CacheEntry, CachePayload, PlanCache};
 pub use limit::{FairQueue, RateLimit, RateLimiter};
-pub use report::{ChannelRow, KernelRow, RunSummary, ServeReport, REPORT_VERSION};
+pub use report::{ChannelRow, RunSummary, ServeReport, REPORT_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use wire::{ErrorBody, GraphSource, RunRequest, WIRE_VERSION};

@@ -8,6 +8,7 @@
 //! admission gate saw, and (when the bounds pass ran) the static
 //! occupancy bounds.
 
+use aie_sim::KernelReport;
 use cgsim_core::GraphBounds;
 use cgsim_lint::Diagnostic;
 use cgsim_pool::PoolReport;
@@ -59,24 +60,6 @@ pub struct ChannelRow {
     pub stats: ChannelStats,
 }
 
-/// Per-kernel utilization row (cycle-simulator runs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct KernelRow {
-    /// Kernel instance name.
-    pub instance: String,
-    /// Completed iterations.
-    pub iterations: u64,
-    /// Busy cycles.
-    pub busy_cycles: u64,
-    /// Busy fraction of the simulated span.
-    pub utilization: f64,
-    /// Mean interval between completions, ns.
-    #[serde(default)]
-    pub interval_ns: Option<f64>,
-    /// Blocked iteration attempts.
-    pub stalls: u64,
-}
-
 /// The one report shape the wire API returns, regardless of which engine
 /// executed the run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -97,7 +80,7 @@ pub struct ServeReport {
     pub channels: Vec<ChannelRow>,
     /// Per-kernel utilization rows (cycle-simulator runs).
     #[serde(default)]
-    pub kernels: Vec<KernelRow>,
+    pub kernels: Vec<KernelReport>,
     /// Free-form named counters (pool metrics, job counters …).
     #[serde(default)]
     pub counters: Vec<(String, u64)>,
@@ -219,18 +202,7 @@ impl From<&aie_sim::SimReport> for ServeReport {
                 wall_ns: r.total_ns as u64,
                 ..RunSummary::default()
             },
-            kernels: r
-                .kernels
-                .iter()
-                .map(|k| KernelRow {
-                    instance: k.instance.clone(),
-                    iterations: k.iterations,
-                    busy_cycles: k.busy_cycles,
-                    utilization: k.utilization,
-                    interval_ns: k.interval_ns,
-                    stalls: k.stalls,
-                })
-                .collect(),
+            kernels: r.kernels.clone(),
             counters: r
                 .ns_per_block
                 .map(|ns| vec![("ns_per_block".to_string(), ns as u64)])
@@ -289,7 +261,7 @@ mod tests {
     #[test]
     fn sim_report_maps_kernel_rows() {
         let sim = aie_sim::SimReport {
-            kernels: vec![aie_sim::KernelReport {
+            kernels: vec![KernelReport {
                 instance: "k_0".into(),
                 iterations: 8,
                 busy_cycles: 64,

@@ -86,10 +86,7 @@ fn bitonic_lint_report_json_matches_golden_file() {
 /// occupancy bound is validated on excludes it (matching the conform
 /// oracle's own gating).
 fn has_merge(case: &GeneratedCase) -> bool {
-    (0..case.graph.connectors.len()).any(|ci| {
-        let cid = cgsim::core::ConnectorId::new(ci);
-        case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid)) > 1
-    })
+    case.graph.stats().merges > 0
 }
 
 /// Run one generated case on the cooperative runtime and return the

@@ -48,10 +48,7 @@ fn paper_graph_schedules_match_golden_files() {
 /// producer competing with a global input) — the one property that puts a
 /// generated case outside the statically schedulable class.
 fn has_merge(case: &GeneratedCase) -> bool {
-    (0..case.graph.connectors.len()).any(|ci| {
-        let cid = cgsim::core::ConnectorId::new(ci);
-        case.graph.producers_of(cid).len() + usize::from(case.graph.is_global_input(cid)) > 1
-    })
+    case.graph.stats().merges > 0
 }
 
 /// Run one generated case on the one context: a `Compiled` spec following

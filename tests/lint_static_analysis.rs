@@ -33,12 +33,40 @@ fn corpus_produces_golden_error_codes() {
         ("bad_rate_imbalance.json", &["CG030"]),
         ("bad_over_budget.json", &["CG052"]),
         ("bad_capacity_starved.json", &["CG022"]),
+        ("bad_settings_mismatch.json", &["CG013"]),
     ];
     for (file, expected) in golden {
         let (_, report) = lint_corpus(file);
         let errors: BTreeSet<String> = report.at(Severity::Error).map(|d| d.code.clone()).collect();
         let expected: BTreeSet<String> = expected.iter().map(|s| s.to_string()).collect();
         assert_eq!(errors, expected, "{file}:\n{:#?}", report);
+    }
+}
+
+/// `validate()` and lint apply one structural rule: on every corpus graph
+/// and 64 generated ones, `validate()` fails exactly when lint reports a
+/// structural Error (`CG001`–`CG007`, `CG013`), with the code of the first.
+#[test]
+fn validate_fails_exactly_on_the_first_structural_lint_error() {
+    const STRUCTURAL: [&str; 8] = [
+        "CG001", "CG002", "CG003", "CG004", "CG005", "CG006", "CG007", "CG013",
+    ];
+    let mut graphs: Vec<FlatGraph> = std::fs::read_dir(corpus_path(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "json"))
+        .map(|path| serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap())
+        .collect();
+    assert_eq!(graphs.len(), 8, "the corpus holds eight graphs");
+    graphs.extend((0..64).map(|seed| cgsim_check::generate(seed).graph));
+    for graph in &graphs {
+        let report = lint_graph(graph, &LintConfig::default());
+        let first = report
+            .at(Severity::Error)
+            .map(|d| d.code.as_str())
+            .find(|code| STRUCTURAL.contains(code));
+        let validated = graph.validate().err().map(|e| e.code());
+        assert_eq!(validated, first, "{}", graph.name);
     }
 }
 

@@ -364,6 +364,28 @@ fn lint_rejected_manifest_returns_cg_code_in_error_body() {
     handle.shutdown();
 }
 
+/// A manifest whose stored connector settings disagree with a port's
+/// declared depth is refused as `CG013`, and the daemon keeps serving.
+#[test]
+fn stale_connector_settings_are_a_422_and_the_daemon_keeps_serving() {
+    let handle = Server::start(one_pool_worker()).expect("starts");
+    let addr = handle.addr().to_string();
+    let mut manifest = copy_manifest(false);
+    manifest.graph.kernels[0].ports[1].settings.depth = 8;
+    let request = format!(
+        r#"{{"graph":{{"manifest":{}}}}}"#,
+        serde_json::to_string(&manifest).unwrap()
+    );
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
+    assert_eq!(status, 422, "{body}");
+    let error: cgsim::serve::ErrorBody = serde_json::from_str(&body).expect("structured error");
+    assert_eq!(error.code, "CG013", "{body}");
+    assert!(error.error.contains("`depth`"), "{body}");
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
 /// A graph whose dataflow is cyclic has no static cost estimate, so a
 /// daemon with a cost limit refuses it even when the lint gate stands aside.
 #[test]
@@ -460,6 +482,13 @@ fn traced_manifest_run_keeps_simulated_events() {
     );
     let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
     assert_eq!(status, 200, "{body}");
+    // Each per-kernel row carries the simulator's six fields, no more.
+    let wire: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let row = wire["kernels"][0].as_object().expect("a kernel row");
+    let mut keys: Vec<&str> = row.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    let expected = "busy_cycles instance interval_ns iterations stalls utilization";
+    assert_eq!(keys.join(" "), expected);
     let report = ServeReport::from_json(&body).expect("ServeReport");
     assert_eq!(report.engine, "aie-sim");
     let trace_ref = report.trace_ref.expect("trace=true yields a trace_ref");
