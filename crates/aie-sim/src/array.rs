@@ -6,7 +6,7 @@
 //! to share a memory bank, i.e. to sit on *adjacent* tiles, which the placer
 //! checks — the same constraint `aiecompiler` enforces.
 
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortKind, Realm};
+use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortKind, Realm, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -103,60 +103,37 @@ impl Placement {
             tiles[ki] = Some(TileCoord { col, row });
         }
 
-        let mut placement = Placement {
+        // Hops over every kernel-to-kernel connection; a window
+        // (shared-buffer) connection must also join adjacent tiles, as
+        // memory sharing requires.
+        let topo = Topology::of(graph);
+        let mut total_hops = 0;
+        for (ci, conn) in graph.connectors.iter().enumerate() {
+            let c = ConnectorId::new(ci);
+            for p in topo.producers(c) {
+                for q in topo.consumers(c) {
+                    let (Some(a), Some(b)) = (tiles[p.kernel.index()], tiles[q.kernel.index()])
+                    else {
+                        continue;
+                    };
+                    total_hops += a.distance(&b);
+                    if conn.kind == PortKind::Window && !a.is_neighbor(&b) && a != b {
+                        return Err(GraphError::IncompatibleSettings {
+                            connector: c,
+                            conflict: cgsim_core::SettingsConflict::WindowBytes(
+                                a.col * 1000 + a.row,
+                                b.col * 1000 + b.row,
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(Placement {
             geometry,
             tiles,
-            total_hops: 0,
-        };
-        placement.total_hops = placement.count_hops(graph);
-        placement.check_window_adjacency(graph)?;
-        Ok(placement)
-    }
-
-    fn count_hops(&self, graph: &FlatGraph) -> u32 {
-        let mut hops = 0;
-        for ci in 0..graph.connectors.len() {
-            let c = ConnectorId::new(ci);
-            for p in graph.producers_of(c) {
-                for q in graph.consumers_of(c) {
-                    if let (Some(a), Some(b)) =
-                        (self.tiles[p.kernel.index()], self.tiles[q.kernel.index()])
-                    {
-                        hops += a.distance(&b);
-                    }
-                }
-            }
-        }
-        hops
-    }
-
-    /// Verify that every window (shared-buffer) connection joins adjacent
-    /// tiles, as required for memory sharing.
-    fn check_window_adjacency(&self, graph: &FlatGraph) -> Result<(), GraphError> {
-        for (ci, conn) in graph.connectors.iter().enumerate() {
-            if conn.kind != PortKind::Window {
-                continue;
-            }
-            let c = ConnectorId::new(ci);
-            for p in graph.producers_of(c) {
-                for q in graph.consumers_of(c) {
-                    if let (Some(a), Some(b)) =
-                        (self.tiles[p.kernel.index()], self.tiles[q.kernel.index()])
-                    {
-                        if !a.is_neighbor(&b) && a != b {
-                            return Err(GraphError::IncompatibleSettings {
-                                connector: c,
-                                conflict: cgsim_core::SettingsConflict::WindowBytes(
-                                    a.col * 1000 + a.row,
-                                    b.col * 1000 + b.row,
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+            total_hops,
+        })
     }
 
     /// Tiles actually occupied.

@@ -10,6 +10,7 @@
 //! that cost extra datapath cycles, plus a constant per-iteration thunk
 //! entry cost.
 
+use cgsim_core::GraphError;
 use serde::{Deserialize, Serialize};
 
 /// Which code generator produced the kernels being simulated.
@@ -140,6 +141,18 @@ impl SimConfig {
     /// PLIO bandwidth expressed in bytes per **AIE** cycle.
     pub fn plio_bytes_per_aie_cycle(&self) -> f64 {
         self.plio_bytes_per_pl_cycle as f64 * (self.pl_mhz / self.aie_mhz)
+    }
+
+    /// Reject a configuration that cannot simulate: `fifo_depth` 0
+    /// ([`GraphError::ZeroDepth`]) would give every stream connector that
+    /// declares no depth a FIFO that holds nothing.
+    pub fn check(&self) -> Result<(), GraphError> {
+        match self.fifo_depth {
+            0 => Err(GraphError::ZeroDepth {
+                field: "fifo_depth",
+            }),
+            _ => Ok(()),
+        }
     }
 }
 

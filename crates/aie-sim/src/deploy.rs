@@ -70,6 +70,9 @@ impl DeployManifest {
         m.graph
             .validate()
             .map_err(|e| format!("manifest graph invalid: {e}"))?;
+        m.config
+            .check()
+            .map_err(|e| format!("manifest config invalid: {e}"))?;
         VerifyPolicy::Deny
             .gate(&m.lint(), &m.graph)
             .map_err(|e| format!("manifest graph invalid: rejected by cgsim-lint: {e}"))?;
@@ -240,6 +243,10 @@ mod tests {
         assert!(DeployManifest::from_json(&j)
             .unwrap_err()
             .contains("invalid"));
+        let mut m = manifest();
+        m.config.fifo_depth = 0;
+        let msg = DeployManifest::from_json(&m.to_json()).unwrap_err();
+        assert!(msg.contains("config invalid: [CG014]"), "{msg}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::config::SimConfig;
 use crate::cost::KernelCostProfile;
 use crate::engine::{FifoId, NodeId, NodeKind, Sim, SimTrace};
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, PortKind};
+use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, PortKind, Topology};
 use cgsim_trace::{KernelRef, TraceEvent, TraceRecord, TraceSnapshot, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -138,6 +138,7 @@ pub fn simulate_graph_traced(
     tracer: &Tracer,
 ) -> Result<GraphTrace, GraphError> {
     graph.validate()?;
+    config.check()?;
     if workload.elems_per_block_in.len() != graph.inputs.len() {
         return Err(GraphError::IoArityMismatch {
             what: "inputs",
@@ -158,24 +159,24 @@ pub fn simulate_graph_traced(
         .with_cycle_stepping(config.cycle_stepping)
         .with_tracer(tracer.clone(), config.ns_per_cycle());
 
-    // One FIFO per (connector, consuming endpoint); global outputs get their
-    // own sink FIFO per connector.
-    let mut consumer_fifos: HashMap<(usize, usize, usize), FifoId> = HashMap::new();
-    let mut sink_fifos: HashMap<usize, FifoId> = HashMap::new();
-    for (ci, conn) in graph.connectors.iter().enumerate() {
-        let capacity = fifo_capacity(conn, config);
-        for e in graph.consumers_of(ConnectorId::new(ci)) {
-            let id = sim.add_fifo(capacity);
-            consumer_fifos.insert((ci, e.kernel.index(), e.port), id);
-        }
-        if graph.is_global_output(ConnectorId::new(ci)) {
-            sink_fifos.insert(ci, sim.add_fifo(capacity));
-        }
-    }
+    // One FIFO per reader of each connector: its consuming ports in
+    // kernel/port order, then the sink's when it is a global output.
+    let topo = Topology::of(graph);
+    let fifos: Vec<Vec<FifoId>> = (graph.connectors.iter().enumerate())
+        .map(|(ci, conn)| {
+            let capacity = fifo_capacity(conn, config);
+            (0..topo.readers(ConnectorId::new(ci)))
+                .map(|_| sim.add_fifo(capacity))
+                .collect()
+        })
+        .collect();
+    // Kernels are visited in that same port order, so each connector's
+    // next unclaimed FIFO belongs to the next input port reading it.
+    let mut next_reader = vec![0; graph.connectors.len()];
 
     // Tiles.
     let mut kernel_nodes = Vec::with_capacity(graph.kernels.len());
-    for (ki, k) in graph.kernels.iter().enumerate() {
+    for k in &graph.kernels {
         let profile = profiles
             .get(&k.kind)
             .ok_or_else(|| GraphError::UnknownKernel {
@@ -185,7 +186,7 @@ pub fn simulate_graph_traced(
         let mut outputs = Vec::new();
         let mut in_idx = 0usize;
         let mut out_idx = 0usize;
-        for (pi, p) in k.ports.iter().enumerate() {
+        for p in &k.ports {
             let ci = p.connector.index();
             match p.dir {
                 PortDir::In => {
@@ -198,8 +199,8 @@ pub fn simulate_graph_traced(
                                 expected: in_idx + 1,
                                 actual: profile.inputs.len(),
                             })?;
-                    let fifo = consumer_fifos[&(ci, ki, pi)];
-                    inputs.push((fifo, traffic.elems_per_iter));
+                    inputs.push((fifos[ci][next_reader[ci]], traffic.elems_per_iter));
+                    next_reader[ci] += 1;
                     in_idx += 1;
                 }
                 PortDir::Out => {
@@ -212,18 +213,9 @@ pub fn simulate_graph_traced(
                                 expected: out_idx + 1,
                                 actual: profile.outputs.len(),
                             })?;
-                    // Write into every consumer FIFO of the connector
-                    // (broadcast) and the sink FIFO if it is a global
-                    // output.
-                    for e in graph.consumers_of(ConnectorId::new(ci)) {
-                        outputs.push((
-                            consumer_fifos[&(ci, e.kernel.index(), e.port)],
-                            traffic.elems_per_iter,
-                        ));
-                    }
-                    if let Some(&sf) = sink_fifos.get(&ci) {
-                        outputs.push((sf, traffic.elems_per_iter));
-                    }
+                    // Write into every reader's FIFO of the connector
+                    // (broadcast), the sink's included.
+                    outputs.extend(fifos[ci].iter().map(|&f| (f, traffic.elems_per_iter)));
                     out_idx += 1;
                 }
             }
@@ -254,7 +246,7 @@ pub fn simulate_graph_traced(
             }
         };
         let total_elems = workload.blocks * workload.elems_per_block_in[ii];
-        for e in graph.consumers_of(cid) {
+        for (e, &fifo) in topo.consumers(cid).iter().zip(&fifos[ci]) {
             let k = &graph.kernels[e.kernel.index()];
             let profile = &profiles[&k.kind];
             let in_ordinal = k.ports[..e.port]
@@ -266,7 +258,7 @@ pub fn simulate_graph_traced(
             let period = ((batch_bytes as f64 / bw).ceil() as u64).max(1);
             let batches = total_elems.div_ceil(batch);
             let node = sim.add_node(NodeKind::Source {
-                out: consumer_fifos[&(ci, e.kernel.index(), e.port)],
+                out: fifo,
                 batch,
                 period,
                 batches,
@@ -282,7 +274,7 @@ pub fn simulate_graph_traced(
     for (oi, &cid) in graph.outputs.iter().enumerate() {
         let ci = cid.index();
         let node = sim.add_node(NodeKind::Sink {
-            input: sink_fifos[&ci],
+            input: *fifos[ci].last().expect("a global output has a sink FIFO"),
             block_elems: workload.elems_per_block_out[oi].max(1),
         });
         if tracer.is_enabled() {
@@ -449,6 +441,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::UnknownKernel { .. }));
+    }
+
+    #[test]
+    fn zero_fifo_depth_is_an_error_not_a_panic() {
+        let mut config = SimConfig::extracted();
+        config.fifo_depth = 0;
+        let err = simulate_graph(&linear_graph(), &profiles(4), &config, &workload(4));
+        assert_eq!(
+            err.unwrap_err(),
+            GraphError::ZeroDepth {
+                field: "fifo_depth"
+            }
+        );
     }
 
     #[test]

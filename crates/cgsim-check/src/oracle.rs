@@ -26,7 +26,7 @@ use crate::gen::GeneratedCase;
 use crate::kernels::{self, PALETTE_SHAPES};
 use aie_intrinsics::OpCounts;
 use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
-use cgsim_core::{ConnectorId, PortKind};
+use cgsim_core::{ConnectorId, PortKind, Topology};
 use cgsim_runtime::{
     compile_linted, Backend, ChannelStats, CompiledPlan, FaultPlan, KernelLibrary, Launch,
     Profiling, RunReport, RunSpec, RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
@@ -106,12 +106,13 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     // for. When present they are armed as runtime bounds checks on every
     // cooperative leg below (any observed occupancy above its bound is a
     // soundness failure), and the flood leg validates tightness.
+    let topo = Topology::of(&case.graph);
     let has_merge = case.graph.stats().merges > 0;
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let bounds = (!has_merge)
         .then(|| {
             let lint_cfg = RuntimeConfig::default().lint_config();
-            cgsim_lint::occupancy_bounds(&case.graph, &lint_cfg, &feed_lens)
+            cgsim_lint::occupancy_bounds(&case.graph, &topo, &lint_cfg, &feed_lens)
         })
         .flatten();
     let bounds_ref = bounds.as_deref();
@@ -292,7 +293,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         let nk = graph.kernels.len();
         let n_inputs = graph.inputs.len();
         let isolated = |ci: usize| {
-            graph.consumers_of(ConnectorId::new(ci)).iter().all(|e| {
+            topo.consumers(ConnectorId::new(ci)).iter().all(|e| {
                 graph.kernels[e.kernel.index()].ports.iter().all(|p| {
                     p.dir != cgsim_core::PortDir::In
                         || p.connector.index() == ci
@@ -302,7 +303,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         };
         let candidates: Vec<usize> = (0..graph.connectors.len())
             .filter(|&ci| graph.connectors[ci].kind == PortKind::Stream)
-            .filter(|&ci| graph.readers(ConnectorId::new(ci)) > 0)
+            .filter(|&ci| topo.readers(ConnectorId::new(ci)) > 0)
             .collect();
         let tight_target = candidates
             .iter()
@@ -317,7 +318,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
             // graph order (id == ki), then one source per input, then one
             // sink per output.
             let mut demoted = std::collections::HashSet::new();
-            for e in graph.consumers_of(cid) {
+            for e in topo.consumers(cid) {
                 demoted.insert(e.kernel.index());
             }
             for (oi, c) in graph.outputs.iter().enumerate() {
@@ -433,6 +434,7 @@ fn check_conservation(
     failures: &mut Vec<String>,
 ) {
     let graph = &case.graph;
+    let topo = Topology::of(graph);
     let by_name: HashMap<String, usize> = (0..graph.connectors.len())
         .map(|ci| (graph.connector_name(ci), ci))
         .collect();
@@ -441,7 +443,7 @@ fn check_conservation(
             failures.push(format!("{label}: report names unknown channel {name}"));
             continue;
         };
-        let readers = graph.readers(ConnectorId::new(ci)) as u64;
+        let readers = topo.readers(ConnectorId::new(ci)) as u64;
         let expected = stats.pushes * readers;
         if strict && stats.pops != expected {
             failures.push(format!(

@@ -1,18 +1,24 @@
 //! Structural graph analysis.
 //!
-//! The kernel-level dataflow topology, its one topological order and
-//! feedback (cycle) detection, shared by the schedule compiler, the lint
-//! bounds pass and the extractor's HLS code generator. AIE graphs are
-//! usually feed-forward pipelines; feedback edges are legal in the
-//! dataflow model but require explicit FIFO depth to avoid deadlock, so
-//! tools want to know about them.
+//! [`Topology`] is the one derived view of a [`FlatGraph`] and the one
+//! owner of endpoint lookup: which kernel ports write or read a connector.
+//! Every layer that asks builds one `Topology` per graph, in one
+//! O(kernels + ports) pass, or is handed one. On that index sit the
+//! kernel-level dataflow relation, its one topological order and feedback
+//! (cycle) detection: feedback is legal in the dataflow model but needs
+//! explicit FIFO depth to avoid deadlock, so tools want to know about it.
 
-use crate::flat::FlatGraph;
+use crate::flat::{Endpoint, FlatGraph, FlatPort};
 use crate::id::{ConnectorId, KernelId};
+use crate::kernel::PortDir;
 use std::collections::BTreeSet;
 
-/// Kernel-level dataflow topology of a graph: `succ[k]` lists the kernels
-/// fed by kernel `k` (deduplicated, in id order).
+/// Kernel-level dataflow topology of a graph over its connector index.
+///
+/// `succ[k]` lists the kernels fed by kernel `k` (deduplicated, in id
+/// order). [`Topology::of`] builds the index in O(kernels + ports +
+/// connectors); each query is then O(1). Ports and global ids out of range
+/// are left out (`FlatGraph::structural_findings` reports them as `CG006`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Successor kernels per kernel.
@@ -23,57 +29,115 @@ pub struct Topology {
     pub entry: Vec<KernelId>,
     /// Kernels writing at least one global output.
     pub exit: Vec<KernelId>,
+    /// Endpoints grouped by connector: connector `c`'s writers are
+    /// `ends[start[2c]..start[2c + 1]]` and its readers
+    /// `ends[start[2c + 1]..start[2c + 2]]`, each in kernel/port order.
+    ends: Vec<Endpoint>,
+    start: Vec<usize>,
+    global_input: Vec<bool>,
+    global_output: Vec<bool>,
 }
 
 impl Topology {
-    /// Build the kernel-level topology of `graph`.
+    /// Build the connector index and kernel-level topology of `graph`.
     pub fn of(graph: &FlatGraph) -> Topology {
+        let ncon = graph.connectors.len();
+        // A stable counting sort of the ports into slots: 2c for c's
+        // writers, 2c + 1 for its readers.
+        let ports = graph.kernels.iter().enumerate().flat_map(|(ki, k)| {
+            let kernel = KernelId::new(ki);
+            k.ports.iter().enumerate().filter_map(move |(port, p)| {
+                let slot = 2 * p.connector.index() + usize::from(p.dir == PortDir::In);
+                (p.connector.index() < ncon).then_some((slot, Endpoint { kernel, port }))
+            })
+        });
+        let mut start = vec![0; 2 * ncon + 1];
+        for (slot, _) in ports.clone() {
+            start[slot + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let (mut next, kernel, port) = (start.clone(), KernelId::new(0), 0);
+        let mut ends = vec![Endpoint { kernel, port }; start[2 * ncon]];
+        for (slot, end) in ports {
+            ends[next[slot]] = end;
+            next[slot] += 1;
+        }
         let n = graph.kernels.len();
-        let mut succ = vec![Vec::new(); n];
-        let mut pred = vec![Vec::new(); n];
-        for ci in 0..graph.connectors.len() {
-            let c = ConnectorId::new(ci);
-            for p in graph.producers_of(c) {
-                for q in graph.consumers_of(c) {
-                    if !succ[p.kernel.index()].contains(&q.kernel) {
-                        succ[p.kernel.index()].push(q.kernel);
-                    }
-                    if !pred[q.kernel.index()].contains(&p.kernel) {
-                        pred[q.kernel.index()].push(p.kernel);
-                    }
+        let (mut succ, mut pred) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        for c in 0..ncon {
+            let [w, r, end] = [2 * c, 2 * c + 1, 2 * c + 2].map(|slot| start[slot]);
+            for p in &ends[w..r] {
+                for q in &ends[r..end] {
+                    succ[p.kernel.index()].push(q.kernel);
+                    pred[q.kernel.index()].push(p.kernel);
                 }
             }
         }
-        for s in &mut succ {
-            s.sort_unstable();
+        for list in succ.iter_mut().chain(&mut pred) {
+            list.sort_unstable();
+            list.dedup();
         }
-        for p in &mut pred {
-            p.sort_unstable();
-        }
-        let entry = (0..n)
-            .map(KernelId::new)
-            .filter(|k| {
-                graph.kernels[k.index()]
-                    .ports
-                    .iter()
-                    .any(|p| graph.is_global_input(p.connector))
-            })
-            .collect();
-        let exit = (0..n)
-            .map(KernelId::new)
-            .filter(|k| {
-                graph.kernels[k.index()]
-                    .ports
-                    .iter()
-                    .any(|p| graph.is_global_output(p.connector))
-            })
-            .collect();
+        let flags = |globals: &[ConnectorId]| {
+            let mut flag = vec![false; ncon];
+            for c in globals.iter().filter(|c| c.index() < ncon) {
+                flag[c.index()] = true;
+            }
+            flag
+        };
+        let (global_input, global_output) = (flags(&graph.inputs), flags(&graph.outputs));
+        let touching = |flag: &[bool]| -> Vec<KernelId> {
+            let touches = |p: &FlatPort| flag.get(p.connector.index()) == Some(&true);
+            (graph.kernels.iter().enumerate())
+                .filter(|(_, k)| k.ports.iter().any(touches))
+                .map(|(ki, _)| KernelId::new(ki))
+                .collect()
+        };
         Topology {
             succ,
             pred,
-            entry,
-            exit,
+            entry: touching(&global_input),
+            exit: touching(&global_output),
+            ends,
+            start,
+            global_input,
+            global_output,
         }
+    }
+
+    /// The kernel ports writing connector `c`, in kernel/port order.
+    pub fn producers(&self, c: ConnectorId) -> &[Endpoint] {
+        &self.ends[self.start[2 * c.index()]..self.start[2 * c.index() + 1]]
+    }
+
+    /// The kernel ports reading connector `c`, in kernel/port order.
+    pub fn consumers(&self, c: ConnectorId) -> &[Endpoint] {
+        &self.ends[self.start[2 * c.index() + 1]..self.start[2 * c.index() + 2]]
+    }
+
+    /// Whether `c` is a global input of the graph.
+    pub fn is_global_input(&self, c: ConnectorId) -> bool {
+        self.global_input[c.index()]
+    }
+
+    /// Whether `c` is a global output of the graph.
+    pub fn is_global_output(&self, c: ConnectorId) -> bool {
+        self.global_output[c.index()]
+    }
+
+    /// How many endpoints read `c`: its kernel consumers, plus the graph
+    /// itself when `c` is a global output. More than one is a broadcast,
+    /// none an unconsumed connector.
+    pub fn readers(&self, c: ConnectorId) -> usize {
+        self.consumers(c).len() + usize::from(self.is_global_output(c))
+    }
+
+    /// How many endpoints write `c`: its kernel producers, plus the graph
+    /// itself when `c` is a global input. More than one is a merge, none a
+    /// dangling connector.
+    pub fn writers(&self, c: ConnectorId) -> usize {
+        self.producers(c).len() + usize::from(self.is_global_input(c))
     }
 
     /// Kahn topological order over kernels, always releasing the

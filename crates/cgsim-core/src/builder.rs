@@ -40,6 +40,7 @@
 //! assert_eq!(graph.kernels.len(), 2);
 //! ```
 
+use crate::analysis::Topology;
 use crate::attrs::{AttrList, AttrValue};
 use crate::dtype::{DTypeDesc, StreamData};
 use crate::error::{GraphError, Result};
@@ -290,8 +291,9 @@ impl GraphBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
         };
+        let topo = Topology::of(&graph);
         for ci in 0..graph.connectors.len() {
-            let merged = graph.merged_settings(ConnectorId::new(ci))?;
+            let merged = graph.merged_settings(&topo, ConnectorId::new(ci))?;
             graph.connectors[ci].settings = merged;
             graph.connectors[ci].kind = PortKind::from_settings(&merged);
         }
@@ -378,7 +380,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(g.stats().broadcasts, 1);
-        assert_eq!(g.consumers_of(g.inputs[0]).len(), 2);
+        assert_eq!(Topology::of(&g).consumers(g.inputs[0]).len(), 2);
     }
 
     #[test]
@@ -394,7 +396,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(g.stats().merges, 1);
-        assert_eq!(g.producers_of(g.outputs[0]).len(), 2);
+        assert_eq!(Topology::of(&g).producers(g.outputs[0]).len(), 2);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! edges labelled with their element type and transport class, global I/O
 //! as ellipses.
 
-use crate::flat::FlatGraph;
+use crate::analysis::Topology;
+use crate::flat::{Endpoint, FlatGraph};
 use crate::id::ConnectorId;
-use crate::partition::RealmPartition;
-use crate::realm::Realm;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -45,24 +44,23 @@ pub fn to_dot(graph: &FlatGraph) -> String {
 
 /// Render `graph` as a Graphviz `digraph` with per-element colour overrides.
 pub fn to_dot_styled(graph: &FlatGraph, style: &DotStyle) -> String {
-    let partition = RealmPartition::of(graph);
+    let topo = Topology::of(graph);
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", graph.name);
     let _ = writeln!(out, "  rankdir=LR;");
     let _ = writeln!(out, "  node [fontname=\"monospace\"];");
 
     // Kernels, clustered per realm.
-    for realm in Realm::ALL {
-        let Some(sub) = partition.subgraph(realm) else {
-            continue;
-        };
+    for realm in graph.realms() {
         let _ = writeln!(out, "  subgraph \"cluster_{realm}\" {{");
         let _ = writeln!(out, "    label=\"realm: {realm}\";");
-        for &ki in &sub.kernels {
-            let k = &graph.kernels[ki.index()];
+        for (ki, k) in graph.kernels.iter().enumerate() {
+            if k.realm != realm {
+                continue;
+            }
             let fill = style
                 .kernel_fill
-                .get(&ki.index())
+                .get(&ki)
                 .map(|c| format!(", style=filled, fillcolor=\"{c}\""))
                 .unwrap_or_default();
             let _ = writeln!(
@@ -74,14 +72,18 @@ pub fn to_dot_styled(graph: &FlatGraph, style: &DotStyle) -> String {
         let _ = writeln!(out, "  }}");
     }
 
-    // Global I/O nodes.
-    for (i, c) in graph.inputs.iter().enumerate() {
-        let name = io_name(graph, *c, i, "in");
-        let _ = writeln!(out, "  \"{name}\" [shape=ellipse];");
-    }
-    for (i, c) in graph.outputs.iter().enumerate() {
-        let name = io_name(graph, *c, i, "out");
-        let _ = writeln!(out, "  \"{name}\" [shape=ellipse];");
+    // Global I/O nodes, also kept per connector for the edges below.
+    let mut sources = vec![Vec::new(); graph.connectors.len()];
+    let mut sinks = vec![Vec::new(); graph.connectors.len()];
+    for (nodes, list, dir) in [
+        (&mut sources, &graph.inputs, "in"),
+        (&mut sinks, &graph.outputs, "out"),
+    ] {
+        for (i, c) in list.iter().enumerate() {
+            let name = io_name(graph, *c, i, dir);
+            let _ = writeln!(out, "  \"{name}\" [shape=ellipse];");
+            nodes[c.index()].push(name);
+        }
     }
 
     // Edges: producer → consumer per connector.
@@ -98,34 +100,14 @@ pub fn to_dot_styled(graph: &FlatGraph, style: &DotStyle) -> String {
             .get(&ci)
             .map(|c| format!(", color=\"{c}\", fontcolor=\"{c}\""))
             .unwrap_or_default();
-        let producers: Vec<String> = graph
-            .producers_of(c)
-            .into_iter()
-            .map(|e| graph.kernels[e.kernel.index()].instance.clone())
-            .chain(
-                graph
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, id)| **id == c)
-                    .map(|(i, _)| io_name(graph, c, i, "in")),
-            )
+        let instance = |e: &Endpoint| graph.kernels[e.kernel.index()].instance.as_str();
+        let from =
+            (topo.producers(c).iter().map(instance)).chain(sources[ci].iter().map(String::as_str));
+        let to: Vec<&str> = (topo.consumers(c).iter().map(instance))
+            .chain(sinks[ci].iter().map(String::as_str))
             .collect();
-        let consumers: Vec<String> = graph
-            .consumers_of(c)
-            .into_iter()
-            .map(|e| graph.kernels[e.kernel.index()].instance.clone())
-            .chain(
-                graph
-                    .outputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, id)| **id == c)
-                    .map(|(i, _)| io_name(graph, c, i, "out")),
-            )
-            .collect();
-        for p in &producers {
-            for q in &consumers {
+        for p in from {
+            for q in &to {
                 let _ = writeln!(out, "  \"{p}\" -> \"{q}\" [label=\"{label}\"{color}];");
             }
         }
@@ -147,6 +129,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::kernel::{KernelDecl, KernelMeta, PortSig};
+    use crate::realm::Realm;
     use crate::settings::PortSettings;
 
     struct A;

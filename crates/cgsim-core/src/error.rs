@@ -121,6 +121,12 @@ pub enum GraphError {
         /// The value the endpoints' merge yields (a flag reads 0 or 1).
         declared: u32,
     },
+    /// A run configuration sets a default channel depth of 0: every stream
+    /// connector that declares no depth of its own would hold nothing.
+    ZeroDepth {
+        /// The configuration field (`fifo_depth`).
+        field: &'static str,
+    },
 }
 
 impl GraphError {
@@ -144,6 +150,7 @@ impl GraphError {
             GraphError::UnsupportedRealm { .. } => "CG011",
             GraphError::LintRejected { .. } => "CG012",
             GraphError::SettingsMismatch { .. } => "CG013",
+            GraphError::ZeroDepth { .. } => "CG014",
         }
     }
 
@@ -210,6 +217,10 @@ impl GraphError {
             } => format!(
                 "stored settings of connector {connector} disagree with its endpoints: \
                  `{field}` is {stored}, the endpoints declare {declared}"
+            ),
+            GraphError::ZeroDepth { field } => format!(
+                "`{field}` is 0: a stream connector that declares no depth would hold no \
+                 element, so nothing could move through it"
             ),
         }
     }

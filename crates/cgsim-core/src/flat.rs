@@ -13,7 +13,12 @@
 //!
 //! It is fully `serde`-serializable so extractor and simulators can exchange
 //! it as a deployment manifest.
+//!
+//! `FlatGraph` is plain data: ports name their connectors, and nothing here
+//! scans them. [`crate::analysis::Topology`] owns endpoint lookup (one
+//! O(kernels + ports) pass); the methods below that need it build one.
 
+use crate::analysis::Topology;
 use crate::attrs::AttrList;
 use crate::dtype::DTypeDesc;
 use crate::error::{check_index, GraphError, Result};
@@ -169,41 +174,6 @@ impl FlatGraph {
         Ok(&self.connectors[id.index()])
     }
 
-    /// All kernel endpoints writing to `c`.
-    pub fn producers_of(&self, c: ConnectorId) -> Vec<Endpoint> {
-        self.endpoints_of(c, PortDir::Out)
-    }
-
-    /// All kernel endpoints reading from `c`.
-    pub fn consumers_of(&self, c: ConnectorId) -> Vec<Endpoint> {
-        self.endpoints_of(c, PortDir::In)
-    }
-
-    fn endpoints_of(&self, c: ConnectorId, dir: PortDir) -> Vec<Endpoint> {
-        let mut out = Vec::new();
-        for (ki, k) in self.kernels.iter().enumerate() {
-            for (pi, p) in k.ports.iter().enumerate() {
-                if p.connector == c && p.dir == dir {
-                    out.push(Endpoint {
-                        kernel: KernelId::new(ki),
-                        port: pi,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether `c` is a global input of the graph.
-    pub fn is_global_input(&self, c: ConnectorId) -> bool {
-        self.inputs.contains(&c)
-    }
-
-    /// Whether `c` is a global output of the graph.
-    pub fn is_global_output(&self, c: ConnectorId) -> bool {
-        self.outputs.contains(&c)
-    }
-
     /// Display name of connector `ci`: the builder-given name when there
     /// is one (`g.input::<T>("a")`), else positional `c{ci}` — the name
     /// every engine's channel report, trace and rendered table uses.
@@ -212,20 +182,6 @@ impl FlatGraph {
             .get(ci)
             .and_then(|c| c.attrs.get_str("name"))
             .map_or_else(|| format!("c{ci}"), str::to_owned)
-    }
-
-    /// How many endpoints read `c`: its kernel consumers, plus the graph
-    /// itself when `c` is a global output. More than one is a broadcast,
-    /// none an unconsumed connector.
-    pub fn readers(&self, c: ConnectorId) -> usize {
-        self.consumers_of(c).len() + usize::from(self.is_global_output(c))
-    }
-
-    /// How many endpoints write `c`: its kernel producers, plus the graph
-    /// itself when `c` is a global input. More than one is a merge, none a
-    /// dangling connector.
-    pub fn writers(&self, c: ConnectorId) -> usize {
-        self.producers_of(c).len() + usize::from(self.is_global_input(c))
     }
 
     /// Aggregate statistics.
@@ -237,10 +193,11 @@ impl FlatGraph {
             outputs: self.outputs.len(),
             ..GraphStats::default()
         };
+        let topo = Topology::of(self);
         for ci in 0..self.connectors.len() {
             let c = ConnectorId::new(ci);
-            stats.broadcasts += usize::from(self.readers(c) > 1);
-            stats.merges += usize::from(self.writers(c) > 1);
+            stats.broadcasts += usize::from(topo.readers(c) > 1);
+            stats.merges += usize::from(topo.writers(c) > 1);
         }
         stats
     }
@@ -273,8 +230,10 @@ impl FlatGraph {
             }
         }
         for list in [&self.inputs, &self.outputs] {
-            for (i, id) in list.iter().enumerate() {
-                if list[..i].contains(id) {
+            // Ids out of range are CG006 already.
+            let mut seen = vec![false; ncon];
+            for id in list.iter().filter(|id| id.index() < ncon) {
+                if std::mem::replace(&mut seen[id.index()], true) {
                     findings.push((GraphError::DuplicateGlobal { connector: *id }, None));
                 }
             }
@@ -307,15 +266,16 @@ impl FlatGraph {
             .iter()
             .any(|(e, _)| matches!(e, GraphError::IdOutOfRange { .. }));
         let checked = if out_of_range { 0 } else { ncon };
+        let topo = Topology::of(self);
         for (ci, connector) in self.connectors.iter().enumerate().take(checked) {
             let c = ConnectorId::new(ci);
-            if self.writers(c) == 0 {
+            if topo.writers(c) == 0 {
                 findings.push((GraphError::DanglingConnector { connector: c }, None));
             }
-            if self.readers(c) == 0 {
+            if topo.readers(c) == 0 {
                 findings.push((GraphError::UnconsumedConnector { connector: c }, None));
             }
-            let error = match self.merged_settings(c) {
+            let error = match self.merged_settings(&topo, c) {
                 Err(conflict) => conflict,
                 Ok(merged) => match first_difference(connector.settings, merged) {
                     Some((field, stored, declared)) => GraphError::SettingsMismatch {
@@ -338,13 +298,14 @@ impl FlatGraph {
     /// The settings every endpoint of `c` shares: the merge of what its
     /// ports declare with what the connector stores (§3.4), or the first
     /// conflict (`CG003`).
-    pub(crate) fn merged_settings(&self, c: ConnectorId) -> Result<PortSettings> {
-        let declared = self
-            .kernels
+    pub(crate) fn merged_settings(&self, topo: &Topology, c: ConnectorId) -> Result<PortSettings> {
+        // Merge in kernel/port order, whatever each port's direction, so a
+        // conflict names its two values in declaration order.
+        let mut ends: Vec<Endpoint> = [topo.producers(c), topo.consumers(c)].concat();
+        ends.sort_unstable_by_key(|e| (e.kernel, e.port));
+        let declared = ends
             .iter()
-            .flat_map(|k| &k.ports)
-            .filter(|p| p.connector == c)
-            .map(|p| p.settings);
+            .map(|e| self.kernels[e.kernel.index()].ports[e.port].settings);
         PortSettings::merge_all(declared)
             .and_then(|merged| merged.merge(self.connectors[c.index()].settings))
             .map_err(|conflict| (c, conflict).into())
@@ -414,14 +375,8 @@ mod tests {
     }
 
     #[test]
-    fn fig4_topology_queries() {
-        let g = fig4_graph();
-        assert_eq!(g.producers_of(ConnectorId::new(1)).len(), 1);
-        assert_eq!(g.consumers_of(ConnectorId::new(1)).len(), 1);
-        assert!(g.is_global_input(ConnectorId::new(0)));
-        assert!(g.is_global_output(ConnectorId::new(2)));
-        assert!(!g.is_global_input(ConnectorId::new(1)));
-        let stats = g.stats();
+    fn fig4_stats() {
+        let stats = fig4_graph().stats();
         assert_eq!(stats.kernels, 2);
         assert_eq!(stats.connectors, 3);
         assert_eq!(stats.broadcasts, 0);

@@ -12,6 +12,7 @@
 //! The classification is attached per connector so realm backends can emit
 //! the appropriate internal connections and external interfaces.
 
+use crate::analysis::Topology;
 use crate::flat::{Endpoint, FlatGraph};
 use crate::id::{ConnectorId, KernelId};
 use crate::kernel::PortDir;
@@ -79,13 +80,14 @@ impl RealmPartition {
     /// with no endpoint at all surfaces as `CG004`
     /// ([`crate::GraphError::DanglingConnector`]).
     pub fn try_of(graph: &FlatGraph) -> crate::error::Result<RealmPartition> {
+        let topo = &Topology::of(graph);
         let classes = (0..graph.connectors.len())
-            .map(|ci| classify(graph, ConnectorId::new(ci)))
+            .map(|ci| classify(graph, topo, ConnectorId::new(ci)))
             .collect::<crate::error::Result<Vec<ConnectorClass>>>()?;
 
         let subgraphs = Realm::ALL
             .into_iter()
-            .filter_map(|realm| build_subgraph(graph, &classes, realm))
+            .filter_map(|realm| build_subgraph(graph, topo, &classes, realm))
             .collect();
 
         Ok(RealmPartition { classes, subgraphs })
@@ -161,14 +163,16 @@ impl RealmSubgraph {
     }
 }
 
-fn classify(graph: &FlatGraph, c: ConnectorId) -> crate::error::Result<ConnectorClass> {
-    if graph.is_global_input(c) || graph.is_global_output(c) {
+fn classify(
+    graph: &FlatGraph,
+    topo: &Topology,
+    c: ConnectorId,
+) -> crate::error::Result<ConnectorClass> {
+    if topo.is_global_input(c) || topo.is_global_output(c) {
         return Ok(ConnectorClass::Global);
     }
-    let mut realms = graph
-        .producers_of(c)
-        .into_iter()
-        .chain(graph.consumers_of(c))
+    let mut realms = (topo.producers(c).iter())
+        .chain(topo.consumers(c))
         .map(|e| graph.kernels[e.kernel.index()].realm);
     // `validate()` guarantees at least one endpoint on a non-global
     // connector; descriptors that skipped validation get the coded error.
@@ -184,6 +188,7 @@ fn classify(graph: &FlatGraph, c: ConnectorId) -> crate::error::Result<Connector
 
 fn build_subgraph(
     graph: &FlatGraph,
+    topo: &Topology,
     classes: &[ConnectorClass],
     realm: Realm,
 ) -> Option<RealmSubgraph> {
@@ -209,9 +214,9 @@ fn build_subgraph(
                 // Find this realm's endpoints on the crossing connector.
                 let inside = |e: &Endpoint| graph.kernels[e.kernel.index()].realm == realm;
                 let readers: Vec<Endpoint> =
-                    graph.consumers_of(c).into_iter().filter(inside).collect();
+                    topo.consumers(c).iter().copied().filter(inside).collect();
                 let writers: Vec<Endpoint> =
-                    graph.producers_of(c).into_iter().filter(inside).collect();
+                    topo.producers(c).iter().copied().filter(inside).collect();
                 // A connector both read and written inside the realm while
                 // also crossing the boundary yields two boundary ports (one
                 // per direction), matching how a physical design would need

@@ -13,6 +13,7 @@
 //! | `CG001`–`CG011` | Error | Structural invariants shared with [`cgsim_core::GraphError`] (type/arity mismatches, dangling or unconsumed connectors, out-of-range ids, …) |
 //! | `CG012` | Error | Graph rejected by a deny-by-default lint gate (carried by `GraphError::LintRejected`) |
 //! | `CG013` | Error | A connector's stored settings disagree with what its endpoints declare |
+//! | `CG014` | Error | A simulator configuration's default `fifo_depth` is 0 (a `GraphError` from `aie-sim`, not a lint pass) |
 //! | `CG020` | Error | Feedback cycle with no external token source: guaranteed deadlock |
 //! | `CG021` | Warn | Feedback cycle primed from outside: correct only with priming tokens |
 //! | `CG022` | Error | Stream channel capacity below one firing's token demand |
@@ -48,7 +49,7 @@ pub use passes::bounds::{cost_estimate, occupancy_bounds, workload_tokens};
 pub use passes::port_rate;
 pub use style::{bounds_labels, dot_style};
 
-use cgsim_core::{FlatGraph, GraphError};
+use cgsim_core::{FlatGraph, GraphError, Topology};
 
 /// What to do with Error-severity lint findings before running or deploying
 /// a graph.
@@ -103,17 +104,20 @@ impl VerifyPolicy {
 /// static bounds (`CG06x`, which also attaches [`LintReport::bounds`]).
 /// If the descriptor has out-of-range indices the structural findings are
 /// returned alone — the deeper passes cannot index into a corrupt graph.
+/// Otherwise one [`Topology`] is built and every later pass reads it, so
+/// the whole run is linear in the graph.
 pub fn lint_graph(graph: &FlatGraph, config: &LintConfig) -> LintReport {
     let mut report = LintReport::new(&graph.name);
     if passes::structural(graph, &mut report) {
         return report;
     }
-    let reach = passes::reachability(graph, &mut report);
-    passes::deadlock::check(graph, config, &mut report);
-    passes::rates::check(graph, &mut report);
-    passes::shape(graph, &reach, &mut report);
+    let topo = Topology::of(graph);
+    let drains = passes::reachability(graph, &topo, &mut report);
+    passes::deadlock::check(graph, &topo, config, &mut report);
+    passes::rates::check(graph, &topo, &mut report);
+    passes::shape(graph, &topo, &drains, &mut report);
     passes::budget::check(graph, &mut report);
-    passes::bounds::check(graph, config, &mut report);
+    passes::bounds::check(graph, &topo, config, &mut report);
     report
 }
 
@@ -607,18 +611,20 @@ mod tests {
     #[test]
     fn workload_functions_predict_pipeline_traffic() {
         let g = pipeline();
+        let topo = Topology::of(&g);
         let cfg = LintConfig::default();
         // 10 elements in → 10 across every connector of a 1:1 pipeline.
-        assert_eq!(workload_tokens(&g, &[10]), Some(vec![10, 10, 10]));
+        assert_eq!(workload_tokens(&g, &topo, &[10]), Some(vec![10, 10, 10]));
         // Occupancy bound: a starved channel fills to the workload,
         // capacity permitting.
-        assert_eq!(occupancy_bounds(&g, &cfg, &[10]), Some(vec![10, 10, 10]));
+        let bounds = |feed| occupancy_bounds(&g, &topo, &cfg, &[feed]);
+        assert_eq!(bounds(10), Some(vec![10, 10, 10]));
         assert_eq!(
-            occupancy_bounds(&g, &cfg, &[100]),
+            bounds(100),
             Some(vec![64, 64, 64]),
             "capacity caps the bound"
         );
-        let cost = cost_estimate(&g, &[10]).unwrap();
+        let cost = cost_estimate(&g, &topo, &[10]).unwrap();
         assert_eq!(cost.tokens, 30);
         assert_eq!(cost.firings, 20);
         assert!(cost.polls_hint >= cost.firings + 2 * cost.tokens);
@@ -663,7 +669,7 @@ mod tests {
             outputs: vec![ConnectorId::new(3)],
         };
         let cfg = LintConfig::default();
-        let bounds = occupancy_bounds(&g, &cfg, &[50]).unwrap();
+        let bounds = occupancy_bounds(&g, &Topology::of(&g), &cfg, &[50]).unwrap();
         // c1: workload 50 < default depth 64, so the workload binds.
         assert_eq!(bounds[1], 50);
         // c2: its own depth 2 binds.
@@ -681,7 +687,11 @@ mod tests {
             inputs: vec![],
             outputs: vec![ConnectorId::new(0)],
         };
-        assert_eq!(occupancy_bounds(&g, &LintConfig::default(), &[]), None);
+        let topo = Topology::of(&g);
+        assert_eq!(
+            occupancy_bounds(&g, &topo, &LintConfig::default(), &[]),
+            None
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
 use cgsim_core::schedule::{gcd, ConnectorBounds, CostEstimate, GraphBounds, Rational};
-use cgsim_core::{ConnectorId, FlatGraph, PortDir, PortKind, Topology};
+use cgsim_core::{ConnectorId, Endpoint, FlatGraph, PortDir, PortKind, Topology};
 
 /// Firings per period beyond which `CG064` flags the schedule as too large
 /// for period-unrolled reasoning to stay cheaper than simulation.
@@ -52,8 +52,8 @@ const HUGE_PERIOD_FIRINGS: u64 = 100_000;
 
 /// Run the bounds pass: attach [`GraphBounds`] to the report when
 /// derivable and emit the `CG06x` findings.
-pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
-    let Some(bounds) = graph_bounds(graph, cfg, report) else {
+pub(crate) fn check(graph: &FlatGraph, topo: &Topology, cfg: &LintConfig, report: &mut LintReport) {
+    let Some(bounds) = graph_bounds(graph, topo, cfg, report) else {
         if cfg.emit_bounds {
             report.push(Diagnostic::new(
                 "CG063",
@@ -74,7 +74,7 @@ pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport
         // Below one firing's demand is already an Error (`CG022`); the
         // window between that and the SDF minimum merely *may* wedge,
         // depending on the schedule — warn.
-        let demand = single_firing_demand(graph, ci);
+        let demand = single_firing_demand(graph, topo, c);
         if b.effective_capacity >= demand && b.effective_capacity < b.min_capacity {
             report.push(Diagnostic::new(
                 "CG061",
@@ -131,58 +131,39 @@ pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport
 
 /// Compute the structural [`GraphBounds`]: requires the rate pass to have
 /// published a firing vector and the kernel dataflow to be acyclic.
-fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Option<GraphBounds> {
+fn graph_bounds(
+    graph: &FlatGraph,
+    topo: &Topology,
+    cfg: &LintConfig,
+    report: &LintReport,
+) -> Option<GraphBounds> {
     let firing = report.firing_vector()?;
     if firing.len() != graph.kernels.len() {
         return None;
     }
-    let topo = Topology::of(graph);
     let order = topo.topo_order()?;
 
+    let rate = |e: &Endpoint| u64::from(port_rate(graph, e.kernel.index(), e.port));
+    let tokens = |e: &Endpoint| firing.count(e.kernel).saturating_mul(rate(e));
     let connectors: Vec<ConnectorBounds> = (0..graph.connectors.len())
         .map(|ci| {
             let c = ConnectorId::new(ci);
-            let producers = graph.producers_of(c);
+            let (producers, consumers) = (topo.producers(c), topo.consumers(c));
             // Tokens crossing the connector in one period: what its
             // producers emit; a purely externally fed connector admits the
             // demand of its hungriest consumer (the same basis the
             // schedule compiler uses).
-            let produced: u64 = producers
-                .iter()
-                .map(|p| {
-                    let rate = port_rate(graph, p.kernel.index(), p.port);
-                    firing.count(p.kernel).saturating_mul(u64::from(rate))
-                })
-                .fold(0, u64::saturating_add);
             let period_tokens = if producers.is_empty() {
-                graph
-                    .consumers_of(c)
-                    .iter()
-                    .map(|q| {
-                        let rate = port_rate(graph, q.kernel.index(), q.port);
-                        firing.count(q.kernel).saturating_mul(u64::from(rate))
-                    })
-                    .max()
-                    .unwrap_or(1)
-                    .max(1)
+                consumers.iter().map(tokens).max().unwrap_or(1).max(1)
             } else {
-                produced
+                producers.iter().map(tokens).fold(0, u64::saturating_add)
             };
             // Minimal deadlock-free capacity: the SDF single-edge bound
             // `p + c − gcd(p, c)`, over the hungriest consumer. A global
             // feed pushes element-wise (p = 1).
-            let p_rate: u64 = producers
-                .iter()
-                .map(|p| u64::from(port_rate(graph, p.kernel.index(), p.port)))
-                .max()
-                .unwrap_or(1);
-            let min_capacity = graph
-                .consumers_of(c)
-                .iter()
-                .map(|q| {
-                    let q_rate = u64::from(port_rate(graph, q.kernel.index(), q.port));
-                    p_rate + q_rate - gcd(u128::from(p_rate), u128::from(q_rate)) as u64
-                })
+            let p_rate = producers.iter().map(rate).max().unwrap_or(1);
+            let min_capacity = (consumers.iter().map(rate))
+                .map(|q_rate| p_rate + q_rate - gcd(u128::from(p_rate), u128::from(q_rate)) as u64)
                 .max()
                 .unwrap_or(p_rate);
             ConnectorBounds {
@@ -229,22 +210,26 @@ fn graph_bounds(graph: &FlatGraph, cfg: &LintConfig, report: &LintReport) -> Opt
 /// a kernel fires as often as its scarcest token input allows, and each
 /// firing emits its output rates. `feed_lens[i]` is the number of elements
 /// fed to global input `i` (missing entries read as 0). `None` when the
-/// kernel dataflow is cyclic.
+/// kernel dataflow is cyclic. `topo` is [`Topology::of`] `graph`.
 ///
 /// This is the total ever *pushed* through each connector — an exact,
 /// capacity-independent upper bound on its occupancy, and the figure the
 /// compiled backend sizes its flat buffers from so that no write can ever
 /// block.
-pub fn workload_tokens(graph: &FlatGraph, feed_lens: &[u64]) -> Option<Vec<u64>> {
-    propagate(graph, feed_lens).map(|p| p.tokens)
+pub fn workload_tokens(graph: &FlatGraph, topo: &Topology, feed_lens: &[u64]) -> Option<Vec<u64>> {
+    propagate(graph, topo, feed_lens).map(|p| p.tokens)
 }
 
 /// Static cost estimate for running `graph` over the given feed lengths:
 /// total tokens moved, total kernel firings, and a heuristic poll-count
 /// prediction for the cooperative executor. `None` when the kernel
-/// dataflow is cyclic.
-pub fn cost_estimate(graph: &FlatGraph, feed_lens: &[u64]) -> Option<CostEstimate> {
-    let p = propagate(graph, feed_lens)?;
+/// dataflow is cyclic. `topo` is [`Topology::of`] `graph`.
+pub fn cost_estimate(
+    graph: &FlatGraph,
+    topo: &Topology,
+    feed_lens: &[u64],
+) -> Option<CostEstimate> {
+    let p = propagate(graph, topo, feed_lens)?;
     let tokens = p.tokens.iter().fold(0u64, |a, &b| a.saturating_add(b));
     let firings = p.firings.iter().fold(0u64, |a, &b| a.saturating_add(b));
     // One poll per firing, roughly a push poll and a pop poll per token,
@@ -275,9 +260,10 @@ pub fn cost_estimate(graph: &FlatGraph, feed_lens: &[u64]) -> Option<CostEstimat
 /// `cfg.effective_default_depth()`), so the bound is directly comparable
 /// to `ChannelStats::max_occupancy`. Fault injection breaks the second
 /// leg — replayed sends inflate push totals — so bounds must not be armed
-/// on faulty runs.
+/// on faulty runs. `topo` is [`Topology::of`] `graph`.
 pub fn occupancy_bounds(
     graph: &FlatGraph,
+    topo: &Topology,
     cfg: &LintConfig,
     feed_lens: &[u64],
 ) -> Option<Vec<u64>> {
@@ -288,7 +274,7 @@ pub fn occupancy_bounds(
     }) {
         return None;
     }
-    let workload = workload_tokens(graph, feed_lens)?;
+    let workload = workload_tokens(graph, topo, feed_lens)?;
     Some(
         workload
             .iter()
@@ -305,8 +291,8 @@ struct Propagated {
     firings: Vec<u64>,
 }
 
-fn propagate(graph: &FlatGraph, feed_lens: &[u64]) -> Option<Propagated> {
-    let order = Topology::of(graph).topo_order()?;
+fn propagate(graph: &FlatGraph, topo: &Topology, feed_lens: &[u64]) -> Option<Propagated> {
+    let order = topo.topo_order()?;
     let mut tokens = vec![0u64; graph.connectors.len()];
     for (i, c) in graph.inputs.iter().enumerate() {
         let fed = feed_lens.get(i).copied().unwrap_or(0);
@@ -350,14 +336,11 @@ fn effective_capacity(graph: &FlatGraph, cfg: &LintConfig, ci: usize) -> u64 {
     graph.connectors[ci].depth_or(cfg.effective_default_depth() as usize) as u64
 }
 
-/// The largest single-firing token demand any endpoint places on `ci` —
+/// The largest single-firing token demand any endpoint places on `c` —
 /// the threshold below which `CG022` already reports an Error.
-fn single_firing_demand(graph: &FlatGraph, ci: usize) -> u64 {
-    let c = ConnectorId::new(ci);
-    graph
-        .producers_of(c)
-        .into_iter()
-        .chain(graph.consumers_of(c))
+fn single_firing_demand(graph: &FlatGraph, topo: &Topology, c: ConnectorId) -> u64 {
+    (topo.producers(c).iter())
+        .chain(topo.consumers(c))
         .map(|e| u64::from(port_rate(graph, e.kernel.index(), e.port)))
         .max()
         .unwrap_or(1)

@@ -12,28 +12,33 @@
 use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
-use cgsim_core::{ConnectorId, FlatGraph, KernelId, PortKind};
+use cgsim_core::{ConnectorId, Endpoint, FlatGraph, KernelId, PortDir, PortKind, Topology};
 
 /// Run the deadlock pass.
-pub(crate) fn check(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
-    cycles(graph, report);
-    capacity(graph, cfg, report);
+pub(crate) fn check(graph: &FlatGraph, topo: &Topology, cfg: &LintConfig, report: &mut LintReport) {
+    cycles(graph, topo, report);
+    capacity(graph, topo, cfg, report);
 }
 
 /// Kernel adjacency (producer kernel → consumer kernel), token-carrying
-/// connectors only.
-fn adjacency(graph: &FlatGraph) -> Vec<Vec<usize>> {
+/// connectors only. Each list is deduplicated and keeps first-seen order
+/// (by connector, then consumer port), which fixes the order Tarjan finds
+/// the cycles in and so the order of their diagnostics.
+fn adjacency(graph: &FlatGraph, topo: &Topology) -> Vec<Vec<usize>> {
     let mut succ = vec![Vec::new(); graph.kernels.len()];
-    for ci in 0..graph.connectors.len() {
-        let c = ConnectorId::new(ci);
-        if graph.connectors[ci].kind == PortKind::RuntimeParam {
-            continue;
-        }
-        for p in graph.producers_of(c) {
-            for q in graph.consumers_of(c) {
-                let (pi, qi) = (p.kernel.index(), q.kernel.index());
-                if !succ[pi].contains(&qi) {
-                    succ[pi].push(qi);
+    // `last[q] == p` once q is in `succ[p]`.
+    let mut last = vec![usize::MAX; graph.kernels.len()];
+    for (p, kernel) in graph.kernels.iter().enumerate() {
+        let mut outs: Vec<ConnectorId> = (kernel.ports.iter())
+            .filter(|port| port.dir == PortDir::Out)
+            .map(|port| port.connector)
+            .filter(|c| graph.connectors[c.index()].kind != PortKind::RuntimeParam)
+            .collect();
+        outs.sort_unstable();
+        for c in outs {
+            for q in topo.consumers(c) {
+                if std::mem::replace(&mut last[q.kernel.index()], p) != p {
+                    succ[p].push(q.kernel.index());
                 }
             }
         }
@@ -100,33 +105,26 @@ fn sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-fn cycles(graph: &FlatGraph, report: &mut LintReport) {
-    let succ = adjacency(graph);
-    for component in sccs(&succ) {
-        let in_scc = |k: usize| component.contains(&k);
-        // Connectors carried around the cycle: produced and consumed inside.
-        let mut cycle_connectors = Vec::new();
-        let mut primed_by = None;
-        for ci in 0..graph.connectors.len() {
-            let c = ConnectorId::new(ci);
-            if graph.connectors[ci].kind == PortKind::RuntimeParam {
-                continue;
-            }
-            let producers = graph.producers_of(c);
-            let consumed_inside = graph
-                .consumers_of(c)
-                .iter()
-                .any(|e| in_scc(e.kernel.index()));
-            if !consumed_inside || !producers.iter().any(|e| in_scc(e.kernel.index())) {
-                continue;
-            }
-            cycle_connectors.push(c);
-            // External token source: a global input merged into the cycle
-            // connector, or a producer kernel outside the component.
-            if graph.is_global_input(c) || producers.iter().any(|e| !in_scc(e.kernel.index())) {
-                primed_by.get_or_insert(c);
-            }
-        }
+fn cycles(graph: &FlatGraph, topo: &Topology, report: &mut LintReport) {
+    for component in sccs(&adjacency(graph, topo)) {
+        // Components come sorted.
+        let in_scc = |e: &Endpoint| component.binary_search(&e.kernel.index()).is_ok();
+        // Connectors carried around the cycle: consumed and produced inside.
+        let mut cycle_connectors: Vec<ConnectorId> = (component.iter())
+            .flat_map(|&k| &graph.kernels[k].ports)
+            .filter(|p| p.dir == PortDir::In)
+            .map(|p| p.connector)
+            .filter(|c| graph.connectors[c.index()].kind != PortKind::RuntimeParam)
+            .filter(|&c| topo.producers(c).iter().any(in_scc))
+            .collect();
+        cycle_connectors.sort_unstable();
+        cycle_connectors.dedup();
+        // External token source: a global input merged into the cycle
+        // connector, or a producer kernel outside the component.
+        let primed_by = cycle_connectors
+            .iter()
+            .copied()
+            .find(|&c| topo.is_global_input(c) || !topo.producers(c).iter().all(in_scc));
 
         let members = component
             .iter()
@@ -166,7 +164,7 @@ fn cycles(graph: &FlatGraph, report: &mut LintReport) {
 }
 
 /// `CG022`: a stream channel narrower than one firing's token demand.
-fn capacity(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
+fn capacity(graph: &FlatGraph, topo: &Topology, cfg: &LintConfig, report: &mut LintReport) {
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
         let conn = &graph.connectors[ci];
@@ -174,11 +172,7 @@ fn capacity(graph: &FlatGraph, cfg: &LintConfig, report: &mut LintReport) {
             continue;
         }
         let cap = conn.depth_or(cfg.effective_default_depth() as usize);
-        for e in graph
-            .producers_of(c)
-            .into_iter()
-            .chain(graph.consumers_of(c))
-        {
+        for e in topo.producers(c).iter().chain(topo.consumers(c)) {
             let rate = port_rate(graph, e.kernel.index(), e.port);
             if cap < rate as usize {
                 let k = &graph.kernels[e.kernel.index()];

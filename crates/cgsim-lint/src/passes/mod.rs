@@ -11,7 +11,7 @@ pub mod deadlock;
 pub mod rates;
 
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
-use cgsim_core::{ConnectorId, FlatGraph, KernelId, PortDir};
+use cgsim_core::{ConnectorId, Endpoint, FlatGraph, KernelId, PortDir, Topology};
 
 /// The SDF rate (elements per firing) of one port: its declared `rate`,
 /// or the SDF default of 1 when it declares none.
@@ -42,73 +42,20 @@ pub(crate) fn structural(graph: &FlatGraph, report: &mut LintReport) -> bool {
     found.out_of_range
 }
 
-/// Per-kernel liveness computed by [`reachability`], shared with the shape
-/// pass.
-pub(crate) struct Reach {
-    /// Kernel output can reach a global output (or the kernel is a sink).
-    pub bwd: Vec<bool>,
-}
-
 /// Dead-code detection: `CG040` (kernel unreachable from the inputs) and
 /// `CG041` (kernel output never reaches an output). Both are warnings —
 /// such kernels execute (or silently never fire) but do no useful work.
-pub(crate) fn reachability(graph: &FlatGraph, report: &mut LintReport) -> Reach {
+/// Returns, per kernel, whether its output can reach a global output (or
+/// it has none) — what the shape pass needs.
+pub(crate) fn reachability(
+    graph: &FlatGraph,
+    topo: &Topology,
+    report: &mut LintReport,
+) -> Vec<bool> {
     let nk = graph.kernels.len();
-    let ncon = graph.connectors.len();
-
-    // Forward: connectors fed from global inputs, kernels with a fed input
-    // (or none at all), fixpoint.
-    let mut con_live = vec![false; ncon];
-    for c in &graph.inputs {
-        con_live[c.index()] = true;
-    }
-    let mut fwd = vec![false; nk];
-    loop {
-        let mut changed = false;
-        for (ki, k) in graph.kernels.iter().enumerate() {
-            if fwd[ki] {
-                continue;
-            }
-            let ins: Vec<_> = k.ports.iter().filter(|p| p.dir == PortDir::In).collect();
-            if ins.is_empty() || ins.iter().any(|p| con_live[p.connector.index()]) {
-                fwd[ki] = true;
-                changed = true;
-                for p in k.ports.iter().filter(|p| p.dir == PortDir::Out) {
-                    con_live[p.connector.index()] = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Backward: connectors that drain to a global output, kernels with a
-    // draining output (or none), fixpoint.
-    let mut con_drains = vec![false; ncon];
-    for c in &graph.outputs {
-        con_drains[c.index()] = true;
-    }
-    let mut bwd = vec![false; nk];
-    loop {
-        let mut changed = false;
-        for (ki, k) in graph.kernels.iter().enumerate() {
-            if bwd[ki] {
-                continue;
-            }
-            let outs: Vec<_> = k.ports.iter().filter(|p| p.dir == PortDir::Out).collect();
-            if outs.is_empty() || outs.iter().any(|p| con_drains[p.connector.index()]) {
-                bwd[ki] = true;
-                changed = true;
-                for p in k.ports.iter().filter(|p| p.dir == PortDir::In) {
-                    con_drains[p.connector.index()] = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // Forward: fed from a global input. Backward: drains to a global output.
+    let fwd = live_kernels(graph, topo, PortDir::In);
+    let bwd = live_kernels(graph, topo, PortDir::Out);
 
     for ki in 0..nk {
         let instance = &graph.kernels[ki].instance;
@@ -133,22 +80,56 @@ pub(crate) fn reachability(graph: &FlatGraph, report: &mut LintReport) -> Reach 
             ));
         }
     }
-    Reach { bwd }
+    bwd
+}
+
+/// One worklist pass from the global ports on the `from` side (inputs for
+/// `In`, outputs for `Out`): a kernel is live when it has no `from` port
+/// or one on a live connector, and a live kernel makes the connectors on
+/// its other ports live. Each connector and kernel is visited once.
+fn live_kernels(graph: &FlatGraph, topo: &Topology, from: PortDir) -> Vec<bool> {
+    let (seeds, ends): (_, fn(&Topology, ConnectorId) -> &[Endpoint]) = match from {
+        PortDir::In => (&graph.inputs, Topology::consumers),
+        PortDir::Out => (&graph.outputs, Topology::producers),
+    };
+    let mut live_connector = vec![false; graph.connectors.len()];
+    let mut mark = |c: ConnectorId, work: &mut Vec<usize>| {
+        if !std::mem::replace(&mut live_connector[c.index()], true) {
+            work.extend(ends(topo, c).iter().map(|e| e.kernel.index()));
+        }
+    };
+    let mut work: Vec<usize> = (graph.kernels.iter().enumerate())
+        .filter(|(_, k)| k.ports.iter().all(|p| p.dir != from))
+        .map(|(ki, _)| ki)
+        .collect();
+    for &c in seeds {
+        mark(c, &mut work);
+    }
+    let mut live = vec![false; graph.kernels.len()];
+    while let Some(ki) = work.pop() {
+        if std::mem::replace(&mut live[ki], true) {
+            continue;
+        }
+        for p in graph.kernels[ki].ports.iter().filter(|p| p.dir != from) {
+            mark(p.connector, &mut work);
+        }
+    }
+    live
 }
 
 /// Dataflow-shape warnings: `CG042` (broadcast fan-out feeding a dead
 /// branch) and `CG043` (merge fan-in makes output order schedule-dependent,
 /// so only multiset comparison is a sound oracle — exactly the distinction
 /// `cgsim-check` draws between exact and multiset legs).
-pub(crate) fn shape(graph: &FlatGraph, reach: &Reach, report: &mut LintReport) {
+pub(crate) fn shape(graph: &FlatGraph, topo: &Topology, bwd: &[bool], report: &mut LintReport) {
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
         if graph.connectors[ci].kind == cgsim_core::PortKind::RuntimeParam {
             continue;
         }
-        if graph.readers(c) > 1 {
-            for e in &graph.consumers_of(c) {
-                if !reach.bwd[e.kernel.index()] {
+        if topo.readers(c) > 1 {
+            for e in topo.consumers(c) {
+                if !bwd[e.kernel.index()] {
                     report.push(Diagnostic::new(
                         "CG042",
                         Severity::Warn,
@@ -164,7 +145,7 @@ pub(crate) fn shape(graph: &FlatGraph, reach: &Reach, report: &mut LintReport) {
                 }
             }
         }
-        let writers = graph.writers(c);
+        let writers = topo.writers(c);
         if writers > 1 {
             report.push(Diagnostic::new(
                 "CG043",

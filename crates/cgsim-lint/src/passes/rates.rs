@@ -21,32 +21,38 @@
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
 use cgsim_core::schedule::{FiringVector, Rational};
-use cgsim_core::{ConnectorId, FlatGraph, PortKind};
+use cgsim_core::{ConnectorId, FlatGraph, PortKind, Topology};
 
 /// Run the rate-balance pass.
-pub(crate) fn check(graph: &FlatGraph, report: &mut LintReport) {
+pub(crate) fn check(graph: &FlatGraph, topo: &Topology, report: &mut LintReport) {
     // Balance constraints: (producer kernel, producer rate, consumer kernel,
-    // consumer rate, connector) for every single-producer token edge.
-    let mut constraints = Vec::new();
+    // consumer rate, connector) for every single-producer token edge,
+    // listed under each kernel they involve, in connector order.
+    let nk = graph.kernels.len();
+    let mut constraints = vec![Vec::new(); nk];
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
         if graph.connectors[ci].kind == PortKind::RuntimeParam {
             continue;
         }
-        let producers = graph.producers_of(c);
-        if producers.len() != 1 || graph.is_global_input(c) {
-            continue; // merge or externally fed: not a pure SDF edge
+        let &[p] = topo.producers(c) else {
+            continue; // merge or dangling: not a pure SDF edge
+        };
+        if topo.is_global_input(c) {
+            continue; // externally fed: not a pure SDF edge
         }
-        let p = producers[0];
         let p_rate = port_rate(graph, p.kernel.index(), p.port);
-        for q in graph.consumers_of(c) {
+        for q in topo.consumers(c) {
             let q_rate = port_rate(graph, q.kernel.index(), q.port);
-            constraints.push((p.kernel.index(), p_rate, q.kernel.index(), q_rate, c));
+            let (pk, qk) = (p.kernel.index(), q.kernel.index());
+            constraints[pk].push((pk, p_rate, qk, q_rate, c));
+            if qk != pk {
+                constraints[qk].push((pk, p_rate, qk, q_rate, c));
+            }
         }
     }
 
     // Propagate a firing vector per weakly-connected component.
-    let nk = graph.kernels.len();
     let mut firing: Vec<Option<Rational>> = vec![None; nk];
     let mut component: Vec<usize> = vec![0; nk];
     let mut n_components = 0usize;
@@ -63,15 +69,13 @@ pub(crate) fn check(graph: &FlatGraph, report: &mut LintReport) {
         let mut queue = vec![seed];
         while let Some(k) = queue.pop() {
             let f_k = firing[k].expect("queued kernels have firing rates");
-            for &(p, p_rate, q, q_rate, c) in &constraints {
+            for &(p, p_rate, q, q_rate, c) in &constraints[k] {
                 // f(p) * p_rate = f(q) * q_rate, read in whichever
                 // direction extends the assignment.
                 let (unknown, scale_num, scale_den) = if p == k {
                     (q, p_rate, q_rate)
-                } else if q == k {
-                    (p, q_rate, p_rate)
                 } else {
-                    continue;
+                    (p, q_rate, p_rate)
                 };
                 let implied = f_k.scale(u64::from(scale_num), u64::from(scale_den));
                 match firing[unknown] {

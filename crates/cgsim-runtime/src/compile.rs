@@ -195,9 +195,10 @@ pub fn compile_linted(
     // Merge fan-in (including a globally fed connector that also has a
     // kernel producer): token interleaving is schedule-dependent, which a
     // fixed firing order cannot reproduce in general.
+    let topo = Topology::of(graph);
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
-        let producers = graph.writers(c);
+        let producers = topo.writers(c);
         if producers > 1 {
             return Err(CompileError::NotStaticallySchedulable {
                 reason: RejectReason::Merge,
@@ -206,13 +207,12 @@ pub fn compile_linted(
         }
     }
 
-    let order =
-        Topology::of(graph)
-            .topo_order()
-            .ok_or_else(|| CompileError::NotStaticallySchedulable {
-                reason: RejectReason::Cycle,
-                details: "kernel dataflow contains a feedback cycle".into(),
-            })?;
+    let order = topo
+        .topo_order()
+        .ok_or_else(|| CompileError::NotStaticallySchedulable {
+            reason: RejectReason::Cycle,
+            details: "kernel dataflow contains a feedback cycle".into(),
+        })?;
 
     let firings =
         report

@@ -22,7 +22,7 @@ use crate::library::{AnyChannel, KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
 use crate::spec::{Backend, Launch, RunSpec};
 use cgsim_core::schedule::StaticSchedule;
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
+use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData, Topology};
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -428,14 +428,14 @@ impl<'g> RuntimeContext<'g> {
         // type when invoked"). A connector with no kernel endpoint is,
         // by `validate()`, both a global input and a global output: it gets
         // a placeholder that the typed `feed`/`collect` calls replace.
+        let mut endpoint = vec![None; graph.connectors.len()];
+        for (ki, k) in graph.kernels.iter().enumerate() {
+            for (pi, p) in k.ports.iter().enumerate() {
+                endpoint[p.connector.index()].get_or_insert((ki, pi));
+            }
+        }
         let mut channels = Vec::with_capacity(graph.connectors.len());
-        for ci in 0..graph.connectors.len() {
-            let endpoint = graph.kernels.iter().enumerate().find_map(|(ki, k)| {
-                k.ports
-                    .iter()
-                    .position(|p| p.connector.index() == ci)
-                    .map(|pi| (ki, pi))
-            });
+        for (ci, endpoint) in endpoint.into_iter().enumerate() {
             channels.push(match endpoint {
                 Some((ki, pi)) => library.get(&graph.kernels[ki].kind)?.make_channel(
                     pi,
@@ -666,7 +666,8 @@ impl<'g> RuntimeContext<'g> {
             // the channel was built with. Sized this way no write can ever
             // block; Kahn determinism makes capacity changes
             // output-invariant for this graph class.
-            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &self.feed_lens) {
+            let topo = Topology::of(graph);
+            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &topo, &self.feed_lens) {
                 for (ci, _, admin) in &admins {
                     admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
                 }

@@ -29,6 +29,7 @@ use crate::limit::{FairQueue, RateLimit, RateLimiter};
 use crate::report::ServeReport;
 use crate::wire::{ErrorBody, GraphSource, RunRequest, WIRE_VERSION};
 use aie_sim::{SimReport, VerifyPolicy};
+use cgsim_core::Topology;
 use cgsim_graphs::{all_apps, Launch};
 use cgsim_lint::{cost_estimate, lint_graph, LintConfig, Severity};
 use cgsim_pool::{Admission, Job, JobOutcome, JobOutput, Pool, PoolConfig, SubmitError};
@@ -433,7 +434,7 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
             })
         }
         GraphSource::Manifest(manifest) => {
-            if let Err(e) = manifest.graph.validate() {
+            if let Err(e) = manifest.graph.validate().and(manifest.config.check()) {
                 return Err(Response::error(422, e.code(), e.message()));
             }
             let lint = manifest.lint();
@@ -464,7 +465,7 @@ fn predicted_polls(entry: &CacheEntry, blocks: u64) -> Option<u64> {
         .iter()
         .map(|elems| workload.blocks.saturating_mul(*elems))
         .collect();
-    cost_estimate(graph, &feed_lens).map(|cost| cost.polls_hint)
+    cost_estimate(graph, &Topology::of(graph), &feed_lens).map(|cost| cost.polls_hint)
 }
 
 fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Response {

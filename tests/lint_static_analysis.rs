@@ -3,6 +3,7 @@
 //! conformance graphs are Error-free, and the runtime/deploy verification
 //! hooks reject what the verifier condemns.
 
+use cgsim::core::{ConnectorId, Endpoint, KernelId, PortDir, Topology};
 use cgsim::lint::{lint_graph, LintConfig, Severity};
 use cgsim::FlatGraph;
 use std::collections::BTreeSet;
@@ -43,6 +44,99 @@ fn corpus_produces_golden_error_codes() {
     }
 }
 
+/// Every corpus graph, then the generated graphs of seeds `0..generated`.
+fn corpus_and_generated(generated: u64) -> Vec<FlatGraph> {
+    let mut graphs: Vec<FlatGraph> = std::fs::read_dir(corpus_path(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "json"))
+        .map(|path| serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap())
+        .collect();
+    assert_eq!(graphs.len(), 8, "the corpus holds eight graphs");
+    graphs.extend((0..generated).map(|seed| cgsim_check::generate(seed).graph));
+    graphs
+}
+
+/// The port scan `FlatGraph` once answered endpoint queries with: every
+/// port of every kernel, in kernel/port order.
+fn scan(graph: &FlatGraph, c: ConnectorId, dir: PortDir) -> Vec<Endpoint> {
+    let mut out = Vec::new();
+    for (ki, k) in graph.kernels.iter().enumerate() {
+        for (pi, p) in k.ports.iter().enumerate() {
+            if p.connector == c && p.dir == dir {
+                out.push(Endpoint {
+                    kernel: KernelId::new(ki),
+                    port: pi,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `Topology`'s connector index answers exactly what the port scan did,
+/// in the same order, and the kernel topology built on it equals the one
+/// built from the scan.
+fn assert_index_matches_scan(graph: &FlatGraph) {
+    let topo = Topology::of(graph);
+    let n = graph.kernels.len();
+    let (mut succ, mut pred) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    for ci in 0..graph.connectors.len() {
+        let c = ConnectorId::new(ci);
+        let (producers, consumers) = (scan(graph, c, PortDir::Out), scan(graph, c, PortDir::In));
+        let (input, output) = (graph.inputs.contains(&c), graph.outputs.contains(&c));
+        assert_eq!(topo.producers(c), producers, "{} {c}", graph.name);
+        assert_eq!(topo.consumers(c), consumers, "{} {c}", graph.name);
+        assert_eq!(topo.is_global_input(c), input, "{} {c}", graph.name);
+        assert_eq!(topo.is_global_output(c), output, "{} {c}", graph.name);
+        assert_eq!(topo.writers(c), producers.len() + usize::from(input));
+        assert_eq!(topo.readers(c), consumers.len() + usize::from(output));
+        for p in &producers {
+            for q in &consumers {
+                succ[p.kernel.index()].push(q.kernel);
+                pred[q.kernel.index()].push(p.kernel);
+            }
+        }
+    }
+    for list in succ.iter_mut().chain(&mut pred) {
+        list.sort_unstable();
+        list.dedup();
+    }
+    let touching = |globals: &[ConnectorId]| -> Vec<KernelId> {
+        (0..n)
+            .map(KernelId::new)
+            .filter(|k| {
+                graph.kernels[k.index()]
+                    .ports
+                    .iter()
+                    .any(|p| globals.contains(&p.connector))
+            })
+            .collect()
+    };
+    assert_eq!(topo.succ, succ, "{}", graph.name);
+    assert_eq!(topo.pred, pred, "{}", graph.name);
+    assert_eq!(topo.entry, touching(&graph.inputs), "{}", graph.name);
+    assert_eq!(topo.exit, touching(&graph.outputs), "{}", graph.name);
+}
+
+/// The index equals the scan on every corpus graph and 256 generated
+/// ones. With one port of a generated graph moved to a connector id out of
+/// range the index is still built (it leaves the port out), still equals
+/// the scan, and `validate()` reports the id as `CG006`.
+#[test]
+fn topology_index_matches_the_port_scan() {
+    for graph in &corpus_and_generated(256) {
+        assert_index_matches_scan(graph);
+    }
+    for seed in 0..256 {
+        let mut graph = cgsim_check::generate(seed).graph;
+        let out_of_range = ConnectorId::new(graph.connectors.len() + 7);
+        graph.kernels[0].ports[0].connector = out_of_range;
+        assert_index_matches_scan(&graph);
+        assert_eq!(graph.validate().unwrap_err().code(), "CG006", "seed {seed}");
+    }
+}
+
 /// `validate()` and lint apply one structural rule: on every corpus graph
 /// and 64 generated ones, `validate()` fails exactly when lint reports a
 /// structural Error (`CG001`–`CG007`, `CG013`), with the code of the first.
@@ -51,15 +145,7 @@ fn validate_fails_exactly_on_the_first_structural_lint_error() {
     const STRUCTURAL: [&str; 8] = [
         "CG001", "CG002", "CG003", "CG004", "CG005", "CG006", "CG007", "CG013",
     ];
-    let mut graphs: Vec<FlatGraph> = std::fs::read_dir(corpus_path(""))
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| path.extension().is_some_and(|e| e == "json"))
-        .map(|path| serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap())
-        .collect();
-    assert_eq!(graphs.len(), 8, "the corpus holds eight graphs");
-    graphs.extend((0..64).map(|seed| cgsim_check::generate(seed).graph));
-    for graph in &graphs {
+    for graph in &corpus_and_generated(64) {
         let report = lint_graph(graph, &LintConfig::default());
         let first = report
             .at(Severity::Error)
@@ -137,6 +223,11 @@ fn corpus_diagnostics_colour_the_dot_export() {
     let (graph, report) = lint_corpus("bad_deadlock_feedback.json");
     let dot = cgsim::core::to_dot_styled(&graph, &cgsim::lint::dot_style(&report));
     assert!(dot.contains("fillcolor=\"red\""), "{dot}");
+    // A connector without endpoints (`CG004`, `CG005`) has no edge to
+    // draw; the rest of the graph still renders.
+    let (graph, report) = lint_corpus("bad_dangling.json");
+    let dot = cgsim::core::to_dot_styled(&graph, &cgsim::lint::dot_style(&report));
+    assert!(dot.contains("\"copy_0\" -> \"out:0\""), "{dot}");
 }
 
 /// The acceptance-criteria hook test: a Deny-policy runtime context refuses

@@ -7,7 +7,10 @@
 //! cache, lint-rejected manifests come back as structured `CG0xx` errors,
 //! and `/metrics` is valid Prometheus exposition.
 
-use cgsim::core::{GraphBuilder, KernelDecl, KernelMeta, PortKind, PortSettings, PortSig, Realm};
+use cgsim::core::{
+    FlatGraph, GraphBuilder, KernelDecl, KernelMeta, PortKind, PortSettings, PortSig, Realm,
+    Topology,
+};
 use cgsim::graphs::{all_apps, RunSpec};
 use cgsim::intrinsics::OpCounts;
 use cgsim::lint::cost_estimate;
@@ -223,7 +226,8 @@ fn cost_limit_is_the_servers_estimate() {
             .iter()
             .map(|e| blocks * e)
             .collect();
-        cost_estimate(&app.graph(), &feeds)
+        let graph = app.graph();
+        cost_estimate(&graph, &Topology::of(&graph), &feeds)
             .expect("IIR is acyclic")
             .polls_hint
     };
@@ -299,6 +303,27 @@ fn copy_manifest(deadlocked: bool) -> DeployManifest {
         Ok(())
     })
     .expect("graph builds");
+    copy_deployment(graph)
+}
+
+/// A chain of `n` `copy` kernels from input to output.
+fn copy_chain_manifest(n: usize) -> DeployManifest {
+    let graph = GraphBuilder::build("copy_chain", |g| {
+        let mut prev = g.input::<f32>("a");
+        for _ in 0..n {
+            let next = g.wire::<f32>();
+            g.invoke::<Copy>(&[prev.id(), next.id()])?;
+            prev = next;
+        }
+        g.output(&prev);
+        Ok(())
+    })
+    .expect("graph builds");
+    copy_deployment(graph)
+}
+
+/// Deploy `graph`, whose kernels are all `copy`, over four blocks.
+fn copy_deployment(graph: FlatGraph) -> DeployManifest {
     // Manifests really deploy, so every kernel kind needs a cost profile;
     // zero measured ops is enough to move tokens.
     let stream = |elems| PortTraffic {
@@ -381,6 +406,59 @@ fn stale_connector_settings_are_a_422_and_the_daemon_keeps_serving() {
     let error: cgsim::serve::ErrorBody = serde_json::from_str(&body).expect("structured error");
     assert_eq!(error.code, "CG013", "{body}");
     assert!(error.error.contains("`depth`"), "{body}");
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+/// A manifest whose default FIFO depth is 0 is refused as `CG014` before
+/// it reaches the simulator, and the daemon keeps serving.
+#[test]
+fn zero_fifo_depth_manifest_is_a_422_and_the_daemon_keeps_serving() {
+    let handle = Server::start(one_pool_worker()).expect("starts");
+    let addr = handle.addr().to_string();
+    let mut manifest = copy_manifest(false);
+    manifest.config.fifo_depth = 0;
+    let request = format!(
+        r#"{{"graph":{{"manifest":{}}}}}"#,
+        serde_json::to_string(&manifest).unwrap()
+    );
+    let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
+    assert_eq!(status, 422, "{body}");
+    let error: cgsim::serve::ErrorBody = serde_json::from_str(&body).expect("structured error");
+    assert_eq!(error.code, "CG014", "{body}");
+    assert!(error.error.contains("`fifo_depth`"), "{body}");
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+/// A 4 000-kernel manifest (2.4 MB, under the body cap) is validated,
+/// linted and simulated, while another acceptor answers `/healthz`. Its
+/// 4 000 AIE kernels exceed the device's 400 tiles (`CG050`), so the run
+/// sets the lint gate aside to get its simulated answer.
+#[test]
+fn four_thousand_kernel_manifest_gets_its_answer() {
+    let handle = Server::start(ServeConfig {
+        http_workers: 2,
+        ..one_pool_worker()
+    })
+    .expect("starts");
+    let addr = handle.addr().to_string();
+    let request = format!(
+        r#"{{"graph":{{"manifest":{}}},"spec":{{"config":{{"verify":"off"}}}}}}"#,
+        serde_json::to_string(&copy_chain_manifest(4_000)).unwrap()
+    );
+    let run = std::thread::spawn({
+        let addr = addr.clone();
+        move || http(&addr, "POST", "/v1/run", &[], &request)
+    });
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{body}");
+    let (status, _, body) = run.join().expect("request thread");
+    assert_eq!(status, 200, "{body}");
+    let report = ServeReport::from_json(&body).expect("ServeReport");
+    assert_eq!(report.kernels.len(), 4_000);
     let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
     assert_eq!(status, 200, "{body}");
     handle.shutdown();
