@@ -58,15 +58,18 @@ pub trait EvalApp: Send + Sync {
     fn workload(&self, blocks: u64) -> WorkloadSpec;
 
     /// Run `blocks` blocks under `spec` with per-launch resources (cached
-    /// compiled plan, tracer) and verify the output against the scalar
-    /// reference; returns run metrics. This is the full entry point the
-    /// serving layer launches through.
+    /// compiled plan, tracer), streaming the input, and compare every output
+    /// element with the scalar reference's; returns run metrics. The
+    /// expected output and its checksum depend only on `(app, blocks)`, so
+    /// each app keeps them for the latest `blocks` it ran, unless they are
+    /// over 1 MiB. A `blocks` whose element count overflows is an error.
+    /// This is the full entry point the serving layer launches through.
     fn run_launched(&self, spec: &RunSpec, blocks: u64, launch: Launch) -> Result<AppRun, String>;
 
-    /// Run `blocks` blocks under `spec` and verify the output against the
-    /// scalar reference; returns run metrics. This is the [`RunSpec`]-native
-    /// entry point every harness (bench, conformance, pool) launches
-    /// through.
+    /// [`Self::run_launched`] with default resources: the
+    /// [`RunSpec`]-native entry point every harness (bench, conformance,
+    /// pool) launches through. It shares that method's kept expected output
+    /// (latest `blocks` per app, up to 1 MiB) and its full comparison.
     fn run_spec(&self, spec: &RunSpec, blocks: u64) -> Result<AppRun, String> {
         self.run_launched(spec, blocks, Launch::default())
     }

@@ -11,7 +11,7 @@
 //!   vector iteration.
 
 use crate::apps::{checksum_f32, AppRun, EvalApp};
-use crate::support::{self, measure};
+use crate::support::{self, measure, Harness, Slot};
 use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::{AccF32, Vector};
@@ -122,24 +122,28 @@ pub fn build_graph() -> FlatGraph {
     .expect("bilinear graph builds")
 }
 
-/// Deterministic synthetic image workload: smooth gradient pixels with
-/// pseudo-random fractional offsets.
-pub fn make_input(blocks: u64) -> Vec<PixelQuad> {
+/// Deterministic synthetic image stream of `blocks` blocks: smooth
+/// gradient pixels with pseudo-random fractional offsets; panics if its
+/// length overflows `usize`.
+pub fn input(blocks: u64) -> impl Iterator<Item = PixelQuad> + 'static {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0xB111_0003);
-    (0..blocks * BLOCK_PIXELS as u64)
-        .map(|i| {
-            let base = (i % 251) as f32;
-            PixelQuad {
-                p00: base,
-                p01: base + rng.random_range(0.0f32..8.0),
-                p10: base + rng.random_range(0.0f32..8.0),
-                p11: base + rng.random_range(0.0f32..16.0),
-                fx: rng.random_range(0.0f32..1.0),
-                fy: rng.random_range(0.0f32..1.0),
-            }
-        })
-        .collect()
+    (0..support::input_len("bilinear", blocks, BLOCK_PIXELS)).map(move |i| {
+        let base = (i % 251) as f32;
+        PixelQuad {
+            p00: base,
+            p01: base + rng.random_range(0.0f32..8.0),
+            p10: base + rng.random_range(0.0f32..8.0),
+            p11: base + rng.random_range(0.0f32..16.0),
+            fx: rng.random_range(0.0f32..1.0),
+            fy: rng.random_range(0.0f32..1.0),
+        }
+    })
+}
+
+/// [`input`], collected.
+pub fn make_input(blocks: u64) -> Vec<PixelQuad> {
+    input(blocks).collect()
 }
 
 /// The Table 1 / Table 2 application record.
@@ -195,25 +199,16 @@ impl EvalApp for BilinearApp {
     }
 
     fn run_launched(&self, spec: &RunSpec, blocks: u64, launch: Launch) -> Result<AppRun, String> {
-        let input = make_input(blocks);
-        let expect = reference(&input);
-        let graph = self.graph();
-        let lib = self.library();
-        let (got, run): (Vec<f32>, AppRun) =
-            support::run(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
-        if got != expect {
-            let first = got.iter().zip(&expect).position(|(a, b)| a != b);
-            return Err(format!(
-                "bilinear output mismatch: {} vs {} elements, first diff at {first:?}",
-                got.len(),
-                expect.len(),
-            ));
+        static EXPECTED: Slot<f32> = Slot::new(None);
+        Harness {
+            slot: &EXPECTED,
+            block_elems: BLOCK_PIXELS,
+            input,
+            reference,
+            checksum: checksum_f32,
+            params: |_| Ok(()),
         }
-        Ok(AppRun {
-            checksum: checksum_f32(&got),
-            out_elems: got.len(),
-            ..run
-        })
+        .run(self, spec, blocks, launch)
     }
 }
 

@@ -10,7 +10,7 @@
 //!   stages ([`aie_intrinsics::ops::bitonic_sort16`]).
 
 use crate::apps::{checksum_f32, AppRun, EvalApp};
-use crate::support::{self, measure};
+use crate::support::{self, measure, Harness, Slot};
 use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::ops::bitonic_sort16;
@@ -51,11 +51,9 @@ compute_kernel! {
 
 /// Scalar golden reference: sort each 16-element chunk.
 pub fn reference(input: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(input.len());
-    for chunk in input.chunks_exact(SORT_WIDTH) {
-        let mut c = chunk.to_vec();
-        c.sort_by(f32::total_cmp);
-        out.extend(c);
+    let mut out = input[..input.len() / SORT_WIDTH * SORT_WIDTH].to_vec();
+    for chunk in out.chunks_exact_mut(SORT_WIDTH) {
+        chunk.sort_unstable_by(f32::total_cmp);
     }
     out
 }
@@ -76,13 +74,18 @@ pub fn build_graph() -> FlatGraph {
     .expect("bitonic graph builds")
 }
 
-/// Deterministic pseudo-random workload of `blocks` 16-float blocks.
-pub fn make_input(blocks: u64) -> Vec<f32> {
+/// Deterministic pseudo-random stream of `blocks` 16-float blocks; panics
+/// if its length overflows `usize`.
+pub fn input(blocks: u64) -> impl Iterator<Item = f32> + 'static {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0xB170_71C5);
-    (0..blocks * SORT_WIDTH as u64)
-        .map(|_| rng.random_range(-1000.0f32..1000.0))
-        .collect()
+    (0..support::input_len("bitonic", blocks, SORT_WIDTH))
+        .map(move |_| rng.random_range(-1000.0f32..1000.0))
+}
+
+/// [`input`], collected.
+pub fn make_input(blocks: u64) -> Vec<f32> {
+    input(blocks).collect()
 }
 
 /// The Table 1 / Table 2 application record.
@@ -136,24 +139,16 @@ impl EvalApp for BitonicApp {
     }
 
     fn run_launched(&self, spec: &RunSpec, blocks: u64, launch: Launch) -> Result<AppRun, String> {
-        let input = make_input(blocks);
-        let expect = reference(&input);
-        let graph = self.graph();
-        let lib = self.library();
-        let (got, run) = support::run::<f32>(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
-        if got != expect {
-            return Err(format!(
-                "bitonic output mismatch: {} vs {} elements, first diff at {:?}",
-                got.len(),
-                expect.len(),
-                got.iter().zip(&expect).position(|(a, b)| a != b)
-            ));
+        static EXPECTED: Slot<f32> = Slot::new(None);
+        Harness {
+            slot: &EXPECTED,
+            block_elems: SORT_WIDTH,
+            input,
+            reference,
+            checksum: checksum_f32,
+            params: |_| Ok(()),
         }
-        Ok(AppRun {
-            checksum: checksum_f32(&got),
-            out_elems: got.len(),
-            ..run
-        })
+        .run(self, spec, blocks, launch)
     }
 }
 

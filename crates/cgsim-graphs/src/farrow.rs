@@ -19,7 +19,7 @@
 //! * Block size (Table 1): **4096 bytes** = 2048 × i16 samples.
 
 use crate::apps::{checksum_i16, AppRun, EvalApp};
-use crate::support::{self, measure};
+use crate::support::{self, measure, Harness, Slot};
 use crate::Launch;
 use aie_intrinsics::counter::metered;
 use aie_intrinsics::fixed::{quantize_q15, srs};
@@ -211,13 +211,18 @@ pub fn build_graph() -> FlatGraph {
     .expect("farrow graph builds")
 }
 
-/// Deterministic pseudo-random i16 workload.
-pub fn make_input(blocks: u64) -> Vec<i16> {
+/// Deterministic pseudo-random i16 stream of `blocks` blocks; panics if
+/// its length overflows `usize`.
+pub fn input(blocks: u64) -> impl Iterator<Item = i16> + 'static {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0xFA44_0001);
-    (0..blocks * BLOCK_SAMPLES as u64)
-        .map(|_| rng.random_range(-12000i16..12000))
-        .collect()
+    (0..support::input_len("farrow", blocks, BLOCK_SAMPLES))
+        .map(move |_| rng.random_range(-12000i16..12000))
+}
+
+/// [`input`], collected.
+pub fn make_input(blocks: u64) -> Vec<i16> {
+    input(blocks).collect()
 }
 
 /// The default fractional delay used in evaluation runs: µ = 0.37.
@@ -255,11 +260,6 @@ impl EvalApp for FarrowApp {
         let ((), comb_ops) = metered(|| {
             let _ = comb_iteration(&sets, default_mu());
         });
-        let stream16 = |elems: u64, bytes: u64| PortTraffic {
-            elems_per_iter: elems,
-            elem_bytes: bytes,
-            kind: PortKind::Stream,
-        };
         let window = |elems: u64, bytes: u64| PortTraffic {
             elems_per_iter: elems,
             elem_bytes: bytes,
@@ -270,7 +270,6 @@ impl EvalApp for FarrowApp {
             elem_bytes: 2,
             kind: PortKind::RuntimeParam,
         };
-        let _ = stream16; // all farrow connections are window/RTP-based
         let fir = KernelCostProfile::measured(
             "farrow_fir_kernel",
             fir_ops,
@@ -295,28 +294,16 @@ impl EvalApp for FarrowApp {
     }
 
     fn run_launched(&self, spec: &RunSpec, blocks: u64, launch: Launch) -> Result<AppRun, String> {
-        let input = make_input(blocks);
-        let mu = default_mu();
-        let expect = reference(&input, mu);
-        let graph = self.graph();
-        let lib = self.library();
-        let (got, run): (Vec<i16>, AppRun) = support::run(&graph, &lib, spec, launch, |ctx| {
-            ctx.feed(0, input)?;
-            ctx.feed_param(1, mu)
-        })?;
-        if got != expect {
-            let first = got.iter().zip(&expect).position(|(a, b)| a != b);
-            return Err(format!(
-                "farrow output mismatch: {} vs {} elements, first diff at {first:?}",
-                got.len(),
-                expect.len(),
-            ));
+        static EXPECTED: Slot<i16> = Slot::new(None);
+        Harness {
+            slot: &EXPECTED,
+            block_elems: BLOCK_SAMPLES,
+            input,
+            reference: |input| reference(input, default_mu()),
+            checksum: checksum_i16,
+            params: |ctx| ctx.feed_param(1, default_mu()),
         }
-        Ok(AppRun {
-            checksum: checksum_i16(&got),
-            out_elems: got.len(),
-            ..run
-        })
+        .run(self, spec, blocks, launch)
     }
 }
 

@@ -12,7 +12,7 @@
 //!   iteration (one full window).
 
 use crate::apps::{checksum_f32, AppRun, EvalApp};
-use crate::support::{self, measure};
+use crate::support::{self, measure, Harness, Slot};
 use crate::Launch;
 use aie_intrinsics::counter::{metered, record_n};
 use aie_intrinsics::{AccF32, OpKind};
@@ -137,37 +137,31 @@ compute_kernel! {
 }
 
 /// Scalar golden reference with identical operation ordering (bit-exact
-/// match with the vector kernel expected).
+/// match with the vector kernel expected): each sample of every full
+/// window passes through the four sections in turn.
 pub fn reference(input: &[f32]) -> Vec<f32> {
     let mut states = [SectionState::default(); SECTIONS];
     let full = input.len() / BLOCK_SAMPLES * BLOCK_SAMPLES;
-    let mut out = Vec::with_capacity(full);
-    for window in input[..full].chunks_exact(BLOCK_SAMPLES) {
-        let mut data = window.to_vec();
-        for (section, state) in CASCADE.iter().zip(states.iter_mut()) {
-            let mut ext = vec![state.x[1], state.x[0]];
-            ext.extend_from_slice(&data);
-            let mut next = Vec::with_capacity(data.len());
-            for n in 0..data.len() {
-                // Same accumulation order as the fpmac sequence above:
-                // b2-tap first, then b1, then b0.
-                let ff = 0.0
-                    + section.b[2] * ext[n]
-                    + section.b[1] * ext[n + 1]
-                    + section.b[0] * ext[n + 2];
-                let y = ff - section.a[0] * state.y[0] - section.a[1] * state.y[1];
-                state.y[1] = state.y[0];
-                state.y[0] = y;
-                next.push(y);
-            }
-            let len = data.len();
-            state.x[0] = data[len - 1];
-            state.x[1] = data[len - 2];
-            data = next;
-        }
-        out.extend(data);
-    }
-    out
+    input[..full]
+        .iter()
+        .map(|&x| {
+            CASCADE
+                .iter()
+                .zip(&mut states)
+                .fold(x, |x, (section, state)| {
+                    // Same accumulation order as the fpmac sequence above:
+                    // b2-tap first, then b1, then b0.
+                    let ff = 0.0
+                        + section.b[2] * state.x[1]
+                        + section.b[1] * state.x[0]
+                        + section.b[0] * x;
+                    let y = ff - section.a[0] * state.y[0] - section.a[1] * state.y[1];
+                    state.x = [x, state.x[0]];
+                    state.y = [y, state.y[0]];
+                    y
+                })
+        })
+        .collect()
 }
 
 /// Build the single-kernel graph.
@@ -186,13 +180,18 @@ pub fn build_graph() -> FlatGraph {
     .expect("iir graph builds")
 }
 
-/// Deterministic pseudo-random f32 workload.
-pub fn make_input(blocks: u64) -> Vec<f32> {
+/// Deterministic pseudo-random f32 stream of `blocks` windows; panics if
+/// its length overflows `usize`.
+pub fn input(blocks: u64) -> impl Iterator<Item = f32> + 'static {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0x11E0_0002);
-    (0..blocks * BLOCK_SAMPLES as u64)
-        .map(|_| rng.random_range(-1.0f32..1.0))
-        .collect()
+    (0..support::input_len("IIR", blocks, BLOCK_SAMPLES))
+        .map(move |_| rng.random_range(-1.0f32..1.0))
+}
+
+/// [`input`], collected.
+pub fn make_input(blocks: u64) -> Vec<f32> {
+    input(blocks).collect()
 }
 
 /// The Table 1 / Table 2 application record.
@@ -246,25 +245,16 @@ impl EvalApp for IirApp {
     }
 
     fn run_launched(&self, spec: &RunSpec, blocks: u64, launch: Launch) -> Result<AppRun, String> {
-        let input = make_input(blocks);
-        let expect = reference(&input);
-        let graph = self.graph();
-        let lib = self.library();
-        let (got, run): (Vec<f32>, AppRun) =
-            support::run(&graph, &lib, spec, launch, |ctx| ctx.feed(0, input))?;
-        if got != expect {
-            let first = got.iter().zip(&expect).position(|(a, b)| a != b);
-            return Err(format!(
-                "IIR output mismatch: {} vs {} elements, first diff at {first:?}",
-                got.len(),
-                expect.len(),
-            ));
+        static EXPECTED: Slot<f32> = Slot::new(None);
+        Harness {
+            slot: &EXPECTED,
+            block_elems: BLOCK_SAMPLES,
+            input,
+            reference,
+            checksum: checksum_f32,
+            params: |_| Ok(()),
         }
-        Ok(AppRun {
-            checksum: checksum_f32(&got),
-            out_elems: got.len(),
-            ..run
-        })
+        .run(self, spec, blocks, launch)
     }
 }
 

@@ -433,6 +433,27 @@ fn zero_fifo_depth_manifest_is_a_422_and_the_daemon_keeps_serving() {
     handle.shutdown();
 }
 
+/// An app request whose `blocks` overflows the input's element count is a
+/// `500 RUN_FAILED` naming the overflow, not an empty run that verifies,
+/// and the daemon keeps serving.
+#[test]
+fn overflowing_blocks_is_a_run_failure_and_the_daemon_keeps_serving() {
+    let handle = Server::start(one_pool_worker()).expect("starts");
+    let addr = handle.addr().to_string();
+    for blocks in [1u64 << 60, u64::MAX] {
+        let request = format!(r#"{{"graph":{{"app":"bitonic"}},"blocks":{blocks}}}"#);
+        let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
+        assert_eq!(status, 500, "{body}");
+        let error: cgsim::serve::ErrorBody = serde_json::from_str(&body).expect("structured error");
+        assert_eq!(error.code, "RUN_FAILED", "{body}");
+        let named = format!("bitonic: {blocks} blocks overflow");
+        assert!(error.error.contains(&named), "{body}");
+    }
+    let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
 /// A 4 000-kernel manifest (2.4 MB, under the body cap) is validated,
 /// linted and simulated, while another acceptor answers `/healthz`. Its
 /// 4 000 AIE kernels exceed the device's 400 tiles (`CG050`), so the run
