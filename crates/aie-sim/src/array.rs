@@ -6,7 +6,7 @@
 //! to share a memory bank, i.e. to sit on *adjacent* tiles, which the placer
 //! checks — the same constraint `aiecompiler` enforces.
 
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortKind, Realm, Topology};
+use cgsim_core::{CheckedGraph, ConnectorId, FlatGraph, GraphError, PortKind, Realm};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -65,12 +65,13 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Place the AIE-realm kernels of `graph` onto the array.
+    /// Place the AIE-realm kernels of a checked graph onto the array.
     ///
     /// Strategy: snake order along rows (the layout AMD's examples use for
     /// short pipelines), which makes consecutive kernels neighbours — a
     /// requirement for their window connections.
-    pub fn place(graph: &FlatGraph, geometry: ArrayGeometry) -> Result<Placement, GraphError> {
+    pub fn place(checked: &CheckedGraph, geometry: ArrayGeometry) -> Result<Placement, GraphError> {
+        let graph = checked.graph();
         let aie_kernels: Vec<usize> = graph
             .kernels
             .iter()
@@ -106,7 +107,7 @@ impl Placement {
         // Hops over every kernel-to-kernel connection; a window
         // (shared-buffer) connection must also join adjacent tiles, as
         // memory sharing requires.
-        let topo = Topology::of(graph);
+        let topo = checked.topology();
         let mut total_hops = 0;
         for (ci, conn) in graph.connectors.iter().enumerate() {
             let c = ConnectorId::new(ci);
@@ -190,7 +191,7 @@ mod tests {
     #[test]
     fn pipeline_places_on_adjacent_tiles() {
         let g = chain(4);
-        let p = Placement::place(&g, ArrayGeometry::VC1902).unwrap();
+        let p = Placement::place(&CheckedGraph::new(&g).unwrap(), ArrayGeometry::VC1902).unwrap();
         assert_eq!(p.used_tiles(), 4);
         // 3 kernel-to-kernel connections, each 1 hop.
         assert_eq!(p.total_hops, 3);
@@ -200,7 +201,7 @@ mod tests {
     fn snake_wraps_rows_adjacently() {
         let g = chain(7);
         let small = ArrayGeometry { cols: 4, rows: 4 };
-        let p = Placement::place(&g, small).unwrap();
+        let p = Placement::place(&CheckedGraph::new(&g).unwrap(), small).unwrap();
         // All 6 inter-kernel links still 1 hop thanks to the snake.
         assert_eq!(p.total_hops, 6);
         let coords: Vec<_> = p.tiles.iter().flatten().collect();
@@ -236,14 +237,14 @@ mod tests {
         })
         .unwrap();
         // Adjacent in the snake → OK.
-        Placement::place(&g, ArrayGeometry::VC1902).unwrap();
+        Placement::place(&CheckedGraph::new(&g).unwrap(), ArrayGeometry::VC1902).unwrap();
     }
 
     #[test]
     fn oversubscription_is_rejected() {
         let g = chain(5);
         let tiny = ArrayGeometry { cols: 2, rows: 2 };
-        assert!(Placement::place(&g, tiny).is_err());
+        assert!(Placement::place(&CheckedGraph::new(&g).unwrap(), tiny).is_err());
     }
 
     #[test]
@@ -265,7 +266,7 @@ mod tests {
     #[test]
     fn by_instance_names_tiles() {
         let g = chain(2);
-        let p = Placement::place(&g, ArrayGeometry::VC1902).unwrap();
+        let p = Placement::place(&CheckedGraph::new(&g).unwrap(), ArrayGeometry::VC1902).unwrap();
         let m = p.by_instance(&g);
         assert_eq!(m["p_0"], TileCoord { col: 0, row: 0 });
         assert_eq!(m["p_1"], TileCoord { col: 1, row: 0 });

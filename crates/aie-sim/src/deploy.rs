@@ -11,8 +11,8 @@
 use crate::config::SimConfig;
 use crate::cost::KernelCostProfile;
 use crate::graphsim::{simulate_graph, GraphTrace, WorkloadSpec};
-use cgsim_core::{FlatGraph, GraphError};
-use cgsim_lint::VerifyPolicy;
+use cgsim_core::{CheckedGraph, FlatGraph, GraphError};
+use cgsim_lint::{lint_checked, lint_graph, LintConfig, LintReport, VerifyPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -67,26 +67,30 @@ impl DeployManifest {
                 m.version
             ));
         }
-        m.graph
-            .validate()
-            .map_err(|e| format!("manifest graph invalid: {e}"))?;
+        let checked =
+            CheckedGraph::new(&m.graph).map_err(|e| format!("manifest graph invalid: {e}"))?;
         m.config
             .check()
             .map_err(|e| format!("manifest config invalid: {e}"))?;
         VerifyPolicy::Deny
-            .gate(&m.lint(), &m.graph)
+            .gate(&lint_checked(&checked, &m.lint_config()), &m.graph)
             .map_err(|e| format!("manifest graph invalid: rejected by cgsim-lint: {e}"))?;
         Ok(m)
     }
 
-    /// Run the ahead-of-deploy lint over the manifest's graph, using the
-    /// manifest's own FIFO depth as the default channel capacity.
-    pub fn lint(&self) -> cgsim_lint::LintReport {
-        let cfg = cgsim_lint::LintConfig {
+    /// Run the ahead-of-deploy lint over the manifest's graph, which may
+    /// be broken, under [`DeployManifest::lint_config`].
+    pub fn lint(&self) -> LintReport {
+        lint_graph(&self.graph, &self.lint_config())
+    }
+
+    /// The ahead-of-deploy lint configuration: the manifest's own FIFO
+    /// depth is the default channel capacity.
+    pub fn lint_config(&self) -> LintConfig {
+        LintConfig {
             default_depth: self.config.fifo_depth as u32,
-            ..cgsim_lint::LintConfig::default()
-        };
-        cgsim_lint::lint_graph(&self.graph, &cfg)
+            ..LintConfig::default()
+        }
     }
 
     /// Profiles keyed by kernel kind.

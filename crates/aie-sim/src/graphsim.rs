@@ -9,7 +9,7 @@
 use crate::config::SimConfig;
 use crate::cost::KernelCostProfile;
 use crate::engine::{FifoId, NodeId, NodeKind, Sim, SimTrace};
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, PortKind, Topology};
+use cgsim_core::{CheckedGraph, ConnectorId, FlatGraph, GraphError, PortDir, PortKind};
 use cgsim_trace::{KernelRef, TraceEvent, TraceRecord, TraceSnapshot, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -137,7 +137,7 @@ pub fn simulate_graph_traced(
     workload: &WorkloadSpec,
     tracer: &Tracer,
 ) -> Result<GraphTrace, GraphError> {
-    graph.validate()?;
+    let checked = CheckedGraph::new(graph)?;
     config.check()?;
     if workload.elems_per_block_in.len() != graph.inputs.len() {
         return Err(GraphError::IoArityMismatch {
@@ -161,7 +161,7 @@ pub fn simulate_graph_traced(
 
     // One FIFO per reader of each connector: its consuming ports in
     // kernel/port order, then the sink's when it is a global output.
-    let topo = Topology::of(graph);
+    let topo = checked.topology();
     let fifos: Vec<Vec<FifoId>> = (graph.connectors.iter().enumerate())
         .map(|(ci, conn)| {
             let capacity = fifo_capacity(conn, config);

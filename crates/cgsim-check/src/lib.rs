@@ -105,28 +105,7 @@ pub fn run_suite_with(cfg: &SuiteConfig, mut on_case: impl FnMut(&CaseVerdict)) 
     for i in 0..cfg.cases {
         let case_seed = cfg.seed.wrapping_add(i);
         let case = gen::generate(case_seed);
-        // Static verification before any leg runs: a generated graph with
-        // Error-severity lint findings would hang or misbehave on every
-        // backend, so the verdict fails fast with the lint report instead
-        // of a wall of backend disagreements.
-        let lint = cgsim_lint::lint_graph(&case.graph, &cgsim_lint::LintConfig::default());
-        let verdict = if lint.has_errors() {
-            CaseVerdict {
-                seed: case_seed,
-                signature: case.signature.clone(),
-                legs: 0,
-                compiled_rejected: false,
-                failures: vec![
-                    format!(
-                        "cgsim-lint rejected the generated graph before any leg ran:\n{}",
-                        lint.render_human(&case.graph)
-                    ),
-                    format!("reproduce with: {}", repro::repro_command(case_seed)),
-                ],
-            }
-        } else {
-            oracle::check_case(&case, cfg.schedules)
-        };
+        let verdict = oracle::check_case(&case, cfg.schedules);
         signatures.push(verdict.signature.clone());
         legs += verdict.legs;
         compiled_rejects += usize::from(verdict.compiled_rejected);

@@ -24,9 +24,10 @@
 
 use crate::gen::GeneratedCase;
 use crate::kernels::{self, PALETTE_SHAPES};
+use crate::repro;
 use aie_intrinsics::OpCounts;
 use aie_sim::{simulate_graph, KernelCostProfile, PortTraffic, SimConfig, WorkloadSpec};
-use cgsim_core::{ConnectorId, PortKind, Topology};
+use cgsim_core::{CheckedGraph, ConnectorId, PortKind};
 use cgsim_runtime::{
     compile_linted, Backend, ChannelStats, CompiledPlan, FaultPlan, KernelLibrary, Launch,
     Profiling, RunReport, RunSpec, RuntimeConfig, RuntimeContext, Schedule, SchedulePolicy,
@@ -68,6 +69,14 @@ impl CaseVerdict {
     }
 }
 
+/// One case under test: its graph, checked once, and the kernel library
+/// every leg instantiates.
+struct Subject<'a> {
+    case: &'a GeneratedCase,
+    checked: CheckedGraph<'a>,
+    lib: KernelLibrary,
+}
+
 /// Schedule policy for the bounds flood leg: poll any ready task that is
 /// *not* demoted first; the demoted tasks (the flood target's consumers
 /// and sink) only run when nothing else can — the adversarial schedule the
@@ -94,45 +103,76 @@ fn perm_seed(seed: u64, i: u64) -> u64 {
 }
 
 /// Run the full differential check on one generated case, with
-/// `schedules` seeded ready-list permutations.
+/// `schedules` seeded ready-list permutations. A case whose graph lints
+/// with Error findings fails before any leg runs.
 pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
-    let lib = kernels::library();
     let mut failures = Vec::new();
     let mut legs = 0usize;
     let mut compiled_rejected = false;
+    let verdict = |legs, compiled_rejected, failures| CaseVerdict {
+        seed: case.seed,
+        signature: case.signature.clone(),
+        legs,
+        compiled_rejected,
+        failures,
+    };
+
+    // Static verification before any leg runs: a generated graph with
+    // Error-severity lint findings would hang or misbehave on every
+    // backend, so the verdict fails fast with the lint report instead of a
+    // wall of backend disagreements. The compiled legs reuse the report.
+    let cfg = cgsim_lint::LintConfig::default();
+    let checked = CheckedGraph::new(&case.graph);
+    let lint = match &checked {
+        Ok(checked) => cgsim_lint::lint_checked(checked, &cfg),
+        Err(_) => cgsim_lint::lint_graph(&case.graph, &cfg),
+    };
+    let checked = match checked {
+        Ok(checked) if !lint.has_errors() => checked,
+        _ => {
+            let report = lint.render_human(&case.graph);
+            failures.push(format!(
+                "cgsim-lint rejected the generated graph before any leg ran:\n{report}"
+            ));
+            failures.push(format!(
+                "reproduce with: {}",
+                repro::repro_command(case.seed)
+            ));
+            return verdict(legs, compiled_rejected, failures);
+        }
+    };
+    let subject = &Subject {
+        case,
+        checked,
+        lib: kernels::library(),
+    };
 
     // Static occupancy bounds for this case's concrete feed lengths —
     // merge-free cases only, the class the flood analysis is proven sound
     // for. When present they are armed as runtime bounds checks on every
     // cooperative leg below (any observed occupancy above its bound is a
     // soundness failure), and the flood leg validates tightness.
-    let topo = Topology::of(&case.graph);
-    let has_merge = case.graph.stats().merges > 0;
+    let topo = subject.checked.topology();
+    let has_merge =
+        (0..case.graph.connectors.len()).any(|ci| topo.writers(ConnectorId::new(ci)) > 1);
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let bounds = (!has_merge)
         .then(|| {
             let lint_cfg = RuntimeConfig::default().lint_config();
-            cgsim_lint::occupancy_bounds(&case.graph, &topo, &lint_cfg, &feed_lens)
+            cgsim_lint::occupancy_bounds(&subject.checked, &lint_cfg, &feed_lens)
         })
         .flatten();
     let bounds_ref = bounds.as_deref();
 
     // Reference leg: cooperative executor, default FIFO schedule.
     let Some(reference) = run_cooperative(
-        case,
-        &lib,
+        subject,
         &coop_spec("coop-fifo", Schedule::Fifo),
         None,
         bounds_ref,
         &mut failures,
     ) else {
-        return CaseVerdict {
-            seed: case.seed,
-            signature: case.signature.clone(),
-            legs,
-            compiled_rejected,
-            failures,
-        };
+        return verdict(legs, compiled_rejected, failures);
     };
     legs += 1;
     for (oi, spec) in case.outputs.iter().enumerate() {
@@ -146,8 +186,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     }
 
     if let Some(got) = run_cooperative(
-        case,
-        &lib,
+        subject,
         &coop_spec("coop-lifo", Schedule::Lifo),
         None,
         bounds_ref,
@@ -165,7 +204,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         coop_spec("coop-prof-full", Schedule::Fifo).profiling(Profiling::Full),
     ];
     for spec in &backend_specs {
-        if let Some(got) = run_cooperative(case, &lib, spec, None, bounds_ref, &mut failures) {
+        if let Some(got) = run_cooperative(subject, spec, None, bounds_ref, &mut failures) {
             legs += 1;
             compare_outputs(spec.label(), &got, &reference, case, &mut failures);
         }
@@ -175,11 +214,10 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     // compiling its own plan at launch, one handed the plan compiled
     // here — exactly the plan-reuse path `cgsim-serve` and `cgsim-pool`
     // sweeps take.
-    let lint = cgsim_lint::lint_graph(&case.graph, &cgsim_lint::LintConfig::default());
-    match compile_linted(&case.graph, &lint) {
+    match compile_linted(&subject.checked, &lint) {
         Ok(plan) => {
             for (label, plan) in [("compiled", None), ("compiled-reuse", Some(plan))] {
-                if let Some(got) = run_compiled(case, &lib, plan, label, &mut failures) {
+                if let Some(got) = run_compiled(subject, plan, label, &mut failures) {
                     legs += 1;
                     compare_outputs(label, &got, &reference, case, &mut failures);
                 }
@@ -209,8 +247,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         let s = perm_seed(case.seed, i as u64);
         let label = format!("coop-seeded({s:#018x})");
         if let Some(got) = run_cooperative(
-            case,
-            &lib,
+            subject,
             &coop_spec(label.clone(), Schedule::Seeded(s)),
             None,
             bounds_ref,
@@ -228,8 +265,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         // pushes — and hence peak occupancy — can exceed the fault-free
         // workload figure the static bound rests on.
         if let Some(got) = run_cooperative(
-            case,
-            &lib,
+            subject,
             &coop_spec(label.clone(), Schedule::Seeded(s)).faults(FaultPlan::new(s, 35)),
             None,
             None,
@@ -249,8 +285,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
     // different quantity than the all-consumers-open one the static
     // analysis bounds.
     if let Some(got) = run_cooperative(
-        case,
-        &lib,
+        subject,
         &coop_spec(label, Schedule::Fifo),
         Some(limit),
         None,
@@ -328,8 +363,7 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
             }
             let label = "coop-flood";
             if let Some((got, report)) = run_cooperative_report(
-                case,
-                &lib,
+                subject,
                 &coop_spec(label, Schedule::Fifo),
                 None,
                 Some(bounds),
@@ -360,21 +394,14 @@ pub fn check_case(case: &GeneratedCase, schedules: u32) -> CaseVerdict {
         }
     }
 
-    if let Some(got) = run_threaded(case, &lib, "threaded", &mut failures) {
+    if let Some(got) = run_threaded(subject, "threaded", &mut failures) {
         legs += 1;
         compare_outputs("threaded", &got, &reference, case, &mut failures);
     }
 
     legs += 1;
     run_aiesim(case, "aie-sim", &mut failures);
-
-    CaseVerdict {
-        seed: case.seed,
-        signature: case.signature.clone(),
-        legs,
-        compiled_rejected,
-        failures,
-    }
+    verdict(legs, compiled_rejected, failures)
 }
 
 /// Compare every output of one leg against the reference leg.
@@ -427,14 +454,13 @@ fn compare_one(
 /// channel has been popped by every reader (kernel consumers plus the bound
 /// sink). With an early-closing sink only the inequality direction holds.
 fn check_conservation(
-    case: &GeneratedCase,
+    checked: &CheckedGraph,
     channels: &[(String, ChannelStats)],
     strict: bool,
     label: &str,
     failures: &mut Vec<String>,
 ) {
-    let graph = &case.graph;
-    let topo = Topology::of(graph);
+    let (graph, topo) = (checked.graph(), checked.topology());
     let by_name: HashMap<String, usize> = (0..graph.connectors.len())
         .map(|ci| (graph.connector_name(ci), ci))
         .collect();
@@ -474,24 +500,21 @@ fn coop_spec(label: impl Into<String>, schedule: Schedule) -> RunSpec {
 /// `bounds` is given, the runtime's bounds-check mode is armed with it and
 /// any recorded violation is a failure.
 fn run_cooperative(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
+    s: &Subject,
     spec: &RunSpec,
     bound_limit: Option<usize>,
     bounds: Option<&[u64]>,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
-    run_cooperative_report(case, lib, spec, bound_limit, bounds, None, None, failures)
+    run_cooperative_report(s, spec, bound_limit, bounds, None, None, failures)
         .map(|(outputs, _)| outputs)
 }
 
 /// [`run_cooperative`] returning the full [`RunReport`] too, with an
 /// optional custom schedule policy (the flood leg's demotion schedule) or
 /// cached plan to hand a `Compiled` spec (the compiled legs).
-#[allow(clippy::too_many_arguments)]
 fn run_cooperative_report(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
+    s: &Subject,
     spec: &RunSpec,
     bound_limit: Option<usize>,
     bounds: Option<&[u64]>,
@@ -499,6 +522,7 @@ fn run_cooperative_report(
     plan: Option<CompiledPlan>,
     failures: &mut Vec<String>,
 ) -> Option<(Vec<Vec<i64>>, RunReport)> {
+    let Subject { case, checked, lib } = s;
     let label = spec.label();
     // Traced, so the invariant pass below checks the event stream as well
     // as the channel-counter conservation law.
@@ -553,7 +577,7 @@ fn run_cooperative_report(
         ));
     }
     check_conservation(
-        case,
+        checked,
         &report.channels,
         bound_limit.is_none(),
         label,
@@ -576,15 +600,13 @@ fn run_cooperative_report(
 /// so it gets every check those legs get, plus the plan's own guarantee
 /// that its capacities are never exceeded (`blocked_writes == 0`).
 fn run_compiled(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
+    s: &Subject,
     plan: Option<CompiledPlan>,
     label: &str,
     failures: &mut Vec<String>,
 ) -> Option<Vec<Vec<i64>>> {
     let spec = coop_spec(label, Schedule::Fifo).backend(Backend::Compiled);
-    let (outputs, report) =
-        run_cooperative_report(case, lib, &spec, None, None, None, plan, failures)?;
+    let (outputs, report) = run_cooperative_report(s, &spec, None, None, None, plan, failures)?;
     for (name, stats) in &report.channels {
         if stats.blocked_writes != 0 {
             failures.push(format!(
@@ -598,12 +620,8 @@ fn run_compiled(
 }
 
 /// The thread-per-kernel leg (the paper's x86sim counterpart).
-fn run_threaded(
-    case: &GeneratedCase,
-    lib: &KernelLibrary,
-    label: &str,
-    failures: &mut Vec<String>,
-) -> Option<Vec<Vec<i64>>> {
+fn run_threaded(s: &Subject, label: &str, failures: &mut Vec<String>) -> Option<Vec<Vec<i64>>> {
+    let Subject { case, checked, lib } = s;
     let spec = RunSpec::for_graph(label).backend(Backend::Threaded);
     let mut ctx = match RuntimeContext::from_spec(&case.graph, lib, &spec) {
         Ok(ctx) => ctx,
@@ -635,7 +653,7 @@ fn run_threaded(
             return None;
         }
     };
-    check_conservation(case, &report.channels, true, label, failures);
+    check_conservation(checked, &report.channels, true, label, failures);
     Some(sinks.iter().map(|h| h.take()).collect())
 }
 

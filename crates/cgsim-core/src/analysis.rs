@@ -1,34 +1,28 @@
 //! Structural graph analysis.
 //!
 //! [`Topology`] is the one derived view of a [`FlatGraph`] and the one
-//! owner of endpoint lookup: which kernel ports write or read a connector.
-//! Every layer that asks builds one `Topology` per graph, in one
-//! O(kernels + ports) pass, or is handed one. On that index sit the
-//! kernel-level dataflow relation, its one topological order and feedback
-//! (cycle) detection: feedback is legal in the dataflow model but needs
-//! explicit FIFO depth to avoid deadlock, so tools want to know about it.
+//! owner of endpoint lookup: which kernel ports write or read a connector,
+//! and the one topological order over kernels built on that index.
+//! [`CheckedGraph`] pairs a graph with its index once the structural check
+//! has passed on it, so every layer below an entry point reads one index
+//! and never checks again.
 
-use crate::flat::{Endpoint, FlatGraph, FlatPort};
+use crate::error::GraphError;
+use crate::flat::{Endpoint, FlatGraph};
 use crate::id::{ConnectorId, KernelId};
 use crate::kernel::PortDir;
 use std::collections::BTreeSet;
 
-/// Kernel-level dataflow topology of a graph over its connector index.
+/// The connector index of a graph: each connector's writing and reading
+/// kernel ports, and whether it is a global input or output.
 ///
-/// `succ[k]` lists the kernels fed by kernel `k` (deduplicated, in id
-/// order). [`Topology::of`] builds the index in O(kernels + ports +
-/// connectors); each query is then O(1). Ports and global ids out of range
-/// are left out (`FlatGraph::structural_findings` reports them as `CG006`).
+/// [`Topology::of`] builds it in O(kernels + ports + connectors); each
+/// query is then O(1). Ports and global ids out of range are left out
+/// (`FlatGraph::structural_findings` reports them as `CG006`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
-    /// Successor kernels per kernel.
-    pub succ: Vec<Vec<KernelId>>,
-    /// Predecessor kernels per kernel.
-    pub pred: Vec<Vec<KernelId>>,
-    /// Kernels reading at least one global input.
-    pub entry: Vec<KernelId>,
-    /// Kernels writing at least one global output.
-    pub exit: Vec<KernelId>,
+    /// Number of kernels in the graph.
+    kernels: usize,
     /// Endpoints grouped by connector: connector `c`'s writers are
     /// `ends[start[2c]..start[2c + 1]]` and its readers
     /// `ends[start[2c + 1]..start[2c + 2]]`, each in kernel/port order.
@@ -39,7 +33,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Build the connector index and kernel-level topology of `graph`.
+    /// Build the connector index of `graph`.
     pub fn of(graph: &FlatGraph) -> Topology {
         let ncon = graph.connectors.len();
         // A stable counting sort of the ports into slots: 2c for c's
@@ -64,21 +58,6 @@ impl Topology {
             ends[next[slot]] = end;
             next[slot] += 1;
         }
-        let n = graph.kernels.len();
-        let (mut succ, mut pred) = (vec![Vec::new(); n], vec![Vec::new(); n]);
-        for c in 0..ncon {
-            let [w, r, end] = [2 * c, 2 * c + 1, 2 * c + 2].map(|slot| start[slot]);
-            for p in &ends[w..r] {
-                for q in &ends[r..end] {
-                    succ[p.kernel.index()].push(q.kernel);
-                    pred[q.kernel.index()].push(p.kernel);
-                }
-            }
-        }
-        for list in succ.iter_mut().chain(&mut pred) {
-            list.sort_unstable();
-            list.dedup();
-        }
         let flags = |globals: &[ConnectorId]| {
             let mut flag = vec![false; ncon];
             for c in globals.iter().filter(|c| c.index() < ncon) {
@@ -86,23 +65,12 @@ impl Topology {
             }
             flag
         };
-        let (global_input, global_output) = (flags(&graph.inputs), flags(&graph.outputs));
-        let touching = |flag: &[bool]| -> Vec<KernelId> {
-            let touches = |p: &FlatPort| flag.get(p.connector.index()) == Some(&true);
-            (graph.kernels.iter().enumerate())
-                .filter(|(_, k)| k.ports.iter().any(touches))
-                .map(|(ki, _)| KernelId::new(ki))
-                .collect()
-        };
         Topology {
-            succ,
-            pred,
-            entry: touching(&global_input),
-            exit: touching(&global_output),
+            kernels: graph.kernels.len(),
             ends,
             start,
-            global_input,
-            global_output,
+            global_input: flags(&graph.inputs),
+            global_output: flags(&graph.outputs),
         }
     }
 
@@ -145,26 +113,76 @@ impl Topology {
     /// the one closest to declaration order, the same on every call (the
     /// schedule golden files pin it). `None` if the graph contains a
     /// feedback cycle.
+    ///
+    /// Each (writing port, reading port) pair of a connector is one edge,
+    /// counted once into its reader's in-degree and once out of it when
+    /// its writer is released, so a kernel is released with its last
+    /// producer.
     pub fn topo_order(&self) -> Option<Vec<KernelId>> {
-        let n = self.succ.len();
-        let mut indegree: Vec<usize> = self.pred.iter().map(Vec::len).collect();
-        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
+        // Every writing port as (kernel, connector), grouped by kernel;
+        // there is one global-input flag per connector.
+        let mut writes: Vec<(usize, ConnectorId)> = (0..self.global_input.len())
+            .map(ConnectorId::new)
+            .flat_map(|c| self.producers(c).iter().map(move |p| (p.kernel.index(), c)))
+            .collect();
+        writes.sort_unstable_by_key(|&(k, _)| k);
+        let mut indegree = vec![0usize; self.kernels];
+        for &(_, c) in &writes {
+            for q in self.consumers(c) {
+                indegree[q.kernel.index()] += 1;
+            }
+        }
+        let mut ready: BTreeSet<usize> = (0..self.kernels).filter(|&k| indegree[k] == 0).collect();
+        let mut order = Vec::with_capacity(self.kernels);
         while let Some(k) = ready.pop_first() {
             order.push(KernelId::new(k));
-            for s in &self.succ[k] {
-                indegree[s.index()] -= 1;
-                if indegree[s.index()] == 0 {
-                    ready.insert(s.index());
+            let from = writes.partition_point(|&(w, _)| w < k);
+            for &(_, c) in writes[from..].iter().take_while(|&&(w, _)| w == k) {
+                for q in self.consumers(c) {
+                    indegree[q.kernel.index()] -= 1;
+                    if indegree[q.kernel.index()] == 0 {
+                        ready.insert(q.kernel.index());
+                    }
                 }
             }
         }
-        (order.len() == n).then_some(order)
+        (order.len() == self.kernels).then_some(order)
+    }
+}
+
+/// A [`FlatGraph`] that passed the structural check, with the connector
+/// index the check ran on.
+///
+/// [`CheckedGraph::new`] is the only constructor and the one way to assert
+/// that a graph is valid: a function that takes a `&CheckedGraph` needs no
+/// check of its own and builds no index. Entry points that receive a
+/// `FlatGraph` from outside build one `CheckedGraph` and hand it down.
+#[derive(Clone, Debug)]
+pub struct CheckedGraph<'g> {
+    graph: &'g FlatGraph,
+    topology: Topology,
+}
+
+impl<'g> CheckedGraph<'g> {
+    /// Build `graph`'s connector index and run the structural check on it:
+    /// the first of its `FlatGraph::structural_findings` is the error.
+    pub fn new(graph: &'g FlatGraph) -> Result<Self, GraphError> {
+        let topology = Topology::of(graph);
+        let findings = graph.structural_findings(&topology).findings;
+        match findings.into_iter().next() {
+            Some((e, _)) => Err(e),
+            None => Ok(CheckedGraph { graph, topology }),
+        }
     }
 
-    /// Whether the kernel dataflow contains a feedback cycle.
-    pub fn has_feedback(&self) -> bool {
-        self.topo_order().is_none()
+    /// The checked graph.
+    pub fn graph(&self) -> &'g FlatGraph {
+        self.graph
+    }
+
+    /// The graph's connector index.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 }
 
@@ -227,42 +245,11 @@ mod tests {
     fn chain_topology() {
         let g = chain(4);
         let t = Topology::of(&g);
-        assert_eq!(t.entry, vec![KernelId::new(0)]);
-        assert_eq!(t.exit, vec![KernelId::new(3)]);
-        assert_eq!(t.succ[0], vec![KernelId::new(1)]);
-        assert_eq!(t.pred[3], vec![KernelId::new(2)]);
-        assert!(!t.has_feedback());
-        let order = t.topo_order().unwrap();
-        assert_eq!(order.len(), 4);
-        // Order respects edges.
-        let pos = |k: KernelId| order.iter().position(|x| *x == k).unwrap();
-        for (i, succs) in t.succ.iter().enumerate() {
-            for s in succs {
-                assert!(pos(KernelId::new(i)) < pos(*s));
-            }
-        }
-    }
-
-    #[test]
-    fn diamond_topology() {
-        // a → p0 → {p1, p2} → join → out
-        let g = GraphBuilder::build("diamond", |g| {
-            let a = g.input::<i32>("a");
-            let m = g.wire::<i32>();
-            let x = g.wire::<i32>();
-            let y = g.wire::<i32>();
-            let z = g.wire::<i32>();
-            g.invoke::<P>(&[a.id(), m.id()])?;
-            g.invoke::<P>(&[m.id(), x.id()])?;
-            g.invoke::<P>(&[m.id(), y.id()])?;
-            g.invoke::<Join>(&[x.id(), y.id(), z.id()])?;
-            g.output(&z);
-            Ok(())
-        })
-        .unwrap();
-        let t = Topology::of(&g);
-        assert_eq!(t.succ[0], vec![KernelId::new(1), KernelId::new(2)]);
-        assert!(!t.has_feedback());
+        let kernels = |ends: &[Endpoint]| ends.iter().map(|e| e.kernel.index()).collect::<Vec<_>>();
+        assert_eq!(kernels(t.consumers(g.inputs[0])), [0]);
+        assert_eq!(kernels(t.producers(g.outputs[0])), [3]);
+        assert_eq!(kernels(t.producers(ConnectorId::new(1))), [0]);
+        assert_eq!(kernels(t.consumers(ConnectorId::new(1))), [1]);
         let order: Vec<usize> = t.topo_order().unwrap().iter().map(|k| k.index()).collect();
         assert_eq!(order, [0, 1, 2, 3]);
     }
@@ -284,9 +271,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let t = Topology::of(&g);
-        assert!(t.has_feedback());
-        assert!(t.topo_order().is_none());
+        assert!(Topology::of(&g).topo_order().is_none());
     }
 
     #[test]
@@ -316,10 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn single_kernel_is_its_own_entry_and_exit() {
-        let g = chain(1);
-        let t = Topology::of(&g);
-        assert_eq!(t.topo_order(), Some(vec![KernelId::new(0)]));
-        assert_eq!(t.entry, t.exit);
+    fn checked_graph_keeps_the_index_its_check_ran_on() {
+        let g = chain(2);
+        let checked = CheckedGraph::new(&g).unwrap();
+        assert_eq!(checked.topology(), &Topology::of(&g));
+        assert!(std::ptr::eq(checked.graph(), &g));
+        let mut broken = g.clone();
+        broken.outputs.clear();
+        let err = CheckedGraph::new(&broken).unwrap_err();
+        assert_eq!(err.code(), "CG005");
+        assert_eq!(broken.validate().unwrap_err(), err);
     }
 }

@@ -40,7 +40,6 @@
 //! assert_eq!(graph.kernels.len(), 2);
 //! ```
 
-use crate::analysis::Topology;
 use crate::attrs::{AttrList, AttrValue};
 use crate::dtype::{DTypeDesc, StreamData};
 use crate::error::{GraphError, Result};
@@ -291,9 +290,8 @@ impl GraphBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
         };
-        let topo = Topology::of(&graph);
-        for ci in 0..graph.connectors.len() {
-            let merged = graph.merged_settings(&topo, ConnectorId::new(ci))?;
+        for (ci, merged) in graph.merged_settings().into_iter().enumerate() {
+            let merged = merged?;
             graph.connectors[ci].settings = merged;
             graph.connectors[ci].kind = PortKind::from_settings(&merged);
         }
@@ -305,6 +303,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Topology;
     use crate::kernel::PortSig;
     use crate::realm::Realm;
 

@@ -16,9 +16,11 @@
 //!
 //! `FlatGraph` is plain data: ports name their connectors, and nothing here
 //! scans them. [`crate::analysis::Topology`] owns endpoint lookup (one
-//! O(kernels + ports) pass); the methods below that need it build one.
+//! O(kernels + ports) pass), and [`crate::analysis::CheckedGraph`] is a
+//! graph that passed [`FlatGraph::structural_findings`] with the index the
+//! check ran on.
 
-use crate::analysis::Topology;
+use crate::analysis::{CheckedGraph, Topology};
 use crate::attrs::AttrList;
 use crate::dtype::DTypeDesc;
 use crate::error::{check_index, GraphError, Result};
@@ -162,18 +164,6 @@ fn first_difference(
 }
 
 impl FlatGraph {
-    /// Kernel by id (checked).
-    pub fn kernel(&self, id: KernelId) -> Result<&FlatKernel> {
-        check_index("kernel", id.index(), self.kernels.len())?;
-        Ok(&self.kernels[id.index()])
-    }
-
-    /// Connector by id (checked).
-    pub fn connector(&self, id: ConnectorId) -> Result<&FlatConnector> {
-        check_index("connector", id.index(), self.connectors.len())?;
-        Ok(&self.connectors[id.index()])
-    }
-
     /// Display name of connector `ci`: the builder-given name when there
     /// is one (`g.input::<T>("a")`), else positional `c{ci}` — the name
     /// every engine's channel report, trace and rendered table uses.
@@ -202,9 +192,10 @@ impl FlatGraph {
         stats
     }
 
-    /// Every structural finding on the graph, in check order — the one
-    /// implementation of the invariants [`FlatGraph::validate`] enforces
-    /// and `cgsim-lint` reports.
+    /// Every structural finding on the graph, in check order, over its
+    /// connector index `topo` ([`Topology::of`] the graph) — the one
+    /// implementation of the invariants [`CheckedGraph::new`] enforces and
+    /// `cgsim-lint` reports.
     ///
     /// Builder-produced graphs have none; the check exists because
     /// flattened graphs also arrive from the extractor's interpreter and
@@ -221,7 +212,7 @@ impl FlatGraph {
     ///    merge equals its stored settings (`CG013`) (§3.4).
     ///
     /// Step 4 runs only when every id is in range.
-    pub fn structural_findings(&self) -> StructuralFindings {
+    pub fn structural_findings(&self, topo: &Topology) -> StructuralFindings {
         let ncon = self.connectors.len();
         let mut findings = Vec::new();
         for id in self.inputs.iter().chain(&self.outputs) {
@@ -266,8 +257,10 @@ impl FlatGraph {
             .iter()
             .any(|(e, _)| matches!(e, GraphError::IdOutOfRange { .. }));
         let checked = if out_of_range { 0 } else { ncon };
-        let topo = Topology::of(self);
-        for (ci, connector) in self.connectors.iter().enumerate().take(checked) {
+        let merged = self.merged_settings();
+        for (ci, (connector, merged)) in
+            self.connectors.iter().zip(merged).enumerate().take(checked)
+        {
             let c = ConnectorId::new(ci);
             if topo.writers(c) == 0 {
                 findings.push((GraphError::DanglingConnector { connector: c }, None));
@@ -275,7 +268,7 @@ impl FlatGraph {
             if topo.readers(c) == 0 {
                 findings.push((GraphError::UnconsumedConnector { connector: c }, None));
             }
-            let error = match self.merged_settings(&topo, c) {
+            let error = match merged {
                 Err(conflict) => conflict,
                 Ok(merged) => match first_difference(connector.settings, merged) {
                     Some((field, stored, declared)) => GraphError::SettingsMismatch {
@@ -295,29 +288,32 @@ impl FlatGraph {
         }
     }
 
-    /// The settings every endpoint of `c` shares: the merge of what its
-    /// ports declare with what the connector stores (§3.4), or the first
-    /// conflict (`CG003`).
-    pub(crate) fn merged_settings(&self, topo: &Topology, c: ConnectorId) -> Result<PortSettings> {
-        // Merge in kernel/port order, whatever each port's direction, so a
-        // conflict names its two values in declaration order.
-        let mut ends: Vec<Endpoint> = [topo.producers(c), topo.consumers(c)].concat();
-        ends.sort_unstable_by_key(|e| (e.kernel, e.port));
-        let declared = ends
-            .iter()
-            .map(|e| self.kernels[e.kernel.index()].ports[e.port].settings);
-        PortSettings::merge_all(declared)
-            .and_then(|merged| merged.merge(self.connectors[c.index()].settings))
-            .map_err(|conflict| (c, conflict).into())
+    /// Per connector, the settings every endpoint shares: the merge of
+    /// what its ports declare, in kernel/port order so a conflict names its
+    /// two values in declaration order, with what the connector stores
+    /// (§3.4); or the first conflict (`CG003`). Ports whose connector id
+    /// is out of range are left out.
+    pub(crate) fn merged_settings(&self) -> Vec<Result<PortSettings>> {
+        let mut merged = vec![Ok(PortSettings::DEFAULT); self.connectors.len()];
+        for p in self.kernels.iter().flat_map(|k| &k.ports) {
+            if let Some(m) = merged.get_mut(p.connector.index()) {
+                *m = m.and_then(|acc: PortSettings| acc.merge(p.settings));
+            }
+        }
+        (merged.into_iter().zip(&self.connectors).enumerate())
+            .map(|(ci, (m, c))| {
+                m.and_then(|acc| acc.merge(c.settings))
+                    .map_err(|conflict| (ConnectorId::new(ci), conflict).into())
+            })
+            .collect()
     }
 
     /// Validate the structural invariants of a flattened graph: the first
-    /// of its [`FlatGraph::structural_findings`], or `Ok`.
+    /// of its [`FlatGraph::structural_findings`], or `Ok`. A caller that
+    /// goes on to analyse or run the graph builds a [`CheckedGraph`]
+    /// instead, and keeps the index.
     pub fn validate(&self) -> Result<()> {
-        match self.structural_findings().findings.into_iter().next() {
-            Some((e, _)) => Err(e),
-            None => Ok(()),
-        }
+        CheckedGraph::new(self).map(drop)
     }
 
     /// Set of realms present in the graph, in [`Realm::ALL`] order.
@@ -441,7 +437,7 @@ mod tests {
         g.outputs.push(ConnectorId::new(2)); // CG007
         g.connectors[1].dtype = DTypeDesc::of::<f64>(); // CG001 on both ports
         g.kernels[1].ports[1].settings = PortSettings::new().beat_bytes(4); // CG013
-        let found = g.structural_findings();
+        let found = g.structural_findings(&Topology::of(&g));
         assert!(!found.out_of_range);
         let codes: Vec<_> = found.findings.iter().map(|(e, _)| e.code()).collect();
         assert_eq!(codes, ["CG007", "CG001", "CG001", "CG013"]);
@@ -458,7 +454,7 @@ mod tests {
         // An out-of-range id stops before the per-connector checks.
         g.inputs.clear(); // c0 would now be dangling
         g.kernels[0].ports[0].connector = ConnectorId::new(99);
-        let found = g.structural_findings();
+        let found = g.structural_findings(&Topology::of(&g));
         assert!(found.out_of_range);
         let codes: Vec<_> = found.findings.iter().map(|(e, _)| e.code()).collect();
         assert_eq!(codes, ["CG007", "CG006", "CG001", "CG001"]);

@@ -38,7 +38,7 @@ pub mod schedule;
 pub mod settings;
 pub mod static_graph;
 
-pub use analysis::Topology;
+pub use analysis::{CheckedGraph, Topology};
 pub use attrs::{AttrList, AttrValue, Attribute};
 pub use builder::{Connector, GraphBuilder};
 pub use dot::{to_dot, to_dot_styled, DotStyle};

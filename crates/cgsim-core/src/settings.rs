@@ -131,18 +131,6 @@ impl PortSettings {
             ping_pong: self.ping_pong || other.ping_pong,
         })
     }
-
-    /// Fold-merge an endpoint list. Empty input yields the default settings.
-    pub fn merge_all<I>(endpoints: I) -> Result<PortSettings, SettingsConflict>
-    where
-        I: IntoIterator<Item = PortSettings>,
-    {
-        let mut acc = PortSettings::DEFAULT;
-        for s in endpoints {
-            acc = acc.merge(s)?;
-        }
-        Ok(acc)
-    }
 }
 
 impl Default for PortSettings {
@@ -257,19 +245,6 @@ mod tests {
         };
         assert_eq!(MERGED.beat_bytes, 16);
         assert_eq!(MERGED.depth, 4);
-    }
-
-    #[test]
-    fn merge_all_folds_left() {
-        let merged = PortSettings::merge_all([
-            PortSettings::new().beat_bytes(16),
-            PortSettings::new().depth(8),
-            PortSettings::new().ping_pong(),
-        ])
-        .unwrap();
-        assert_eq!(merged.beat_bytes, 16);
-        assert_eq!(merged.depth, 8);
-        assert!(merged.ping_pong);
     }
 
     #[test]

@@ -39,17 +39,18 @@ pub(crate) struct Expected<T> {
 pub(crate) type Slot<T> = Mutex<Option<(u64, Arc<Expected<T>>)>>;
 
 /// `blocks` blocks of `block_elems` input elements, or an error naming
-/// `app` and `blocks` when that count overflows `usize`.
-fn element_count(app: &str, blocks: u64, block_elems: usize) -> Result<usize, String> {
+/// `app` and `blocks` when that count overflows `usize`. The one rule for
+/// an app run's element count, which the serve daemon also refuses by.
+pub fn element_count(app: &str, blocks: u64, block_elems: u64) -> Result<usize, String> {
     blocks
-        .checked_mul(block_elems as u64)
+        .checked_mul(block_elems)
         .and_then(|elems| usize::try_from(elems).ok())
         .ok_or_else(|| format!("{app}: {blocks} blocks overflow the element count"))
 }
 
 /// [`element_count`] for the input functions, which panic instead.
 pub(crate) fn input_len(app: &str, blocks: u64, block_elems: usize) -> usize {
-    element_count(app, blocks, block_elems).unwrap_or_else(|e| panic!("{e}"))
+    element_count(app, blocks, block_elems as u64).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One app's part of the shared run path.
@@ -95,7 +96,7 @@ impl<I: Iterator<Item: StreamData> + 'static, TOut: StreamData + PartialEq> Harn
         blocks: u64,
         launch: Launch,
     ) -> Result<AppRun, String> {
-        element_count(app.name(), blocks, self.block_elems)?;
+        element_count(app.name(), blocks, self.block_elems as u64)?;
         let expected = self.expected(blocks);
         let (graph, lib) = (app.graph(), app.library());
         let text = |e: GraphError| e.to_string();

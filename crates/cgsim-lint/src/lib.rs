@@ -4,7 +4,9 @@
 //! discovers topology mistakes only when the simulation stalls or
 //! `aiecompiler` rejects the design. This crate moves those discoveries
 //! ahead of any execution: [`lint_graph`] runs a suite of passes over a
-//! [`FlatGraph`] and returns a [`LintReport`] of coded diagnostics.
+//! [`FlatGraph`] and returns a [`LintReport`] of coded diagnostics;
+//! [`lint_checked`] runs the passes past the structural one over a
+//! [`CheckedGraph`].
 //!
 //! ## Lint codes
 //!
@@ -49,7 +51,7 @@ pub use passes::bounds::{cost_estimate, occupancy_bounds, workload_tokens};
 pub use passes::port_rate;
 pub use style::{bounds_labels, dot_style};
 
-use cgsim_core::{FlatGraph, GraphError, Topology};
+use cgsim_core::{CheckedGraph, FlatGraph, GraphError, Topology};
 
 /// What to do with Error-severity lint findings before running or deploying
 /// a graph.
@@ -96,7 +98,8 @@ impl VerifyPolicy {
     }
 }
 
-/// Run every lint pass over `graph` and collect the findings.
+/// Run every lint pass over `graph`, which may be broken, and collect the
+/// findings.
 ///
 /// Passes run in order: structural integrity (`CG00x`), reachability
 /// (`CG040`/`CG041`), deadlock and capacity (`CG02x`), rate balance
@@ -104,20 +107,24 @@ impl VerifyPolicy {
 /// static bounds (`CG06x`, which also attaches [`LintReport::bounds`]).
 /// If the descriptor has out-of-range indices the structural findings are
 /// returned alone — the deeper passes cannot index into a corrupt graph.
-/// Otherwise one [`Topology`] is built and every later pass reads it, so
-/// the whole run is linear in the graph.
+/// One [`Topology`] is built, and the structural pass and every later pass
+/// read it, so the whole run is linear in the graph.
 pub fn lint_graph(graph: &FlatGraph, config: &LintConfig) -> LintReport {
-    let mut report = LintReport::new(&graph.name);
-    if passes::structural(graph, &mut report) {
-        return report;
-    }
     let topo = Topology::of(graph);
-    let drains = passes::reachability(graph, &topo, &mut report);
-    passes::deadlock::check(graph, &topo, config, &mut report);
-    passes::rates::check(graph, &topo, &mut report);
-    passes::shape(graph, &topo, &drains, &mut report);
-    passes::budget::check(graph, &mut report);
-    passes::bounds::check(graph, &topo, config, &mut report);
+    let mut report = LintReport::new(&graph.name);
+    if !passes::structural(graph, &topo, &mut report) {
+        passes::deep(graph, &topo, config, &mut report);
+    }
+    report
+}
+
+/// [`lint_graph`] of a graph that passed the structural check: the deeper
+/// passes over the index it keeps. The report is the one [`lint_graph`]
+/// renders for the same graph.
+pub fn lint_checked(checked: &CheckedGraph, config: &LintConfig) -> LintReport {
+    let graph = checked.graph();
+    let mut report = LintReport::new(&graph.name);
+    passes::deep(graph, checked.topology(), config, &mut report);
     report
 }
 
@@ -611,20 +618,20 @@ mod tests {
     #[test]
     fn workload_functions_predict_pipeline_traffic() {
         let g = pipeline();
-        let topo = Topology::of(&g);
+        let g = CheckedGraph::new(&g).unwrap();
         let cfg = LintConfig::default();
         // 10 elements in → 10 across every connector of a 1:1 pipeline.
-        assert_eq!(workload_tokens(&g, &topo, &[10]), Some(vec![10, 10, 10]));
+        assert_eq!(workload_tokens(&g, &[10]), Some(vec![10, 10, 10]));
         // Occupancy bound: a starved channel fills to the workload,
         // capacity permitting.
-        let bounds = |feed| occupancy_bounds(&g, &topo, &cfg, &[feed]);
+        let bounds = |feed| occupancy_bounds(&g, &cfg, &[feed]);
         assert_eq!(bounds(10), Some(vec![10, 10, 10]));
         assert_eq!(
             bounds(100),
             Some(vec![64, 64, 64]),
             "capacity caps the bound"
         );
-        let cost = cost_estimate(&g, &topo, &[10]).unwrap();
+        let cost = cost_estimate(&g, &[10]).unwrap();
         assert_eq!(cost.tokens, 30);
         assert_eq!(cost.firings, 20);
         assert!(cost.polls_hint >= cost.firings + 2 * cost.tokens);
@@ -669,7 +676,7 @@ mod tests {
             outputs: vec![ConnectorId::new(3)],
         };
         let cfg = LintConfig::default();
-        let bounds = occupancy_bounds(&g, &Topology::of(&g), &cfg, &[50]).unwrap();
+        let bounds = occupancy_bounds(&CheckedGraph::new(&g).unwrap(), &cfg, &[50]).unwrap();
         // c1: workload 50 < default depth 64, so the workload binds.
         assert_eq!(bounds[1], 50);
         // c2: its own depth 2 binds.
@@ -687,9 +694,8 @@ mod tests {
             inputs: vec![],
             outputs: vec![ConnectorId::new(0)],
         };
-        let topo = Topology::of(&g);
         assert_eq!(
-            occupancy_bounds(&g, &topo, &LintConfig::default(), &[]),
+            occupancy_bounds(&CheckedGraph::new(&g).unwrap(), &LintConfig::default(), &[]),
             None
         );
     }

@@ -44,7 +44,7 @@ use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use crate::passes::port_rate;
 use cgsim_core::schedule::{gcd, ConnectorBounds, CostEstimate, GraphBounds, Rational};
-use cgsim_core::{ConnectorId, Endpoint, FlatGraph, PortDir, PortKind, Topology};
+use cgsim_core::{CheckedGraph, ConnectorId, Endpoint, FlatGraph, PortDir, PortKind, Topology};
 
 /// Firings per period beyond which `CG064` flags the schedule as too large
 /// for period-unrolled reasoning to stay cheaper than simulation.
@@ -180,9 +180,11 @@ fn graph_bounds(
     let mut chain = vec![0u64; graph.kernels.len()];
     for &k in &order {
         let ki = k.index();
-        let longest_pred = topo.pred[ki]
-            .iter()
-            .map(|p| chain[p.index()])
+        // A kernel's predecessors write the connectors its inputs read.
+        let longest_pred = (graph.kernels[ki].ports.iter())
+            .filter(|p| p.dir == PortDir::In)
+            .flat_map(|p| topo.producers(p.connector))
+            .map(|e| chain[e.kernel.index()])
             .max()
             .unwrap_or(0);
         chain[ki] = longest_pred.saturating_add(firing.count(k));
@@ -210,26 +212,23 @@ fn graph_bounds(
 /// a kernel fires as often as its scarcest token input allows, and each
 /// firing emits its output rates. `feed_lens[i]` is the number of elements
 /// fed to global input `i` (missing entries read as 0). `None` when the
-/// kernel dataflow is cyclic. `topo` is [`Topology::of`] `graph`.
+/// kernel dataflow is cyclic.
 ///
 /// This is the total ever *pushed* through each connector — an exact,
 /// capacity-independent upper bound on its occupancy, and the figure the
 /// compiled backend sizes its flat buffers from so that no write can ever
 /// block.
-pub fn workload_tokens(graph: &FlatGraph, topo: &Topology, feed_lens: &[u64]) -> Option<Vec<u64>> {
-    propagate(graph, topo, feed_lens).map(|p| p.tokens)
+pub fn workload_tokens(checked: &CheckedGraph, feed_lens: &[u64]) -> Option<Vec<u64>> {
+    propagate(checked, feed_lens).map(|p| p.tokens)
 }
 
-/// Static cost estimate for running `graph` over the given feed lengths:
-/// total tokens moved, total kernel firings, and a heuristic poll-count
-/// prediction for the cooperative executor. `None` when the kernel
-/// dataflow is cyclic. `topo` is [`Topology::of`] `graph`.
-pub fn cost_estimate(
-    graph: &FlatGraph,
-    topo: &Topology,
-    feed_lens: &[u64],
-) -> Option<CostEstimate> {
-    let p = propagate(graph, topo, feed_lens)?;
+/// Static cost estimate for running the graph over the given feed
+/// lengths: total tokens moved, total kernel firings, and a heuristic
+/// poll-count prediction for the cooperative executor. `None` when the
+/// kernel dataflow is cyclic.
+pub fn cost_estimate(checked: &CheckedGraph, feed_lens: &[u64]) -> Option<CostEstimate> {
+    let graph = checked.graph();
+    let p = propagate(checked, feed_lens)?;
     let tokens = p.tokens.iter().fold(0u64, |a, &b| a.saturating_add(b));
     let firings = p.firings.iter().fold(0u64, |a, &b| a.saturating_add(b));
     // One poll per firing, roughly a push poll and a pop poll per token,
@@ -260,13 +259,13 @@ pub fn cost_estimate(
 /// `cfg.effective_default_depth()`), so the bound is directly comparable
 /// to `ChannelStats::max_occupancy`. Fault injection breaks the second
 /// leg — replayed sends inflate push totals — so bounds must not be armed
-/// on faulty runs. `topo` is [`Topology::of`] `graph`.
+/// on faulty runs.
 pub fn occupancy_bounds(
-    graph: &FlatGraph,
-    topo: &Topology,
+    checked: &CheckedGraph,
     cfg: &LintConfig,
     feed_lens: &[u64],
 ) -> Option<Vec<u64>> {
+    let graph = checked.graph();
     if graph.kernels.iter().any(|k| {
         !k.ports
             .iter()
@@ -274,7 +273,7 @@ pub fn occupancy_bounds(
     }) {
         return None;
     }
-    let workload = workload_tokens(graph, topo, feed_lens)?;
+    let workload = workload_tokens(checked, feed_lens)?;
     Some(
         workload
             .iter()
@@ -291,8 +290,9 @@ struct Propagated {
     firings: Vec<u64>,
 }
 
-fn propagate(graph: &FlatGraph, topo: &Topology, feed_lens: &[u64]) -> Option<Propagated> {
-    let order = topo.topo_order()?;
+fn propagate(checked: &CheckedGraph, feed_lens: &[u64]) -> Option<Propagated> {
+    let graph = checked.graph();
+    let order = checked.topology().topo_order()?;
     let mut tokens = vec![0u64; graph.connectors.len()];
     for (i, c) in graph.inputs.iter().enumerate() {
         let fed = feed_lens.get(i).copied().unwrap_or(0);

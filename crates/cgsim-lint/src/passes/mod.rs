@@ -1,15 +1,17 @@
 //! The lint passes.
 //!
 //! Pass order matters: [`structural`] reports the invariants of
-//! [`FlatGraph::validate`] first and whether the descriptor is too
-//! corrupted (out-of-range indices) for the deeper passes to run safely.
-//! The remaining passes assume indices are in range but nothing else.
+//! [`cgsim_core::CheckedGraph::new`] first and whether the descriptor is
+//! too corrupted (out-of-range indices) for the deeper passes to run
+//! safely. The remaining passes, [`deep`], assume indices are in range
+//! but nothing else.
 
 pub mod bounds;
 pub mod budget;
 pub mod deadlock;
 pub mod rates;
 
+use crate::config::LintConfig;
 use crate::diag::{Anchor, Diagnostic, LintReport, Severity};
 use cgsim_core::{ConnectorId, Endpoint, FlatGraph, KernelId, PortDir, Topology};
 
@@ -27,8 +29,8 @@ pub fn port_rate(graph: &FlatGraph, kernel: usize, port: usize) -> u32 {
 /// (`CG001`–`CG007`, `CG013`) as an Error, a type mismatch anchored on its
 /// port. Returns `true` if an out-of-range index was found — the
 /// descriptor is corrupt and later passes must not index into it.
-pub(crate) fn structural(graph: &FlatGraph, report: &mut LintReport) -> bool {
-    let found = graph.structural_findings();
+pub(crate) fn structural(graph: &FlatGraph, topo: &Topology, report: &mut LintReport) -> bool {
+    let found = graph.structural_findings(topo);
     for (error, port) in &found.findings {
         let mut diagnostic = Diagnostic::from_graph_error(error);
         if let Some(e) = port {
@@ -40,6 +42,17 @@ pub(crate) fn structural(graph: &FlatGraph, report: &mut LintReport) -> bool {
         report.push(diagnostic);
     }
     found.out_of_range
+}
+
+/// Every pass after [`structural`], in order, over a graph whose indices
+/// are in range.
+pub(crate) fn deep(graph: &FlatGraph, topo: &Topology, cfg: &LintConfig, report: &mut LintReport) {
+    let drains = reachability(graph, topo, report);
+    deadlock::check(graph, topo, cfg, report);
+    rates::check(graph, topo, report);
+    shape(graph, topo, &drains, report);
+    budget::check(graph, report);
+    bounds::check(graph, topo, cfg, report);
 }
 
 /// Dead-code detection: `CG040` (kernel unreachable from the inputs) and

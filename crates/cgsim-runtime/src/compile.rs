@@ -25,8 +25,10 @@
 
 use crate::context::RuntimeConfig;
 use cgsim_core::schedule::StaticSchedule;
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, Topology};
-use cgsim_lint::{lint_graph, LintConfig, LintReport};
+#[cfg(doc)]
+use cgsim_core::Topology;
+use cgsim_core::{CheckedGraph, ConnectorId, FlatGraph, GraphError};
+use cgsim_lint::{lint_checked, LintConfig, LintReport};
 use std::fmt;
 
 /// Why a graph fell outside the statically schedulable class.
@@ -92,7 +94,7 @@ pub enum CompileError {
         details: String,
     },
     /// The graph descriptor itself is broken (failed
-    /// [`FlatGraph::validate`] or kernel lookup) — no backend can run it.
+    /// [`CheckedGraph::new`] or kernel lookup) — no backend can run it.
     Graph(GraphError),
 }
 
@@ -148,7 +150,7 @@ impl CompiledPlan {
 /// statically schedulable class.
 ///
 /// The boundary, checked in order:
-/// 1. the descriptor must pass [`FlatGraph::validate`],
+/// 1. the descriptor must pass the structural check ([`CheckedGraph::new`]),
 /// 2. `cgsim-lint` must report no Error findings (`CG030` maps to
 ///    [`RejectReason::RateImbalance`], `CG020` to [`RejectReason::Cycle`],
 ///    anything else to [`RejectReason::LintErrors`]),
@@ -161,22 +163,21 @@ impl CompiledPlan {
 /// firing order is [`Topology::topo_order`], smallest-index-first among the
 /// valid orders.
 pub fn compile(graph: &FlatGraph, cfg: &LintConfig) -> Result<CompiledPlan, CompileError> {
-    graph.validate()?;
-    compile_linted(graph, &lint_graph(graph, cfg))
+    let checked = CheckedGraph::new(graph)?;
+    compile_linted(&checked, &lint_checked(&checked, cfg))
 }
 
-/// [`compile`] of a validated `graph` (one from
-/// [`GraphBuilder`](cgsim_core::GraphBuilder), or one that passed
-/// [`FlatGraph::validate`]) whose lint `report` under the wanted
+/// [`compile`] of a checked graph whose lint `report` under the wanted
 /// [`LintConfig`] is already at hand. A caller that lints anyway — a
 /// launch behind the lint gate, a cache that keeps the report — compiles
 /// without linting a second time. The compiler reads the report's verdict
 /// and firing vector; its own merge and cycle checks stay, so a reject
 /// reason can be cross-checked against the lint codes.
 pub fn compile_linted(
-    graph: &FlatGraph,
+    checked: &CheckedGraph,
     report: &LintReport,
 ) -> Result<CompiledPlan, CompileError> {
+    let graph = checked.graph();
     if report.has_errors() {
         let codes = report.codes();
         let reason = if codes.contains("CG030") {
@@ -195,7 +196,7 @@ pub fn compile_linted(
     // Merge fan-in (including a globally fed connector that also has a
     // kernel producer): token interleaving is schedule-dependent, which a
     // fixed firing order cannot reproduce in general.
-    let topo = Topology::of(graph);
+    let topo = checked.topology();
     for ci in 0..graph.connectors.len() {
         let c = ConnectorId::new(ci);
         let producers = topo.writers(c);

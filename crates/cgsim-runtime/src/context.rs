@@ -22,7 +22,8 @@ use crate::library::{AnyChannel, KernelLibrary, PortBinder};
 use crate::probe::{ExecProbe, Introspector};
 use crate::spec::{Backend, Launch, RunSpec};
 use cgsim_core::schedule::StaticSchedule;
-use cgsim_core::{ConnectorId, FlatGraph, GraphError, PortDir, StreamData, Topology};
+use cgsim_core::{CheckedGraph, ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
+use cgsim_lint::{lint_checked, workload_tokens};
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -244,7 +245,7 @@ impl RunReport {
 /// cancel, poll budget, profiling, probe and bounds checks belong to the
 /// executor.
 pub struct RuntimeContext<'g> {
-    graph: &'g FlatGraph,
+    graph: CheckedGraph<'g>,
     channels: Vec<AnyChannel>,
     executor: Executor,
     /// `Some` under [`Backend::Threaded`]: the tasks [`RuntimeContext::run`]
@@ -399,14 +400,14 @@ impl<'g> RuntimeContext<'g> {
         spec: &RunSpec,
         launch: Launch,
     ) -> Result<Self, GraphError> {
-        graph.validate()?;
+        let checked = CheckedGraph::new(graph)?;
         let config = *spec.config();
         let threads = spec.target() == Backend::Threaded;
         let mut lint = None;
         let plan = match spec.target() {
             Backend::Compiled if config.faults.is_none() => launch.plan.or_else(|| {
-                let report = lint.insert(cgsim_lint::lint_graph(graph, &config.lint_config()));
-                compile_linted(graph, report).ok()
+                let report = lint.insert(lint_checked(&checked, &config.lint_config()));
+                compile_linted(&checked, report).ok()
             }),
             _ => None,
         };
@@ -416,8 +417,7 @@ impl<'g> RuntimeContext<'g> {
         // lint passes can prove broken — deadlock, rate imbalance, realm
         // budget overflow — before materialising a single channel.
         if plan_order.is_none() && config.verify != VerifyPolicy::Off {
-            let report =
-                lint.unwrap_or_else(|| cgsim_lint::lint_graph(graph, &config.lint_config()));
+            let report = lint.unwrap_or_else(|| lint_checked(&checked, &config.lint_config()));
             config.verify.gate(&report, graph)?;
         }
 
@@ -425,9 +425,9 @@ impl<'g> RuntimeContext<'g> {
         // The element type is only known to the kernel implementations, so
         // ask any kernel endpoint of each connector to construct it (the
         // paper's "template functions reconstruct objects of the appropriate
-        // type when invoked"). A connector with no kernel endpoint is,
-        // by `validate()`, both a global input and a global output: it gets
-        // a placeholder that the typed `feed`/`collect` calls replace.
+        // type when invoked"). A connector with no kernel endpoint is, by
+        // the structural check, both a global input and a global output: it
+        // gets a placeholder that the typed `feed`/`collect` calls replace.
         let mut endpoint = vec![None; graph.connectors.len()];
         for (ki, k) in graph.kernels.iter().enumerate() {
             for (pi, p) in k.ports.iter().enumerate() {
@@ -463,7 +463,7 @@ impl<'g> RuntimeContext<'g> {
         }
 
         let mut ctx = RuntimeContext {
-            graph,
+            graph: checked,
             channels,
             executor,
             threads: threads.then(Vec::new),
@@ -524,14 +524,14 @@ impl<'g> RuntimeContext<'g> {
         // Placeholder (global passthrough connector): create typed channel
         // if the slot is still the unit placeholder.
         if slot.clone().downcast::<()>().is_ok() {
-            let capacity = self.graph.connectors[ci].depth_or(self.config.default_depth);
+            let capacity = self.graph.graph().connectors[ci].depth_or(self.config.default_depth);
             let chan = Channel::<T>::with_mode(capacity, storage(self.threads.is_some()));
             *slot = AnyChannel::typed(chan.clone());
             return Ok(chan);
         }
         Err(GraphError::IoTypeMismatch {
             connector,
-            expected: Box::new(self.graph.connectors[ci].dtype.clone()),
+            expected: Box::new(self.graph.graph().connectors[ci].dtype.clone()),
         })
     }
 
@@ -542,10 +542,10 @@ impl<'g> RuntimeContext<'g> {
         index: usize,
         data: impl IntoIterator<Item = T> + 'static,
     ) -> Result<(), GraphError> {
-        let Some(&connector) = self.graph.inputs.get(index) else {
+        let Some(&connector) = self.graph.graph().inputs.get(index) else {
             return Err(GraphError::IoArityMismatch {
                 what: "inputs",
-                expected: self.graph.inputs.len(),
+                expected: self.graph.graph().inputs.len(),
                 actual: index + 1,
             });
         };
@@ -613,10 +613,10 @@ impl<'g> RuntimeContext<'g> {
         index: usize,
         limit: Option<usize>,
     ) -> Result<SinkHandle<T>, GraphError> {
-        let Some(&connector) = self.graph.outputs.get(index) else {
+        let Some(&connector) = self.graph.graph().outputs.get(index) else {
             return Err(GraphError::IoArityMismatch {
                 what: "outputs",
-                expected: self.graph.outputs.len(),
+                expected: self.graph.graph().outputs.len(),
                 actual: index + 1,
             });
         };
@@ -640,20 +640,20 @@ impl<'g> RuntimeContext<'g> {
         if let Some(missing) = self.fed_inputs.iter().position(|f| !f) {
             return Err(GraphError::IoArityMismatch {
                 what: "inputs",
-                expected: self.graph.inputs.len(),
+                expected: self.graph.graph().inputs.len(),
                 actual: missing,
             });
         }
         if let Some(missing) = self.bound_outputs.iter().position(|f| !f) {
             return Err(GraphError::IoArityMismatch {
                 what: "outputs",
-                expected: self.graph.outputs.len(),
+                expected: self.graph.graph().outputs.len(),
                 actual: missing,
             });
         }
         // Everything below needs the typed channels behind passthrough
         // connectors, which only exist once every feed/collect has run.
-        let graph = self.graph;
+        let graph = self.graph.graph();
         let admins: Vec<(usize, String, Arc<dyn ChannelAdmin>)> = (self.channels.iter())
             .enumerate()
             .filter_map(|(ci, ch)| Some((ci, graph.connector_name(ci), Arc::clone(ch.admin()?))))
@@ -666,8 +666,7 @@ impl<'g> RuntimeContext<'g> {
             // the channel was built with. Sized this way no write can ever
             // block; Kahn determinism makes capacity changes
             // output-invariant for this graph class.
-            let topo = Topology::of(graph);
-            if let Some(tokens) = cgsim_lint::workload_tokens(graph, &topo, &self.feed_lens) {
+            if let Some(tokens) = workload_tokens(&self.graph, &self.feed_lens) {
                 for (ci, _, admin) in &admins {
                     admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
                 }
@@ -731,7 +730,7 @@ impl<'g> RuntimeContext<'g> {
                     Some(intro.add_channel(name.clone(), admin.capacity(), Arc::clone(admin)));
             }
             // Kernel coroutines were spawned in graph order: task id == ki.
-            for (ki, k) in self.graph.kernels.iter().enumerate() {
+            for (ki, k) in self.graph.graph().kernels.iter().enumerate() {
                 for p in &k.ports {
                     if let Some(idx) = slots[p.connector.index()] {
                         match p.dir {

@@ -8,13 +8,15 @@
 //!    flatten / compile once, then insert);
 //! 4. deny-by-default lint gate — `CG0xx` findings go back to the client
 //!    in the JSON error body (`422`);
-//! 5. cost gate, when a limit is set: the server's own `cgsim-lint`
+//! 5. a workload whose element count overflows is refused
+//!    (`400 BAD_REQUEST`);
+//! 6. cost gate, when a limit is set: the server's own `cgsim-lint`
 //!    estimate for this graph and workload (`429 COST_EXCEEDED` above the
 //!    limit, or when the dataflow is cyclic and has no estimate). Whatever
 //!    the request says about cost is ignored;
-//! 6. round-robin fair in-flight slot, then submission to the bounded
+//! 7. round-robin fair in-flight slot, then submission to the bounded
 //!    `cgsim-pool` (`503 QUEUE_FULL`);
-//! 7. the job executes on a pool worker under the request's own tracer
+//! 8. the job executes on a pool worker under the request's own tracer
 //!    (enabled only for `"trace": true`) and leaves its engine's
 //!    [`ServeReport`] section and trace snapshot in one slot; the response
 //!    is that report plus label, counters, lint findings and bounds.
@@ -29,9 +31,10 @@ use crate::limit::{FairQueue, RateLimit, RateLimiter};
 use crate::report::ServeReport;
 use crate::wire::{ErrorBody, GraphSource, RunRequest, WIRE_VERSION};
 use aie_sim::{SimReport, VerifyPolicy};
-use cgsim_core::Topology;
+use cgsim_core::{CheckedGraph, FlatGraph, GraphError};
+use cgsim_graphs::support::element_count;
 use cgsim_graphs::{all_apps, Launch};
-use cgsim_lint::{cost_estimate, lint_graph, LintConfig, Severity};
+use cgsim_lint::{cost_estimate, lint_checked, LintConfig, Severity};
 use cgsim_pool::{Admission, Job, JobOutcome, JobOutput, Pool, PoolConfig, SubmitError};
 use cgsim_runtime::{compile_linted, Backend};
 use cgsim_trace::export::chrome::chrome_trace_json;
@@ -409,6 +412,7 @@ fn engine_of(backend: Backend) -> &'static str {
 
 /// Build (or reject) the cache entry for a graph source.
 fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response> {
+    let refuse = |e: GraphError| Response::error(422, e.code(), e.message());
     match source {
         GraphSource::App(name) => {
             let Some(app) = all_apps().into_iter().find(|a| a.name() == name.as_str()) else {
@@ -420,8 +424,9 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
                 ));
             };
             let graph = app.graph();
-            let lint = lint_graph(&graph, &LintConfig::default());
-            let plan = compile_linted(&graph, &lint).ok();
+            let checked = CheckedGraph::new(&graph).map_err(refuse)?;
+            let lint = lint_checked(&checked, &LintConfig::default());
+            let plan = compile_linted(&checked, &lint).ok();
             Ok(CacheEntry {
                 digest,
                 label: name.clone(),
@@ -434,10 +439,10 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
             })
         }
         GraphSource::Manifest(manifest) => {
-            if let Err(e) = manifest.graph.validate().and(manifest.config.check()) {
-                return Err(Response::error(422, e.code(), e.message()));
-            }
-            let lint = manifest.lint();
+            let checked = CheckedGraph::new(&manifest.graph)
+                .and_then(|checked| manifest.config.check().map(|()| checked))
+                .map_err(refuse)?;
+            let lint = lint_checked(&checked, &manifest.lint_config());
             Ok(CacheEntry {
                 digest,
                 label: manifest.graph.name.clone(),
@@ -448,24 +453,22 @@ fn build_entry(digest: u64, source: &GraphSource) -> Result<CacheEntry, Response
     }
 }
 
-/// Predicted scheduler polls for running `entry` over `blocks` input
-/// blocks: the `cgsim-lint` estimate over the feed lengths the run will see
-/// (an app's `workload(blocks)`, a manifest's embedded workload). `None`
-/// when the dataflow is cyclic.
-fn predicted_polls(entry: &CacheEntry, blocks: u64) -> Option<u64> {
+/// The graph a run of `entry` over `blocks` input blocks reads, and the
+/// elements fed to each of its global inputs (an app's `workload(blocks)`,
+/// a manifest's embedded workload); or the message refusing an element
+/// count that overflows ([`element_count`]).
+fn feed_lens(entry: &CacheEntry, blocks: u64) -> Result<(&FlatGraph, Vec<u64>), String> {
     let (graph, workload) = match &entry.payload {
         CachePayload::App { name, graph, .. } => {
-            let app = all_apps().into_iter().find(|a| a.name() == name.as_str())?;
-            (&**graph, app.workload(blocks))
+            let app = all_apps().into_iter().find(|a| a.name() == name.as_str());
+            (&**graph, app.ok_or("app vanished")?.workload(blocks))
         }
         CachePayload::Manifest(manifest) => (&manifest.graph, manifest.workload.clone()),
     };
-    let feed_lens: Vec<u64> = workload
-        .elems_per_block_in
-        .iter()
-        .map(|elems| workload.blocks.saturating_mul(*elems))
-        .collect();
-    cost_estimate(graph, &Topology::of(graph), &feed_lens).map(|cost| cost.polls_hint)
+    let lens = (workload.elems_per_block_in.iter())
+        .map(|&elems| element_count(&entry.label, workload.blocks, elems).map(|n| n as u64))
+        .collect::<Result<_, _>>()?;
+    Ok((graph, lens))
 }
 
 fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Response {
@@ -526,12 +529,21 @@ fn handle_run(inner: &Arc<Inner>, request: &Request, peer: SocketAddr) -> Respon
         return Response::json(422, body.to_json());
     }
 
+    // A workload whose element count overflows can never run: refused
+    // before it costs a fair-queue slot or a pool worker.
+    let blocks = run_request.blocks.max(1);
+    let (graph, feeds) = match feed_lens(&entry, blocks) {
+        Ok(found) => found,
+        Err(message) => return Response::error(400, "BAD_REQUEST", message),
+    };
+
     // Cost gate: the server's own estimate, so a request that understates
     // its cost cannot get under the limit. Refused before the fair queue,
     // so a refusal never waits for a slot.
-    let blocks = run_request.blocks.max(1);
     if let Some(limit) = inner.config.cost_limit {
-        let message = match predicted_polls(&entry, blocks) {
+        let checked = CheckedGraph::new(graph).ok();
+        let cost = checked.and_then(|checked| cost_estimate(&checked, &feeds));
+        let message = match cost.map(|cost| cost.polls_hint) {
             Some(polls) if polls <= limit => None,
             Some(polls) => Some(format!(
                 "predicted cost {polls} polls exceeds admission limit {limit}"

@@ -3,7 +3,7 @@
 //! the `CG060` occupancy bound against observed channel high-water marks on
 //! random SDF graphs, and the runtime's opt-in bounds-check mode.
 
-use cgsim::core::Topology;
+use cgsim::core::CheckedGraph;
 use cgsim::graphs::all_apps;
 use cgsim::lint::{lint_graph, occupancy_bounds, LintConfig};
 use cgsim::runtime::{RunSpec, RuntimeConfig, RuntimeContext, Schedule};
@@ -124,8 +124,8 @@ proptest! {
             return Ok(());
         }
         let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
-        let topo = Topology::of(&case.graph);
-        let bounds = occupancy_bounds(&case.graph, &topo, &lint_cfg(), &feed_lens)
+        let checked = CheckedGraph::new(&case.graph).unwrap();
+        let bounds = occupancy_bounds(&checked, &lint_cfg(), &feed_lens)
             .expect("merge-free generated cases are acyclic with fed kernels");
         let by_name: std::collections::HashMap<String, u64> = (0..case.graph.connectors.len())
             .map(|ci| (case.graph.connector_name(ci), bounds[ci]))
@@ -158,8 +158,8 @@ fn runtime_bounds_check_mode_records_violations() {
     let feed_lens: Vec<u64> = case.feeds.iter().map(|f| f.len() as u64).collect();
     let lib = cgsim_check::kernels::library();
 
-    let topo = Topology::of(&case.graph);
-    if let Some(bounds) = occupancy_bounds(&case.graph, &topo, &lint_cfg(), &feed_lens) {
+    let checked = CheckedGraph::new(&case.graph).unwrap();
+    if let Some(bounds) = occupancy_bounds(&checked, &lint_cfg(), &feed_lens) {
         let mut ctx = RuntimeContext::new(&case.graph, &lib, RuntimeConfig::default()).unwrap();
         for (i, feed) in case.feeds.iter().enumerate() {
             ctx.feed(i, feed.clone()).unwrap();

@@ -56,7 +56,7 @@ fn unprimed_feedback_loop_is_reported_not_hung() {
     .unwrap();
     // Structure: the analysis layer flags the feedback loop.
     let topo = cgsim::core::Topology::of(&graph);
-    assert!(topo.has_feedback());
+    assert!(topo.topo_order().is_none());
 
     // Static analysis proves the deadlock before any run: the cycle has no
     // external token source, so cgsim-lint reports CG020 at Error severity.

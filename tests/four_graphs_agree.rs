@@ -292,7 +292,8 @@ fn placement_succeeds_for_all_apps() {
     use cgsim::sim::{ArrayGeometry, Placement};
     for app in all_apps() {
         let graph = app.graph();
-        let p = Placement::place(&graph, ArrayGeometry::VC1902)
+        let checked = cgsim::core::CheckedGraph::new(&graph).unwrap();
+        let p = Placement::place(&checked, ArrayGeometry::VC1902)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
         let aie_kernels = graph
             .kernels

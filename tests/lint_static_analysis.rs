@@ -3,8 +3,8 @@
 //! conformance graphs are Error-free, and the runtime/deploy verification
 //! hooks reject what the verifier condemns.
 
-use cgsim::core::{ConnectorId, Endpoint, KernelId, PortDir, Topology};
-use cgsim::lint::{lint_graph, LintConfig, Severity};
+use cgsim::core::{CheckedGraph, ConnectorId, Endpoint, KernelId, PortDir, Topology};
+use cgsim::lint::{lint_checked, lint_graph, LintConfig, Severity};
 use cgsim::FlatGraph;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -75,8 +75,8 @@ fn scan(graph: &FlatGraph, c: ConnectorId, dir: PortDir) -> Vec<Endpoint> {
 }
 
 /// `Topology`'s connector index answers exactly what the port scan did,
-/// in the same order, and the kernel topology built on it equals the one
-/// built from the scan.
+/// in the same order, and its topological order equals the
+/// smallest-index-first Kahn order over the kernel edges the scan finds.
 fn assert_index_matches_scan(graph: &FlatGraph) {
     let topo = Topology::of(graph);
     let n = graph.kernels.len();
@@ -93,8 +93,8 @@ fn assert_index_matches_scan(graph: &FlatGraph) {
         assert_eq!(topo.readers(c), consumers.len() + usize::from(output));
         for p in &producers {
             for q in &consumers {
-                succ[p.kernel.index()].push(q.kernel);
-                pred[q.kernel.index()].push(p.kernel);
+                succ[p.kernel.index()].push(q.kernel.index());
+                pred[q.kernel.index()].push(p.kernel.index());
             }
         }
     }
@@ -102,21 +102,20 @@ fn assert_index_matches_scan(graph: &FlatGraph) {
         list.sort_unstable();
         list.dedup();
     }
-    let touching = |globals: &[ConnectorId]| -> Vec<KernelId> {
-        (0..n)
-            .map(KernelId::new)
-            .filter(|k| {
-                graph.kernels[k.index()]
-                    .ports
-                    .iter()
-                    .any(|p| globals.contains(&p.connector))
-            })
-            .collect()
-    };
-    assert_eq!(topo.succ, succ, "{}", graph.name);
-    assert_eq!(topo.pred, pred, "{}", graph.name);
-    assert_eq!(topo.entry, touching(&graph.inputs), "{}", graph.name);
-    assert_eq!(topo.exit, touching(&graph.outputs), "{}", graph.name);
+    let mut indegree: Vec<usize> = pred.iter().map(Vec::len).collect();
+    let mut ready: BTreeSet<usize> = (0..n).filter(|&k| indegree[k] == 0).collect();
+    let mut kahn = Vec::with_capacity(n);
+    while let Some(k) = ready.pop_first() {
+        kahn.push(KernelId::new(k));
+        for &s in &succ[k] {
+            indegree[s] -= 1;
+            if indegree[s] == 0 {
+                ready.insert(s);
+            }
+        }
+    }
+    let kahn = (kahn.len() == n).then_some(kahn);
+    assert_eq!(topo.topo_order(), kahn, "{}", graph.name);
 }
 
 /// The index equals the scan on every corpus graph and 256 generated
@@ -137,9 +136,11 @@ fn topology_index_matches_the_port_scan() {
     }
 }
 
-/// `validate()` and lint apply one structural rule: on every corpus graph
-/// and 64 generated ones, `validate()` fails exactly when lint reports a
-/// structural Error (`CG001`–`CG007`, `CG013`), with the code of the first.
+/// `validate()`, `CheckedGraph::new` and lint apply one structural rule: on
+/// every corpus graph and 64 generated ones, both checks fail exactly when
+/// lint reports a structural Error (`CG001`–`CG007`, `CG013`), with the
+/// code of the first. On a graph that checks, `lint_checked` reports what
+/// `lint_graph` does.
 #[test]
 fn validate_fails_exactly_on_the_first_structural_lint_error() {
     const STRUCTURAL: [&str; 8] = [
@@ -153,6 +154,27 @@ fn validate_fails_exactly_on_the_first_structural_lint_error() {
             .find(|code| STRUCTURAL.contains(code));
         let validated = graph.validate().err().map(|e| e.code());
         assert_eq!(validated, first, "{}", graph.name);
+        let checked = CheckedGraph::new(graph);
+        assert_eq!(checked.as_ref().err().map(|e| e.code()), validated);
+        if let Ok(checked) = checked {
+            assert_lint_checked_renders_as_lint_graph(&checked);
+        }
+    }
+}
+
+/// `lint_checked` of a checked graph renders the human and JSON reports
+/// `lint_graph` renders, byte for byte.
+fn assert_lint_checked_renders_as_lint_graph(checked: &CheckedGraph) {
+    let graph = checked.graph();
+    for config in [LintConfig::default(), LintConfig::default().with_bounds()] {
+        let (full, kept) = (lint_graph(graph, &config), lint_checked(checked, &config));
+        assert_eq!(
+            kept.render_human(graph),
+            full.render_human(graph),
+            "{}",
+            graph.name
+        );
+        assert_eq!(kept.to_json(), full.to_json(), "{}", graph.name);
     }
 }
 
@@ -192,6 +214,7 @@ fn paper_graphs_lint_error_free() {
             app.name(),
             report.render_human(&graph)
         );
+        assert_lint_checked_renders_as_lint_graph(&CheckedGraph::new(&graph).unwrap());
     }
 }
 

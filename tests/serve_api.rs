@@ -8,8 +8,8 @@
 //! and `/metrics` is valid Prometheus exposition.
 
 use cgsim::core::{
-    FlatGraph, GraphBuilder, KernelDecl, KernelMeta, PortKind, PortSettings, PortSig, Realm,
-    Topology,
+    CheckedGraph, FlatGraph, GraphBuilder, KernelDecl, KernelMeta, PortKind, PortSettings, PortSig,
+    Realm,
 };
 use cgsim::graphs::{all_apps, RunSpec};
 use cgsim::intrinsics::OpCounts;
@@ -227,7 +227,7 @@ fn cost_limit_is_the_servers_estimate() {
             .map(|e| blocks * e)
             .collect();
         let graph = app.graph();
-        cost_estimate(&graph, &Topology::of(&graph), &feeds)
+        cost_estimate(&CheckedGraph::new(&graph).unwrap(), &feeds)
             .expect("IIR is acyclic")
             .polls_hint
     };
@@ -434,24 +434,31 @@ fn zero_fifo_depth_manifest_is_a_422_and_the_daemon_keeps_serving() {
 }
 
 /// An app request whose `blocks` overflows the input's element count is a
-/// `500 RUN_FAILED` naming the overflow, not an empty run that verifies,
-/// and the daemon keeps serving.
+/// `400 BAD_REQUEST` naming the overflow, refused before it takes a
+/// fair-queue slot or a pool worker, and the daemon keeps serving.
 #[test]
-fn overflowing_blocks_is_a_run_failure_and_the_daemon_keeps_serving() {
+fn overflowing_blocks_is_a_bad_request_and_the_daemon_keeps_serving() {
     let handle = Server::start(one_pool_worker()).expect("starts");
     let addr = handle.addr().to_string();
     for blocks in [1u64 << 60, u64::MAX] {
         let request = format!(r#"{{"graph":{{"app":"bitonic"}},"blocks":{blocks}}}"#);
         let (status, _, body) = http(&addr, "POST", "/v1/run", &[], &request);
-        assert_eq!(status, 500, "{body}");
+        assert_eq!(status, 400, "{body}");
         let error: cgsim::serve::ErrorBody = serde_json::from_str(&body).expect("structured error");
-        assert_eq!(error.code, "RUN_FAILED", "{body}");
+        assert_eq!(error.code, "BAD_REQUEST", "{body}");
         let named = format!("bitonic: {blocks} blocks overflow");
         assert!(error.error.contains(&named), "{body}");
     }
     let (status, _, body) = http(&addr, "GET", "/healthz", &[], "");
     assert_eq!(status, 200, "{body}");
-    handle.shutdown();
+    // Refused before the pool: no job was ever submitted.
+    let report = handle.shutdown();
+    let submitted = |(name, value): &(String, u64)| name == "pool_jobs_submitted" && *value > 0;
+    assert!(
+        !report.counters.iter().any(submitted),
+        "{:?}",
+        report.counters
+    );
 }
 
 /// A 4 000-kernel manifest (2.4 MB, under the body cap) is validated,
