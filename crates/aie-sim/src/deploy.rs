@@ -10,9 +10,10 @@
 
 use crate::config::SimConfig;
 use crate::cost::KernelCostProfile;
-use crate::graphsim::{simulate_graph, GraphTrace, WorkloadSpec};
+use crate::graphsim::{simulate_checked, GraphTrace, WorkloadSpec};
 use cgsim_core::{CheckedGraph, FlatGraph, GraphError};
 use cgsim_lint::{lint_checked, lint_graph, LintConfig, LintReport, VerifyPolicy};
+use cgsim_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -135,18 +136,27 @@ impl DeployOptions {
 /// simulates anyway; [`VerifyPolicy::Off`] skips the lint — for
 /// deliberately simulating a diagnosed-broken graph (e.g. to observe its
 /// stall).
+///
+/// The graph is checked once: a graph that passes is linted and simulated
+/// over the index the check kept, a broken one is linted as it is.
 pub fn deploy(
     manifest: &DeployManifest,
     options: &DeployOptions,
 ) -> Result<GraphTrace, GraphError> {
+    let checked = CheckedGraph::new(&manifest.graph);
     if options.verify != VerifyPolicy::Off {
-        options.verify.gate(&manifest.lint(), &manifest.graph)?;
+        let report = match &checked {
+            Ok(checked) => lint_checked(checked, &manifest.lint_config()),
+            Err(_) => manifest.lint(),
+        };
+        options.verify.gate(&report, &manifest.graph)?;
     }
-    simulate_graph(
-        &manifest.graph,
+    simulate_checked(
+        &checked?,
         &manifest.profile_map(),
         &manifest.config,
         &manifest.workload,
+        &Tracer::default(),
     )
 }
 
@@ -288,6 +298,21 @@ mod tests {
         let j = m.to_json();
         let msg = DeployManifest::from_json(&j).unwrap_err();
         assert!(msg.contains("cgsim-lint") && msg.contains("CG020"), "{msg}");
+    }
+
+    #[test]
+    fn broken_manifest_error_under_each_policy() {
+        // No global output: the structural check refuses the graph.
+        let mut m = manifest();
+        m.graph.outputs.clear();
+        let structural = m.graph.validate().unwrap_err();
+        let deny = deploy(&m, &DeployOptions::new()).unwrap_err();
+        assert_eq!(deny.code(), "CG012", "{deny}");
+        assert!(deny.to_string().contains(structural.code()), "{deny}");
+        for policy in [VerifyPolicy::Warn, VerifyPolicy::Off] {
+            let err = deploy(&m, &DeployOptions::new().verify(policy)).unwrap_err();
+            assert_eq!(err, structural, "{policy:?}");
+        }
     }
 
     #[test]

@@ -138,6 +138,19 @@ pub fn simulate_graph_traced(
     tracer: &Tracer,
 ) -> Result<GraphTrace, GraphError> {
     let checked = CheckedGraph::new(graph)?;
+    simulate_checked(&checked, profiles, config, workload, tracer)
+}
+
+/// [`simulate_graph_traced`] of a graph that passed the structural check,
+/// setting up its FIFOs from the index the check kept.
+pub(crate) fn simulate_checked(
+    checked: &CheckedGraph,
+    profiles: &HashMap<String, KernelCostProfile>,
+    config: &SimConfig,
+    workload: &WorkloadSpec,
+    tracer: &Tracer,
+) -> Result<GraphTrace, GraphError> {
+    let graph = checked.graph();
     config.check()?;
     if workload.elems_per_block_in.len() != graph.inputs.len() {
         return Err(GraphError::IoArityMismatch {

@@ -597,8 +597,10 @@ fn run_cooperative_report(
 
 /// One compiled-backend leg: the cooperative leg runner under a `Compiled`
 /// spec, following `plan` or, without one, the plan its launch compiles —
-/// so it gets every check those legs get, plus the plan's own guarantee
-/// that its capacities are never exceeded (`blocked_writes == 0`).
+/// so it gets every check those legs get, plus the plan's own guarantee:
+/// no channel ever holds more than its planned capacity (read from the
+/// leg's trace), and a channel whose whole traffic fits that capacity runs
+/// in one round, so none of its writes blocks.
 fn run_compiled(
     s: &Subject,
     plan: Option<CompiledPlan>,
@@ -608,11 +610,22 @@ fn run_compiled(
     let spec = coop_spec(label, Schedule::Fifo).backend(Backend::Compiled);
     let (outputs, report) = run_cooperative_report(s, &spec, None, None, None, plan, failures)?;
     for (name, stats) in &report.channels {
-        if stats.blocked_writes != 0 {
+        let Some(info) = report.trace.channels.iter().find(|c| &c.name == name) else {
+            failures.push(format!("{label}: channel {name}: missing from the trace"));
+            continue;
+        };
+        if stats.max_occupancy > info.capacity {
             failures.push(format!(
-                "{label}: channel {name}: {} blocked writes — the compiled \
-                 capacity bound was exceeded",
-                stats.blocked_writes
+                "{label}: channel {name}: held {} elements, above its planned \
+                 capacity {}",
+                stats.max_occupancy, info.capacity
+            ));
+        }
+        if stats.pushes <= info.capacity && stats.blocked_writes != 0 {
+            failures.push(format!(
+                "{label}: channel {name}: {} blocked writes though its {} \
+                 pushes fit the planned capacity {}",
+                stats.blocked_writes, stats.pushes, info.capacity
             ));
         }
     }

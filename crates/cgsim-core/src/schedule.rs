@@ -152,9 +152,9 @@ pub fn gcd(mut a: u128, mut b: u128) -> u128 {
 /// Produced by the schedule compiler in `cgsim-runtime` (`compile`),
 /// followed by the executor of a `Compiled` run, and committed under
 /// `tests/golden/` (via [`render`]) so schedule regressions show up as
-/// reviewable diffs. It carries no buffer figures: a run sizes its
-/// channels from the workload (`cgsim_lint::workload_tokens`), and
-/// [`GraphBounds`] reports the per-connector traffic of one period.
+/// reviewable diffs. It carries no buffer figures: a run that follows it
+/// holds a fixed byte budget per channel, and [`GraphBounds`] reports the
+/// per-connector traffic of one period.
 ///
 /// [`render`]: StaticSchedule::render
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

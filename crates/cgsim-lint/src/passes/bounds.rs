@@ -215,9 +215,7 @@ fn graph_bounds(
 /// kernel dataflow is cyclic.
 ///
 /// This is the total ever *pushed* through each connector — an exact,
-/// capacity-independent upper bound on its occupancy, and the figure the
-/// compiled backend sizes its flat buffers from so that no write can ever
-/// block.
+/// capacity-independent upper bound on its occupancy.
 pub fn workload_tokens(checked: &CheckedGraph, feed_lens: &[u64]) -> Option<Vec<u64>> {
     propagate(checked, feed_lens).map(|p| p.tokens)
 }

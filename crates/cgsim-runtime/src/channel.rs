@@ -710,8 +710,9 @@ pub trait ChannelAdmin: Send + Sync {
     fn occupancy(&self) -> usize;
     /// See [`Channel::capacity`].
     fn capacity(&self) -> usize;
-    /// See [`Channel::raise_capacity`].
-    fn raise_capacity(&self, capacity: usize);
+    /// [`Channel::raise_capacity`] to as many whole elements as fit in
+    /// `bytes` (a zero-sized element counts as one byte).
+    fn raise_capacity_to_bytes(&self, bytes: usize);
 }
 
 impl<T: cgsim_core::StreamData> ChannelAdmin for Channel<T> {
@@ -727,8 +728,8 @@ impl<T: cgsim_core::StreamData> ChannelAdmin for Channel<T> {
     fn capacity(&self) -> usize {
         Channel::capacity(self)
     }
-    fn raise_capacity(&self, capacity: usize) {
-        Channel::raise_capacity(self, capacity)
+    fn raise_capacity_to_bytes(&self, bytes: usize) {
+        Channel::raise_capacity(self, bytes / std::mem::size_of::<T>().max(1))
     }
 }
 

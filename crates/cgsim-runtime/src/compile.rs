@@ -11,8 +11,9 @@
 //! topological order ([`Topology::topo_order`]), and packages them as a
 //! reusable [`CompiledPlan`]; graphs outside the class are rejected with a
 //! [`RejectReason`] naming the matching lint verdict. The lint bounds pass
-//! reports per-connector period traffic (`GraphBounds`), and a run sizes
-//! its buffers from its workload (`cgsim_lint::workload_tokens`).
+//! reports per-connector period traffic (`GraphBounds`); a run that
+//! follows a plan holds a fixed byte budget per channel and runs a longer
+//! stream in rounds.
 //!
 //! The *execute* phase is the one executor every single-threaded run uses:
 //! [`RuntimeContext::launch`](crate::RuntimeContext::launch) follows a plan

@@ -23,7 +23,7 @@ use crate::probe::{ExecProbe, Introspector};
 use crate::spec::{Backend, Launch, RunSpec};
 use cgsim_core::schedule::StaticSchedule;
 use cgsim_core::{CheckedGraph, ConnectorId, FlatGraph, GraphError, PortDir, StreamData};
-use cgsim_lint::{lint_checked, workload_tokens};
+use cgsim_lint::lint_checked;
 use cgsim_trace::{TraceSnapshot, Tracer};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -256,9 +256,6 @@ pub struct RuntimeContext<'g> {
     config: RuntimeConfig,
     /// Kernel firing order of the static schedule this run follows, if any.
     plan_order: Option<Vec<usize>>,
-    /// Elements fed to each global input; recorded only under a plan, where
-    /// they scale the channel capacities in `run`.
-    feed_lens: Vec<u64>,
     tracer: Tracer,
     probe: Option<Arc<ExecProbe>>,
     /// Source/sink coroutine I/O for the introspector: `(task id, connector
@@ -268,6 +265,10 @@ pub struct RuntimeContext<'g> {
     /// (channels may still be placeholders until every feed/collect ran).
     bounds: Option<Vec<u64>>,
 }
+
+/// Bytes each channel of a run that follows a plan may hold: a channel is
+/// raised to this many elements, or kept at its built capacity if larger.
+const PLAN_CHANNEL_BYTES: usize = 64 << 10;
 
 /// A task of the threads scheduler: its label, and what builds its
 /// coroutine — called on the task's own thread, because a
@@ -383,10 +384,11 @@ impl<'g> RuntimeContext<'g> {
     /// * **First-poll order**: sources, then kernels in the plan's order,
     ///   then sinks, on the FIFO ready queue — `config.schedule` is not
     ///   consulted.
-    /// * **Capacities**: [`RuntimeContext::run`] raises every channel to the
-    ///   exact token traffic of the recorded feed lengths
-    ///   (`cgsim_lint::workload_tokens`), so no write ever blocks and a
-    ///   merge-free graph drains in one poll per coroutine.
+    /// * **Capacities**: [`RuntimeContext::run`] raises every channel to
+    ///   64 KiB of elements (or keeps its built capacity if larger). Traffic
+    ///   that fits drains in one poll per coroutine; a longer stream runs in
+    ///   rounds, a producer suspending when its channel is full, so channel
+    ///   memory stays bounded whatever the feed length.
     /// * **No lint gate**: a plan is the lint verdict (compiling it ran the
     ///   passes), so `config.verify` is not consulted either. When the
     ///   compile here is rejected, the gate reuses its lint report: the
@@ -471,7 +473,6 @@ impl<'g> RuntimeContext<'g> {
             bound_outputs: vec![false; graph.outputs.len()],
             config,
             plan_order,
-            feed_lens: vec![0; graph.inputs.len()],
             tracer: launch.tracer,
             probe: None,
             io_tasks: Vec::new(),
@@ -553,15 +554,14 @@ impl<'g> RuntimeContext<'g> {
         let mut tx = chan.add_producer();
         self.fed_inputs[index] = true;
         let label = format!("source_{index}");
-        // A plan sizes the channels from the feed length, and a source
-        // thread takes its stream along, so both buffer it; a plan-less
-        // executor run keeps the source lazy.
-        let id = if self.plan_order.is_none() && self.threads.is_none() {
+        // An executor source stays lazy: it pulls at most a channel's free
+        // capacity per poll. A source thread takes its stream along, and a
+        // stream need not be `Send`, so threads buffer it.
+        let id = if self.threads.is_none() {
             let future = Box::pin(async move { tx.push_iter(data.into_iter()).await });
             self.executor.spawn(label, future)
         } else {
             let data: Vec<T> = data.into_iter().collect();
-            self.feed_lens[index] = data.len() as u64;
             self.add_task(label, move || {
                 Ok(Box::pin(
                     async move { tx.push_iter(data.into_iter()).await },
@@ -660,16 +660,11 @@ impl<'g> RuntimeContext<'g> {
             .collect();
         let plan_order = self.plan_order.take();
         if plan_order.is_some() {
-            // Capacity per connector: the exact workload token traffic from
-            // the `CG060` bounds analysis (total ever pushed through the
-            // connector for these feed lengths), floored by the capacity
-            // the channel was built with. Sized this way no write can ever
-            // block; Kahn determinism makes capacity changes
-            // output-invariant for this graph class.
-            if let Some(tokens) = workload_tokens(&self.graph, &self.feed_lens) {
-                for (ci, _, admin) in &admins {
-                    admin.raise_capacity(usize::try_from(tokens[*ci]).unwrap_or(usize::MAX));
-                }
+            // Bounded, so a longer stream runs in rounds (see `launch`).
+            // Raising a capacity never adds a deadlock, and Kahn
+            // determinism keeps the outputs of this graph class unchanged.
+            for (_, _, admin) in &admins {
+                admin.raise_capacity_to_bytes(PLAN_CHANNEL_BYTES);
             }
         }
         // Wire every connector's counters and events into the tracer under

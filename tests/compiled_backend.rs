@@ -1,12 +1,14 @@
 //! Compiled static-schedule backend, end to end: golden firing schedules
 //! for the four paper graphs, and property tests over the conformance
 //! generator's random SDF graphs — planned outputs must be bit-identical
-//! to the plan-less reference, a plan must replay deterministically, and
-//! the schedule-derived buffer bound must never block a writer.
+//! to the plan-less reference, a plan must replay deterministically, no
+//! channel may hold more than its planned capacity, and traffic that fits
+//! that capacity must never block a writer.
 
 use cgsim::graphs::all_apps;
 use cgsim::lint::LintConfig;
 use cgsim::runtime::{compile, compile_for, Backend, CompiledPlan, Launch, RunSpec};
+use cgsim::trace::Tracer;
 use cgsim::{RuntimeConfig, RuntimeContext};
 use cgsim_check::gen::{self, GeneratedCase};
 use proptest::prelude::*;
@@ -52,16 +54,19 @@ fn has_merge(case: &GeneratedCase) -> bool {
 }
 
 /// Run one generated case on the one context: a `Compiled` spec following
-/// `plan` when given, else a cooperative spec (default FIFO schedule).
-/// Under a plan, asserts its bound guarantee: no write ever blocks (the
-/// realized form of "max fill never exceeds the schedule-derived
-/// capacity").
+/// `plan` when given (traced, so the report records each channel's planned
+/// capacity), else a cooperative spec (default FIFO schedule). Under a
+/// plan, asserts its bound guarantee: no channel ever holds more than its
+/// planned capacity, and a channel whose whole traffic fits that capacity
+/// never blocks a writer.
 fn run_case(case: &GeneratedCase, plan: Option<&CompiledPlan>) -> Vec<Vec<i64>> {
     let lib = cgsim_check::kernels::library();
     let (spec, launch) = match plan {
         Some(plan) => (
             RunSpec::default().backend(Backend::Compiled),
-            Launch::default().with_plan(plan.clone()),
+            Launch::default()
+                .with_plan(plan.clone())
+                .with_tracer(Tracer::enabled()),
         ),
         None => (RunSpec::default(), Launch::default()),
     };
@@ -81,11 +86,23 @@ fn run_case(case: &GeneratedCase, plan: Option<&CompiledPlan>) -> Vec<Vec<i64>> 
     );
     if plan.is_some() {
         for (name, stats) in &report.channels {
-            assert_eq!(
-                stats.blocked_writes, 0,
-                "seed {}: channel {name} overflowed its schedule-derived bound",
-                case.seed
+            let info = (report.trace.channels.iter())
+                .find(|c| &c.name == name)
+                .unwrap_or_else(|| panic!("seed {}: channel {name} not traced", case.seed));
+            assert!(
+                stats.max_occupancy <= info.capacity,
+                "seed {}: channel {name} held {} elements, above its planned capacity {}",
+                case.seed,
+                stats.max_occupancy,
+                info.capacity
             );
+            if stats.pushes <= info.capacity {
+                assert_eq!(
+                    stats.blocked_writes, 0,
+                    "seed {}: channel {name} blocked a writer within one round",
+                    case.seed
+                );
+            }
         }
     }
     sinks.iter().map(|h| h.take()).collect()
@@ -96,7 +113,7 @@ proptest! {
 
     /// Over random rate-balanced SDF graphs from the conformance
     /// generator: merge-free cases compile; one plan instantiated twice
-    /// yields bit-identical outputs and never blocks a writer; and the
+    /// yields bit-identical outputs within its planned capacities; and the
     /// compiled outputs equal the cooperative reference. Merge cases are
     /// rejected with the lint code the static verifier assigns (CG043).
     #[test]
